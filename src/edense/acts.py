@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import itemgetter
 
 from . import closures, core
 from .core import FiniteSemigroup
@@ -21,6 +22,7 @@ from .errors import (
     NotCancellative,
     NotIdempotent,
     NotReflexive,
+    OutOfRangeEntry,
     ParseError,
     PreconditionFailed,
     WellDefinednessViolation,
@@ -91,46 +93,64 @@ def validate_act(S: FiniteSemigroup, rows, point_labels=None) -> PartialAct:
     triples: (st)x is defined exactly when s(tx) is, and then they agree.
     The action must be cancellative and reflexive (some weak inverse of s
     acts on every defined sx).
+
+    Each law is checked a whole row at a time; a failing row is rescanned
+    point by point only to name its first witness.
     """
     table = tuple(
         tuple(v if v is None else int(v) for v in row) for row in rows
     )
-    assert len(table) == S.n
+    if len(table) != S.n:
+        raise PreconditionFailed("act_shape", f"{len(table)} rows for order {S.n}")
     m = len(table[0]) if table else 0
-    for row in table:
-        assert len(row) == m
-        for v in row:
-            assert v is None or 0 <= v < m
-    for s, t in product(S.elements, repeat=2):
-        st = S.mul(s, t)
-        for x in range(m):
-            tx = table[t][x]
-            via = None if tx is None else table[s][tx]
-            direct = table[st][x]
-            if (direct is None) != (via is None):
-                raise CompositionViolation(
-                    s, t, x, "(one side defined, the other not)"
-                )
-            if direct is not None and direct != via:
-                raise CompositionViolation(s, t, x, f"({direct} != {via})")
-    for s in S.elements:
-        seen = {}
-        for x in range(m):
-            v = table[s][x]
-            if v is None:
-                continue
-            if v in seen:
-                raise NotCancellative(s, seen[v], x)
-            seen[v] = x
-    for s in S.elements:
-        winv = core.weak_inverses(S, s)
-        for x in range(m):
-            v = table[s][x]
-            if v is None:
-                continue
-            if not any(table[w][v] is not None for w in winv):
+    for s, row in enumerate(table):
+        if len(row) != m:
+            raise PreconditionFailed("act_shape", f"row {s} has {len(row)} entries, expected {m}")
+        for x, v in enumerate(row):
+            if v is not None and not 0 <= v < m:
+                raise OutOfRangeEntry(s, x, v)
+    if m:
+        # slot m stands for "undefined", and every element keeps it there,
+        # so row s*t must equal row t followed by row s, slot for slot
+        full = [tuple(m if v is None else v for v in row) + (m,) for row in table]
+        then = [itemgetter(*row) for row in full]
+        for s, t in product(S.elements, repeat=2):
+            if then[t](full[s]) != full[S.mul(s, t)]:
+                _raise_composition_witness(S, table, s, t)
+    for s, row in enumerate(table):
+        defined = [v for v in row if v is not None]
+        if len(set(defined)) != len(defined):
+            seen = {}
+            for x, v in enumerate(row):
+                if v is None:
+                    continue
+                if v in seen:
+                    raise NotCancellative(s, seen[v], x)
+                seen[v] = x
+    domains = [sum(1 << x for x, v in enumerate(row) if v is not None) for row in table]
+    for s, row in enumerate(table):
+        reached = 0
+        for w in core.weak_inverses(S, s):
+            reached |= domains[w]
+        for x, v in enumerate(row):
+            if v is not None and not reached >> v & 1:
                 raise NotReflexive(s, x)
     return PartialAct(S, table, tuple(point_labels) if point_labels else None)
+
+
+def _raise_composition_witness(S: FiniteSemigroup, table, s: int, t: int) -> None:
+    """Raise the violation at the first point where (st)x and s(tx) differ."""
+    st = S.mul(s, t)
+    for x in range(len(table[0])):
+        tx = table[t][x]
+        via = None if tx is None else table[s][tx]
+        direct = table[st][x]
+        if (direct is None) != (via is None):
+            raise CompositionViolation(
+                s, t, x, "(one side defined, the other not)"
+            )
+        if direct is not None and direct != via:
+            raise CompositionViolation(s, t, x, f"({direct} != {via})")
 
 
 def left_mult_total(S: FiniteSemigroup, carrier=None):

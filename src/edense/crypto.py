@@ -10,12 +10,15 @@ exhaustive scans, and hardness is illustrative only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import product
+from dataclasses import dataclass, field
+from functools import reduce
+from itertools import compress, product
+from operator import and_, eq
 
 from . import acts, closures, core
 from .core import FiniteSemigroup
 from .errors import (
+    CompositionViolation,
     NoDecryptKey,
     NoMinimumIdempotent,
     NotAssociativeAction,
@@ -28,12 +31,55 @@ from .report import Finding, check
 
 
 @dataclass(frozen=True)
+class DecryptKeyTable:
+    """What every decrypt-key query reads, built once per (semigroup, act).
+
+    ``stabilizers[x]`` is the bitmask of the elements fixing point x;
+    ``columns[s][t]`` is the product t*s; ``uniform[s]`` is the set of t
+    such that t*s fixes every point (empty on an empty carrier).  Then
+    K(s, x) = {t : t*s fixes x} is read off column s and mask x.
+    """
+
+    stabilizers: tuple[int, ...]
+    columns: tuple[tuple[int, ...], ...]
+    uniform: tuple[frozenset[int], ...]
+    commutative: bool
+
+    @classmethod
+    def of(cls, S: FiniteSemigroup, act: acts.PartialAct) -> "DecryptKeyTable":
+        stabilizers = [0] * act.carrier
+        for s, row in enumerate(act.table):
+            bit = 1 << s
+            for x in compress(act.points, map(eq, row, act.points)):
+                stabilizers[x] |= bit
+        columns = tuple(zip(*S.table))
+        if stabilizers:
+            fix_all = reduce(and_, stabilizers)
+            uniform = tuple(
+                frozenset(t for t, u in enumerate(col) if fix_all >> u & 1)
+                for col in columns
+            )
+        else:
+            uniform = (frozenset(),) * S.n
+        return cls(tuple(stabilizers), columns, uniform, columns == S.table)
+
+
+@dataclass(frozen=True)
 class Cryptosystem:
-    """A total cancellative act together with a cipher key."""
+    """A total cancellative act together with a cipher key.
+
+    The decrypt-key table is built on construction and shared by every
+    system that ``with_key`` derives from this one.
+    """
 
     semigroup: FiniteSemigroup
     act: acts.PartialAct  # total: every entry defined
     cipher_key: int
+    key_table: DecryptKeyTable | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.key_table is None:
+            object.__setattr__(self, "key_table", DecryptKeyTable.of(self.semigroup, self.act))
 
     @property
     def carrier(self) -> int:
@@ -44,37 +90,32 @@ class Cryptosystem:
         return self.act.act(key, x)
 
     def with_key(self, key: int) -> "Cryptosystem":
-        return Cryptosystem(self.semigroup, self.act, key)
+        return Cryptosystem(self.semigroup, self.act, key, self.key_table)
 
 
 def build_cryptosystem(S: FiniteSemigroup, rows, cipher_key, point_labels=None) -> Cryptosystem:
     """Validate totality, associativity and cancellativity of the action.
 
     A total cancellative act over an E-dense semigroup automatically
-    satisfies the partial-act axioms with full domains, which is checked
-    here by running the act validator on the table as-is.
+    satisfies the partial-act axioms with full domains, so the act
+    validator checks it once; a broken composition law is reported as
+    ``NotAssociativeAction`` at the validator's witness.
     """
     rows = [list(r) for r in rows]
-    m = len(rows[0])
-    for s in S.elements:
-        for x in range(m):
-            assert rows[s][x] is not None, "cryptosystem actions must be total"
-    for s, t in product(S.elements, repeat=2):
-        st = S.mul(s, t)
-        for x in range(m):
-            if rows[st][x] != rows[s][rows[t][x]]:
-                raise NotAssociativeAction(s, t, x)
-    for s in S.elements:
-        seen = {}
-        for x in range(m):
-            v = rows[s][x]
-            if v in seen:
-                raise NotCancellative(s, seen[v], x)
-            seen[v] = x
-    act = acts.validate_act(S, rows, point_labels)
-    assert all(act.element_domain(s) == frozenset(act.points) for s in S.elements)
-    assert 0 <= cipher_key < S.n
+    _require_total(rows)
+    try:
+        act = acts.validate_act(S, rows, point_labels)
+    except CompositionViolation as exc:
+        raise NotAssociativeAction(*exc.witness) from None
+    if not 0 <= cipher_key < S.n:
+        raise PreconditionFailed("cipher_key", f"{cipher_key} is not an element of order {S.n}")
     return Cryptosystem(S, act, cipher_key)
+
+
+def _require_total(rows) -> None:
+    for s, row in enumerate(rows):
+        if None in row:
+            raise PreconditionFailed("total_action", f"{s}*{row.index(None)} is undefined")
 
 
 def locally_free_system(S: FiniteSemigroup, cipher_key: int) -> Cryptosystem:
@@ -100,22 +141,18 @@ def minimum_idempotent(S: FiniteSemigroup) -> int:
 def decrypt_key_space(sys: Cryptosystem, x: int, key: int | None = None) -> frozenset[int]:
     """K(s, x): all t such that t*s fixes x."""
     s = sys.cipher_key if key is None else key
-    return frozenset(
-        t for t in sys.semigroup.elements if sys.act.act(sys.semigroup.mul(t, s), x) == x
-    )
+    table = sys.key_table
+    fixing = table.stabilizers[x]
+    return frozenset(t for t, u in enumerate(table.columns[s]) if fixing >> u & 1)
 
 
 def uniform_decrypt_keys(sys: Cryptosystem, key: int | None = None) -> frozenset[int]:
     """Decrypt keys valid for every point: the intersection of K(s, x) over x."""
-    keys = None
-    for x in sys.act.points:
-        k = decrypt_key_space(sys, x, key)
-        keys = k if keys is None else keys & k
-    return keys if keys is not None else frozenset()
+    return sys.key_table.uniform[sys.cipher_key if key is None else key]
 
 
 def _uniform_key(sys: Cryptosystem, key: int) -> int:
-    keys = uniform_decrypt_keys(sys, key)
+    keys = sys.key_table.uniform[key]
     if not keys:
         raise NoDecryptKey(key)
     return min(keys)
@@ -255,10 +292,7 @@ def massey_omura(
     S = sys.semigroup
     s, t = alice_key, bob_key
     if biact is None:
-        commutative = all(
-            S.mul(a, b) == S.mul(b, a) for a in S.elements for b in S.elements
-        )
-        if not commutative:
+        if not sys.key_table.commutative:
             raise PreconditionFailed("commutative", "supply a biact for this semigroup")
         s_inv = _uniform_key(sys, s)
         t_inv = _uniform_key(sys, t)
@@ -391,13 +425,13 @@ def modexp_system(p: int) -> ModExpSystem:
 
 
 def _pointwise_decryptable(act: acts.PartialAct) -> bool:
+    """Whether for all x and s some t*s fixes x: each left ideal S*s
+    meets every stabilizer."""
     S = act.semigroup
-    assert all(act.element_domain(s) == frozenset(act.points) for s in S.elements)
-    return all(
-        any(act.act(S.mul(t, s), x) == x for t in S.elements)
-        for x in act.points
-        for s in S.elements
-    )
+    _require_total(act.table)
+    table = DecryptKeyTable.of(S, act)
+    ideals = [sum(1 << u for u in set(col)) for col in table.columns]
+    return all(ideal & fixing for fixing in table.stabilizers for ideal in ideals)
 
 
 def stabilizers_left_dense(act: acts.PartialAct) -> bool:

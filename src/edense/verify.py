@@ -1121,15 +1121,10 @@ def _left_ideal_violations():
 
 def _roundtrip_violations(systems):
     for name, sys in systems:
-        S = sys.semigroup
-        commutative = all(
-            S.mul(a, b) == S.mul(b, a) for a in S.elements for b in S.elements
-        )
-        if not commutative:
+        keys = sys.key_table
+        if not keys.commutative:
             continue
-        decryptable = [
-            s for s in S.elements if crypto.uniform_decrypt_keys(sys, s)
-        ]
+        decryptable = [s for s, uniform in enumerate(keys.uniform) if uniform]
         for x in sys.act.points:
             for s, t in product(decryptable, repeat=2):
                 if not crypto.massey_omura(sys, x, s, t).ok:

@@ -109,6 +109,21 @@ def test_act_file_roundtrip(capsys, tmp_path, z3e_file):
     assert "[PASS] transitive  [True]" in out
 
 
+def test_act_file_out_of_range_entry(capsys, tmp_path, z3e_file):
+    # a 3-point act whose row 1 sends point 2 to a point that does not exist
+    rows = ["0 1 2"] * 6
+    rows[1] = "1 2 3"
+    act_path = tmp_path / "bad.act"
+    act_path.write_text("6 3\n" + "\n".join(rows) + "\n")
+    code, out = run(capsys, "act", z3e_file, "--act-file", str(act_path), "--json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["ok"] is False
+    assert payload["findings"] == [
+        {"name": "OutOfRangeEntry", "pass": False, "witness": "entry [1][2] = 3 out of range"}
+    ]
+
+
 def test_build_cu_derived(capsys, z6_file):
     code, out = run(capsys, "build-cu", "--group", z6_file)
     assert code == 0

@@ -1,18 +1,26 @@
 """Cryptosystems over cancellative acts: key spaces, protocol round
 trips on the modular-exponentiation oracle, and the orbit classification."""
 
+import random
+from itertools import product
+
 import pytest
 
-from edense import acts, closures, construction, core, crypto
+from edense import acts, closures, construction, core, crypto, verify
 from edense.errors import (
+    CompositionViolation,
+    NotAssociativeAction,
     NotCancellative,
     NotPrime,
+    NotReflexive,
     NotSemilattice,
     OrderTooLarge,
+    OutOfRangeEntry,
     PreconditionFailed,
+    WorkbenchError,
 )
 
-from conftest import fx
+from conftest import SEMILATTICE_FIXTURES, fx
 
 
 def band_system(name="Z3E", key=1):
@@ -250,3 +258,232 @@ def test_discrete_log_candidates():
     cands = crypto.discrete_log_candidates(sys_, x, y)
     assert ms.element_of(3) in cands
     assert all(sys_.act.act(s, x) == y for s in cands)
+
+
+# --- the decrypt-key table against scans of the act ---------------------------
+
+
+def reference_key_space(sys_, x, s):
+    """K(s, x) by its definition: every t such that (t*s)x = x."""
+    S = sys_.semigroup
+    return frozenset(t for t in S.elements if sys_.act.act(S.mul(t, s), x) == x)
+
+
+def reference_uniform_keys(sys_, s):
+    """The intersection of K(s, x) over every point; empty with no points."""
+    keys = None
+    for x in sys_.act.points:
+        k = reference_key_space(sys_, x, s)
+        keys = k if keys is None else keys & k
+    return keys if keys is not None else frozenset()
+
+
+def reference_pointwise_decryptable(act):
+    S = act.semigroup
+    return all(
+        any(act.act(S.mul(t, s), x) == x for t in S.elements)
+        for x in act.points
+        for s in S.elements
+    )
+
+
+def reference_systems():
+    systems = verify._system_corpus()
+    for p in (17, 19, 23):
+        ms = crypto.modexp_system(p)
+        systems.append((f"modexp-{p}", ms.system(ms.exponents[-1])))
+    return systems
+
+
+REFERENCE_SYSTEMS = reference_systems()
+
+
+@pytest.mark.parametrize("name,sys_", REFERENCE_SYSTEMS, ids=[n for n, _ in REFERENCE_SYSTEMS])
+def test_key_table_matches_act_scans(name, sys_):
+    S = sys_.semigroup
+    for s in S.elements:
+        keyed = sys_.with_key(s)
+        assert keyed.key_table is sys_.key_table
+        for x in sys_.act.points:
+            expected = reference_key_space(sys_, x, s)
+            assert crypto.decrypt_key_space(sys_, x, s) == expected
+            assert crypto.decrypt_key_space(keyed, x) == expected
+        expected = reference_uniform_keys(sys_, s)
+        assert crypto.uniform_decrypt_keys(sys_, s) == expected
+        assert crypto.uniform_decrypt_keys(keyed) == expected
+    commutative = all(S.mul(a, b) == S.mul(b, a) for a in S.elements for b in S.elements)
+    assert sys_.key_table.commutative == commutative
+    assert crypto._pointwise_decryptable(sys_.act) == reference_pointwise_decryptable(sys_.act)
+
+
+def test_reference_systems_include_a_non_commutative_one():
+    systems = dict(REFERENCE_SYSTEMS)
+    assert not systems["B2"].key_table.commutative
+    assert systems["Z6E"].key_table.commutative
+
+
+def test_key_table_empty_carrier():
+    S = fx("Z3")
+    sys_ = crypto.build_cryptosystem(S, [[] for _ in S.elements], 0)
+    for s in S.elements:
+        assert crypto.uniform_decrypt_keys(sys_, s) == reference_uniform_keys(sys_, s) == set()
+
+
+def test_pointwise_decryptable_non_cancellative_matches_scan():
+    S = fx("N2")
+    rows, _ = acts.left_mult_total(S)
+    raw = acts.PartialAct(S, tuple(tuple(r) for r in rows))
+    assert crypto._pointwise_decryptable(raw) == reference_pointwise_decryptable(raw) is False
+
+
+# --- one-pass validation against the per-triple loops ---------------------------
+
+
+def reference_validate_error(S, rows):
+    """The first error of the point-by-point act validation, or None."""
+    m = len(rows[0])
+    for s, t in product(S.elements, repeat=2):
+        st = S.mul(s, t)
+        for x in range(m):
+            tx = rows[t][x]
+            via = None if tx is None else rows[s][tx]
+            direct = rows[st][x]
+            if (direct is None) != (via is None):
+                return CompositionViolation(s, t, x, "(one side defined, the other not)")
+            if direct is not None and direct != via:
+                return CompositionViolation(s, t, x, f"({direct} != {via})")
+    for s in S.elements:
+        seen = {}
+        for x in range(m):
+            v = rows[s][x]
+            if v is None:
+                continue
+            if v in seen:
+                return NotCancellative(s, seen[v], x)
+            seen[v] = x
+    for s in S.elements:
+        winv = core.weak_inverses(S, s)
+        for x in range(m):
+            v = rows[s][x]
+            if v is not None and not any(rows[w][v] is not None for w in winv):
+                return NotReflexive(s, x)
+    return None
+
+
+def reference_build_error(S, rows):
+    """The first error of the per-triple cryptosystem checks on a total act."""
+    m = len(rows[0])
+    for s, t in product(S.elements, repeat=2):
+        st = S.mul(s, t)
+        for x in range(m):
+            if rows[st][x] != rows[s][rows[t][x]]:
+                return NotAssociativeAction(s, t, x)
+    for s in S.elements:
+        seen = {}
+        for x in range(m):
+            v = rows[s][x]
+            if v in seen:
+                return NotCancellative(s, seen[v], x)
+            seen[v] = x
+    return reference_validate_error(S, rows)
+
+
+def outcome(fn, *args):
+    try:
+        fn(*args)
+    except WorkbenchError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def expected(error):
+    return None if error is None else (type(error), str(error))
+
+
+def corrupted(rows, rng, allow_undefined=False):
+    """A copy of rows with one entry changed to another value."""
+    rows = [list(r) for r in rows]
+    s, x = rng.randrange(len(rows)), rng.randrange(len(rows[0]))
+    choices = [v for v in range(len(rows[0])) if v != rows[s][x]]
+    if allow_undefined and rows[s][x] is not None:
+        choices.append(None)
+    rows[s][x] = rng.choice(choices)
+    return rows
+
+
+def total_acts():
+    out = []
+    for name in construction.FIXTURE_NAMES:
+        S = fx(name)
+        rows, _ = acts.left_mult_total(S)
+        out.append((name, S, rows))
+    ms = crypto.modexp_system(13)
+    out.append(("modexp-13", ms.semigroup, [list(r) for r in ms.rows]))
+    return out
+
+
+TOTAL_ACTS = total_acts()
+SEEDS = range(8)
+
+
+@pytest.mark.parametrize("name,S,rows", TOTAL_ACTS, ids=[n for n, _, _ in TOTAL_ACTS])
+def test_build_cryptosystem_witnesses_match_triple_loops(name, S, rows):
+    assert outcome(crypto.build_cryptosystem, S, rows, 0) == expected(
+        reference_build_error(S, rows)
+    )
+    for seed in SEEDS:
+        bad = corrupted(rows, random.Random(f"{name}:{seed}"))
+        assert outcome(crypto.build_cryptosystem, S, bad, 0) == expected(
+            reference_build_error(S, bad)
+        ), (name, seed)
+
+
+@pytest.mark.parametrize("name,S,rows", TOTAL_ACTS, ids=[n for n, _, _ in TOTAL_ACTS])
+def test_validate_act_witnesses_match_triple_loops(name, S, rows):
+    assert outcome(acts.validate_act, S, rows) == expected(reference_validate_error(S, rows))
+    for seed in SEEDS:
+        bad = corrupted(rows, random.Random(f"{name}:{seed}"), allow_undefined=True)
+        assert outcome(acts.validate_act, S, bad) == expected(
+            reference_validate_error(S, bad)
+        ), (name, seed)
+
+
+@pytest.mark.parametrize("name", SEMILATTICE_FIXTURES)
+def test_validate_act_witnesses_match_on_partial_acts(name):
+    S = fx(name)
+    rows = [list(r) for r in acts.wagner_preston(S).table]
+    assert outcome(acts.validate_act, S, rows) is None
+    for seed in SEEDS:
+        bad = corrupted(rows, random.Random(f"wp-{name}:{seed}"), allow_undefined=True)
+        assert outcome(acts.validate_act, S, bad) == expected(
+            reference_validate_error(S, bad)
+        ), (name, seed)
+
+
+def test_validate_act_matches_triple_loops_on_every_small_table():
+    # every partial table with m <= 2 points over every semigroup of order
+    # <= 2, and with one point over order 3, reaches each error class
+    seen = set()
+    for n, m in ((1, 1), (1, 2), (2, 1), (2, 2), (3, 1)):
+        for S in construction.enumerate_semigroups(n):
+            for flat in product([None, *range(m)], repeat=n * m):
+                rows = [list(flat[i * m : (i + 1) * m]) for i in range(n)]
+                got = outcome(acts.validate_act, S, rows)
+                assert got == expected(reference_validate_error(S, rows)), (S.table, rows)
+                seen.add(got and got[0])
+    assert seen == {None, CompositionViolation, NotCancellative, NotReflexive}
+
+
+def test_build_cryptosystem_rejects_bad_input_without_asserts():
+    S = fx("Z3")
+    rows, _ = acts.left_mult_total(S)
+    partial = [list(r) for r in rows]
+    partial[1][2] = None
+    with pytest.raises(PreconditionFailed, match="total_action 1\\*2 is undefined"):
+        crypto.build_cryptosystem(S, partial, 0)
+    with pytest.raises(PreconditionFailed, match="cipher_key"):
+        crypto.build_cryptosystem(S, rows, 3)
+    out_of_range = [list(r) for r in rows]
+    out_of_range[2][0] = 3
+    with pytest.raises(OutOfRangeEntry, match="entry \\[2\\]\\[0\\] = 3"):
+        crypto.build_cryptosystem(S, out_of_range, 0)
