@@ -117,25 +117,21 @@ def cmd_cosets(args) -> int:
 def cmd_build_cu(args) -> int:
     G = _load_table(args.group)
     if args.category:
-        C, action, transitive, free = construction.parse_category(
-            Path(args.category).read_text(), G
-        )
+        C, action, _, _ = construction.parse_category(Path(args.category).read_text(), G)
         source = f"category:{args.category}"
     elif args.adjoin_band:
         C, action = construction.adjoin_band_category(G, args.adjoin_band)
-        transitive = free = True
         source = f"adjoin-band:{args.adjoin_band}"
     else:
         C, action = construction.derived_category(G)
-        transitive = free = True
         source = "derived"
     report = Report(f"build-cu {args.group} ({source})")
     report.info("objects", C.n_objects)
     report.info("morphisms", C.n_morphisms)
     report.add(Finding("strongly-connected", C.is_strongly_connected()))
     report.add(Finding("locally-idempotent", C.is_locally_idempotent()))
-    report.add(Finding("action-transitive", transitive))
-    report.add(Finding("action-free", free))
+    report.add(Finding("action-transitive", action.transitive))
+    report.add(Finding("action-free", action.free))
     u = args.object if args.object is not None else (G.identity or 0)
     cu = construction.c_u_monoid(C, action, u)
     S = cu.semigroup

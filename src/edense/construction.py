@@ -4,12 +4,12 @@ built from free transitive group actions on locally idempotent categories.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 
 from . import core
-from .core import FiniteSemigroup, build_semigroup
+from .core import FiniteSemigroup, _picker, build_semigroup
 from .errors import (
     ActionAxiomViolation,
     BadComposability,
@@ -17,6 +17,8 @@ from .errors import (
     NonAssociative,
     NotGroup,
     OrderTooLarge,
+    OutOfRangeEntry,
+    ParseError,
     PreconditionFailed,
     UnknownFixture,
     UnsupportedBand,
@@ -132,10 +134,21 @@ def adjoined_band_semigroup(G: FiniteSemigroup, k: int = 2, name="") -> FiniteSe
 # --- finite categories and group actions ----------------------------------
 
 
+def _leaving(n_objects: int, source) -> tuple[tuple[int, ...], ...]:
+    """The morphisms leaving each object, in increasing order."""
+    out = [[] for _ in range(n_objects)]
+    for p, u in enumerate(source):
+        out[u].append(p)
+    return tuple(map(tuple, out))
+
+
 @dataclass(frozen=True)
 class FiniteCategory:
     """A small category as data: morphisms with sources/targets, a partial
-    composition table, and one identity morphism per object."""
+    composition table, and one identity morphism per object.
+
+    The hom-sets and the morphisms leaving each object are indexed once,
+    on construction."""
 
     n_objects: int
     source: tuple[int, ...]
@@ -143,17 +156,22 @@ class FiniteCategory:
     compose: tuple[tuple[int | None, ...], ...]  # compose[p][q] = p then q
     identities: tuple[int, ...]
     morphism_labels: tuple[str, ...] | None = None
+    leaving: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    _homs: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        homs = {}
+        for p, uv in enumerate(zip(self.source, self.target)):
+            homs.setdefault(uv, []).append(p)
+        object.__setattr__(self, "leaving", _leaving(self.n_objects, self.source))
+        object.__setattr__(self, "_homs", {uv: tuple(ps) for uv, ps in homs.items()})
 
     @property
     def n_morphisms(self) -> int:
         return len(self.source)
 
     def hom(self, u: int, v: int) -> list[int]:
-        return [
-            p
-            for p in range(self.n_morphisms)
-            if self.source[p] == u and self.target[p] == v
-        ]
+        return list(self._homs.get((u, v), ()))
 
     def is_locally_idempotent(self) -> bool:
         return all(
@@ -163,9 +181,7 @@ class FiniteCategory:
         )
 
     def is_strongly_connected(self) -> bool:
-        return all(
-            self.hom(u, v) for u in range(self.n_objects) for v in range(self.n_objects)
-        )
+        return len(self._homs) == self.n_objects**2
 
     def mlabel(self, p: int) -> str:
         return self.morphism_labels[p] if self.morphism_labels else str(p)
@@ -173,11 +189,27 @@ class FiniteCategory:
 
 @dataclass(frozen=True)
 class GroupCategoryAction:
-    """A group acting on a category, objectwise and morphismwise."""
+    """A group acting on a category, objectwise and morphismwise.
+
+    Building one validates it against ``category`` (see
+    ``validate_group_action``) and records whether it is transitive on
+    objects and free."""
 
     group: FiniteSemigroup
     on_objects: tuple[tuple[int, ...], ...]  # on_objects[g][u]
     on_morphisms: tuple[tuple[int, ...], ...]
+    category: FiniteCategory = field(repr=False)
+    transitive: bool = field(init=False)
+    free: bool = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "on_objects", tuple(map(tuple, self.on_objects)))
+        object.__setattr__(self, "on_morphisms", tuple(map(tuple, self.on_morphisms)))
+        transitive, free = _check_group_action(
+            self.category, self.group, self.on_objects, self.on_morphisms
+        )
+        object.__setattr__(self, "transitive", transitive)
+        object.__setattr__(self, "free", free)
 
     def obj(self, g: int, u: int) -> int:
         return self.on_objects[g][u]
@@ -186,50 +218,70 @@ class GroupCategoryAction:
         return self.on_morphisms[g][p]
 
 
+def _check_range(rows, bound: int) -> None:
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            if not 0 <= v < bound:
+                raise OutOfRangeEntry(i, j, v)
+
+
 def build_category(n_objects, morphisms, compose_map, labels=None) -> FiniteCategory:
     """Validate category data and return it.
 
     ``morphisms`` is a sequence of (source, target) pairs, ``compose_map``
     maps composable pairs (p, q) to p-then-q.  Identities are detected,
-    one per object.
+    one per object.  Associativity is checked a row at a time: for each
+    composable (p, q), over the morphisms r leaving the target of q.
     """
+    _check_range(morphisms, n_objects)
     source = tuple(src for src, _ in morphisms)
     target = tuple(dst for _, dst in morphisms)
     m = len(source)
     compose = [[None] * m for _ in range(m)]
     for (p, q), r in compose_map.items():
+        if not (0 <= p < m and 0 <= q < m and 0 <= r < m):
+            raise OutOfRangeEntry(p, q, r)
         if target[p] != source[q]:
             raise BadComposability(p, q, "pair is not composable")
         if source[r] != source[p] or target[r] != target[q]:
             raise BadComposability(p, q, f"composite {r} has wrong endpoints")
         compose[p][q] = r
-    for p in range(m):
-        for q in range(m):
-            if target[p] == source[q] and compose[p][q] is None:
-                raise BadComposability(p, q, "composable pair left undefined")
-    for p in range(m):
-        for q in range(m):
-            if compose[p][q] is None:
-                continue
-            for r in range(m):
-                if compose[q][r] is None:
-                    continue
-                if compose[compose[p][q]][r] != compose[p][compose[q][r]]:
-                    raise NonAssociative(p, q, r, where="composition")
+    leaving = _leaving(n_objects, source)
+    # every defined pair is composable, so a row is complete exactly when
+    # it defines as many pairs as morphisms leave the target of its morphism
+    for p, row in enumerate(compose):
+        if m - row.count(None) != len(leaving[target[p]]):
+            q = next(q for q in leaving[target[p]] if row[q] is None)
+            raise BadComposability(p, q, "composable pair left undefined")
+    # then[v] picks the entries of a row at the morphisms leaving v
+    then = [_picker(out) for out in leaving]
+    then_of = [then[v] for v in target]
+    # after[q] picks the entries of a row at the composites q.r
+    after = [_picker(then_of[q](row)) for q, row in enumerate(compose)]
+    for p, row_p in enumerate(compose):
+        # (pq)r against p(qr), for each q after p over the r after q
+        out = leaving[target[p]]
+        if [then_of[q](compose[row_p[q]]) for q in out] != [after[q](row_p) for q in out]:
+            for q in out:
+                for r in leaving[target[q]]:
+                    if compose[row_p[q]][r] != row_p[compose[q][r]]:
+                        raise NonAssociative(p, q, r, where="composition")
     identities = []
+    arriving = _leaving(n_objects, target)
     for u in range(n_objects):
-        loops = [p for p in range(m) if source[p] == u and target[p] == u]
         unit = None
-        for e in loops:
-            left = all(compose[e][q] == q for q in range(m) if source[q] == u)
-            right = all(compose[p][e] == p for p in range(m) if target[p] == u)
+        for e in leaving[u]:
+            if target[e] != u:
+                continue
+            left = then[u](compose[e]) == leaving[u]
+            right = all(compose[p][e] == p for p in arriving[u])
             if left and right:
                 unit = e
                 break
         if unit is None:
             raise MissingIdentity(u)
         identities.append(unit)
-    cat = FiniteCategory(
+    return FiniteCategory(
         n_objects,
         source,
         target,
@@ -237,58 +289,85 @@ def build_category(n_objects, morphisms, compose_map, labels=None) -> FiniteCate
         tuple(identities),
         tuple(labels) if labels else None,
     )
-    return cat
 
 
 def validate_group_action(C: FiniteCategory, G: FiniteSemigroup, on_objects, on_morphisms):
-    """Check the action axioms exhaustively; return (transitive, free)."""
+    """Check the action axioms exhaustively; return (action, transitive, free).
+
+    The action records C, and ``c_u_monoid`` trusts its flags for C alone.
+    """
+    action = GroupCategoryAction(G, on_objects, on_morphisms, C)
+    return action, action.transitive, action.free
+
+
+def _check_group_action(C: FiniteCategory, G: FiniteSemigroup, on_objects, on_morphisms):
+    """The action axioms, each law compared a whole row at a time; a
+    failing row is rescanned only to name its first witness.  Returns
+    (transitive, free)."""
     if not core.is_group(G):
         raise NotGroup()
+    n, m = C.n_objects, C.n_morphisms
+    for rows, width, what in ((on_objects, n, "objects"), (on_morphisms, m, "morphisms")):
+        if len(rows) != G.n or any(len(row) != width for row in rows):
+            raise PreconditionFailed(
+                "action_shape", f"on_{what} must be {G.n} rows of {width} entries"
+            )
+        _check_range(rows, width)
     one = G.identity
-    on_objects = tuple(tuple(row) for row in on_objects)
-    on_morphisms = tuple(tuple(row) for row in on_morphisms)
-    for u in range(C.n_objects):
+    for u in range(n):
         if on_objects[one][u] != u:
             raise ActionAxiomViolation("identity must fix objects", u)
-    for p in range(C.n_morphisms):
+    for p in range(m):
         if on_morphisms[one][p] != p:
             raise ActionAxiomViolation("identity must fix morphisms", p)
+    obj_then = [_picker(row) for row in on_objects]
+    mor_then = [_picker(row) for row in on_morphisms]
     for g, h in product(G.elements, repeat=2):
         gh = G.mul(g, h)
-        for u in range(C.n_objects):
-            if on_objects[g][on_objects[h][u]] != on_objects[gh][u]:
-                raise ActionAxiomViolation("(gh)u != g(hu)", (g, h, u))
-        for p in range(C.n_morphisms):
-            if on_morphisms[g][on_morphisms[h][p]] != on_morphisms[gh][p]:
-                raise ActionAxiomViolation("(gh)p != g(hp)", (g, h, p))
+        if obj_then[h](on_objects[g]) != on_objects[gh]:
+            for u in range(n):
+                if on_objects[g][on_objects[h][u]] != on_objects[gh][u]:
+                    raise ActionAxiomViolation("(gh)u != g(hu)", (g, h, u))
+        if mor_then[h](on_morphisms[g]) != on_morphisms[gh]:
+            for p in range(m):
+                if on_morphisms[g][on_morphisms[h][p]] != on_morphisms[gh][p]:
+                    raise ActionAxiomViolation("(gh)p != g(hp)", (g, h, p))
+    of_source, of_target = _picker(C.source), _picker(C.target)
+    of_identity = _picker(C.identities)
+    then = [_picker(out) for out in C.leaving]
+    # the composites p.q over the q leaving the target of p, as a picker
+    composite = [_picker(then[C.target[p]](row)) for p, row in enumerate(C.compose)]
     for g in G.elements:
-        for p in range(C.n_morphisms):
-            gp = on_morphisms[g][p]
-            if C.source[gp] != on_objects[g][C.source[p]] or C.target[gp] != on_objects[g][C.target[p]]:
-                raise ActionAxiomViolation("gp must lie in hom(gu, gv)", (g, p))
-        for p in range(C.n_morphisms):
-            for q in range(C.n_morphisms):
-                if C.compose[p][q] is None:
-                    continue
-                gp, gq = on_morphisms[g][p], on_morphisms[g][q]
-                if C.compose[gp][gq] != on_morphisms[g][C.compose[p][q]]:
-                    raise ActionAxiomViolation("g(p+q) != gp+gq", (g, p, q))
-        for u in range(C.n_objects):
-            if on_morphisms[g][C.identities[u]] != C.identities[on_objects[g][u]]:
-                raise ActionAxiomViolation("g 0_u != 0_gu", (g, u))
-    action = GroupCategoryAction(G, on_objects, on_morphisms)
-    transitive = all(
-        any(on_objects[g][u] == v for g in G.elements)
-        for u in range(C.n_objects)
-        for v in range(C.n_objects)
-    )
+        objs, mors = on_objects[g], on_morphisms[g]
+        if mor_then[g](C.source) != of_source(objs) or mor_then[g](C.target) != of_target(objs):
+            for p in range(m):
+                gp = mors[p]
+                if C.source[gp] != objs[C.source[p]] or C.target[gp] != objs[C.target[p]]:
+                    raise ActionAxiomViolation("gp must lie in hom(gu, gv)", (g, p))
+        # gq over the q leaving each object v, as a picker on the row of gp
+        then_g = [_picker(get(mors)) for get in then]
+        for p, gp in enumerate(mors):
+            if then_g[C.target[p]](C.compose[gp]) != composite[p](mors):
+                for q in C.leaving[C.target[p]]:
+                    if C.compose[gp][mors[q]] != mors[C.compose[p][q]]:
+                        raise ActionAxiomViolation("g(p+q) != gp+gq", (g, p, q))
+        if of_identity(mors) != obj_then[g](C.identities):
+            for u in range(n):
+                if mors[C.identities[u]] != C.identities[objs[u]]:
+                    raise ActionAxiomViolation("g 0_u != 0_gu", (g, u))
+    transitive = all(len(set(column)) == n for column in zip(*on_objects))
     free = all(
-        g == one
-        for g in G.elements
-        for u in range(C.n_objects)
-        if on_objects[g][u] == u
+        g == one or all(v != u for u, v in enumerate(row))
+        for g, row in enumerate(on_objects)
     )
-    return action, transitive, free
+    return transitive, free
+
+
+def _require_free_transitive(action: GroupCategoryAction) -> None:
+    if not action.transitive:
+        raise PreconditionFailed("transitive_action")
+    if not action.free:
+        raise PreconditionFailed("free_action")
 
 
 @dataclass(frozen=True)
@@ -304,22 +383,19 @@ def c_u_monoid(C: FiniteCategory, action: GroupCategoryAction, u: int) -> CuMono
     """Build the pair monoid over base object u and verify its structure.
 
     Requires the category strongly connected and locally idempotent and
-    the action transitive and free; the result is checked to be an
+    the action transitive and free, which the action records for the
+    category it was validated on; the result is checked to be an
     E-unitary E-dense monoid whose idempotents are exactly the pairs
     with trivial group part.
     """
+    if action.category is not C:
+        raise PreconditionFailed("action_category", "action was validated on another category")
     G = action.group
-    _, transitive, free = validate_group_action(
-        C, G, action.on_objects, action.on_morphisms
-    )
     if not C.is_strongly_connected():
         raise PreconditionFailed("strongly_connected")
     if not C.is_locally_idempotent():
         raise PreconditionFailed("locally_idempotent")
-    if not transitive:
-        raise PreconditionFailed("transitive_action")
-    if not free:
-        raise PreconditionFailed("free_action")
+    _require_free_transitive(action)
 
     pairs = [
         (p, g) for g in G.elements for p in C.hom(u, action.obj(g, u))
@@ -372,8 +448,8 @@ def derived_category(G: FiniteSemigroup):
         [index[(G.mul(g, u), G.prod(g, s, inv[g]))] for u, s in morphs]
         for g in G.elements
     ]
-    action, transitive, free = validate_group_action(C, G, on_objects, on_morphisms)
-    assert transitive and free
+    action, _, _ = validate_group_action(C, G, on_objects, on_morphisms)
+    _require_free_transitive(action)
     # every morphism of the derived category of a group is invertible
     for i, (u, s) in enumerate(morphs):
         su = G.mul(s, u)
@@ -418,9 +494,13 @@ def adjoin_band_category(G: FiniteSemigroup, k: int = 2):
         [index[(G.mul(g, u), G.prod(g, s, inv[g]), f)] for u, s, f in morphs]
         for g in G.elements
     ]
-    action, transitive, free = validate_group_action(C, G, on_objects, on_morphisms)
-    assert transitive and free
-    assert all(len(C.hom(u, action.obj(g, u))) == k for u in G.elements for g in G.elements)
+    action, _, _ = validate_group_action(C, G, on_objects, on_morphisms)
+    _require_free_transitive(action)
+    for u, g in product(G.elements, repeat=2):
+        gu = action.obj(g, u)
+        size = len(C.hom(u, gu))
+        if size != k:
+            raise PreconditionFailed("hom_size", f"hom({u}, {gu}) has {size} morphisms, not {k}")
     return C, action
 
 
@@ -457,8 +537,14 @@ def parse_category(text: str, G: FiniteSemigroup):
     Sections: ``objects: <count>``, then ``morphisms:`` with ``id src dst``
     lines, ``compose:`` with ``p q r`` lines (p then q equals r), and
     ``action:`` with ``g obj u v`` / ``g mor p q`` lines.  ``#`` comments.
+    Every object and every morphism needs an action line for every g.
     """
-    from .errors import ParseError
+
+    def ints(lineno, toks, expected):
+        try:
+            return [int(t) for t in toks]
+        except ValueError:
+            raise ParseError(lineno, f"expected {expected}") from None
 
     n_objects = None
     morphisms = []
@@ -472,7 +558,9 @@ def parse_category(text: str, G: FiniteSemigroup):
             continue
         low = line.lower()
         if low.startswith("objects:"):
-            n_objects = int(line.split(":", 1)[1])
+            (n_objects,) = ints(lineno, [line.split(":", 1)[1]], "a count after 'objects:'")
+            if n_objects < 0:
+                raise ParseError(lineno, "object count must not be negative")
             continue
         if low.startswith("morphisms:"):
             section = "morphisms"
@@ -487,30 +575,36 @@ def parse_category(text: str, G: FiniteSemigroup):
         if section == "morphisms":
             if len(toks) != 3:
                 raise ParseError(lineno, "expected 'id src dst'")
-            mid, src, dst = map(int, toks)
+            mid, src, dst = ints(lineno, toks, "'id src dst'")
             if mid != len(morphisms):
                 raise ParseError(lineno, "morphism ids must be sequential")
             morphisms.append((src, dst))
         elif section == "compose":
             if len(toks) != 3:
                 raise ParseError(lineno, "expected 'p q r'")
-            p, q, r = map(int, toks)
+            p, q, r = ints(lineno, toks, "'p q r'")
             compose_map[(p, q)] = r
         elif section == "action":
             if len(toks) != 4 or toks[1] not in ("obj", "mor"):
                 raise ParseError(lineno, "expected 'g obj u v' or 'g mor p q'")
-            g, kind, a, b = int(toks[0]), toks[1], int(toks[2]), int(toks[3])
+            kind = toks[1]
+            g, a, b = ints(lineno, toks[:1] + toks[2:], "'g obj u v' or 'g mor p q'")
             (obj_action if kind == "obj" else mor_action)[(g, a)] = b
         else:
             raise ParseError(lineno, f"unexpected line {line!r}")
     if n_objects is None:
         raise ParseError(0, "missing objects: section")
     C = build_category(n_objects, morphisms, compose_map)
-    on_objects = [
-        [obj_action[(g, u)] for u in range(n_objects)] for g in G.elements
-    ]
-    on_morphisms = [
-        [mor_action[(g, p)] for p in range(len(morphisms))] for g in G.elements
-    ]
+
+    def rows(entries, kind, width):
+        missing = next(
+            (ga for ga in product(G.elements, range(width)) if ga not in entries), None
+        )
+        if missing is not None:
+            raise ParseError(0, f"missing action line '{missing[0]} {kind} {missing[1]}'")
+        return [[entries[(g, a)] for a in range(width)] for g in G.elements]
+
+    on_objects = rows(obj_action, "obj", n_objects)
+    on_morphisms = rows(mor_action, "mor", len(morphisms))
     action, transitive, free = validate_group_action(C, G, on_objects, on_morphisms)
     return C, action, transitive, free

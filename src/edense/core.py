@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from operator import itemgetter
 
 from .errors import (
     BadIdentityHint,
@@ -19,6 +20,7 @@ from .errors import (
     NonAssociative,
     OutOfRangeEntry,
     ParseError,
+    PreconditionFailed,
 )
 
 
@@ -86,12 +88,28 @@ def _find_identity(table) -> int | None:
     return None
 
 
+def _picker(indices):
+    """The map from a row to the tuple of its entries at ``indices``.
+
+    ``itemgetter`` returns a bare entry for a single index and refuses
+    none, so those two cases are spelled out.
+    """
+    if len(indices) == 1:
+        (i,) = indices
+        return lambda row: (row[i],)
+    if not indices:
+        return lambda row: ()
+    return itemgetter(*indices)
+
+
 def build_semigroup(rows, identity_hint=None, labels=None, name="") -> FiniteSemigroup:
     """Validate a square table and return the semigroup it defines.
 
-    Associativity is checked exhaustively over all n^3 triples; the
-    first failing triple is reported.  A two-sided identity is detected
-    automatically; ``identity_hint`` is only checked against it.
+    Associativity is checked exhaustively over all n^3 triples, a whole
+    row at a time: row (i*j) must equal row j mapped through row i.  A
+    failing row is rescanned only to name the first failing triple.  A
+    two-sided identity is detected automatically; ``identity_hint`` is
+    only checked against it.
     """
     table = tuple(tuple(row) for row in rows)
     n = len(table)
@@ -103,15 +121,20 @@ def build_semigroup(rows, identity_hint=None, labels=None, name="") -> FiniteSem
         for j, v in enumerate(row):
             if not (0 <= v < n):
                 raise OutOfRangeEntry(i, j, v)
-    for i, j, k in product(range(n), repeat=3):
-        if table[table[i][j]][k] != table[i][table[j][k]]:
-            raise NonAssociative(i, j, k)
+    then = [_picker(row) for row in table]
+    for i, row in enumerate(table):
+        # row i*j times k is table[i*j]; i times row j is row j through row i
+        if [table[ij] for ij in row] != [get(row) for get in then]:
+            for j, k in product(range(n), repeat=2):
+                if table[row[j]][k] != row[table[j][k]]:
+                    raise NonAssociative(i, j, k)
     identity = _find_identity(table)
     if identity_hint is not None and identity_hint != identity:
         raise BadIdentityHint(identity_hint)
     if labels is not None:
         labels = tuple(labels)
-        assert len(labels) == n
+        if len(labels) != n:
+            raise PreconditionFailed("labels", f"{len(labels)} labels for order {n}")
     return FiniteSemigroup(table, identity, labels, name)
 
 

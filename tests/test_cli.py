@@ -201,3 +201,48 @@ def test_build_cu_category_file(capsys, tmp_path):
     code, out = run(capsys, "build-cu", "--group", str(grp), "--category", str(cat))
     assert code == 0
     assert "[PASS] pair-monoid  [order 2]" in out
+
+
+def _build_cu_finding(capsys, tmp_path, category_text):
+    cat = tmp_path / "bad.cat"
+    cat.write_text(category_text)
+    grp = tmp_path / "z2.tbl"
+    grp.write_text(core.format_cayley_table(fx("Z2")))
+    code, out = run(capsys, "build-cu", "--group", str(grp), "--category", str(cat), "--json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["ok"] is False
+    (finding,) = payload["findings"]
+    assert finding["pass"] is False
+    return finding
+
+
+def test_build_cu_category_compose_out_of_range(capsys, tmp_path):
+    # one morphism, and a composition line naming morphism 5
+    text = "objects: 1\nmorphisms:\n0 0 0\ncompose:\n0 0 0\n0 5 0\n"
+    finding = _build_cu_finding(capsys, tmp_path, text)
+    assert finding == {
+        "name": "OutOfRangeEntry", "pass": False, "witness": "entry [0][5] = 0 out of range"
+    }
+
+
+def test_build_cu_category_action_out_of_range(capsys, tmp_path):
+    from test_construction import DERIVED_Z2_FILE
+
+    finding = _build_cu_finding(
+        capsys, tmp_path, DERIVED_Z2_FILE.replace("1 mor 0 2\n", "1 mor 0 7\n")
+    )
+    assert finding == {
+        "name": "OutOfRangeEntry", "pass": False, "witness": "entry [1][0] = 7 out of range"
+    }
+
+
+def test_build_cu_category_missing_action_line(capsys, tmp_path):
+    from test_construction import DERIVED_Z2_FILE
+
+    head, action = DERIVED_Z2_FILE.split("action:")
+    kept = [line for line in action.splitlines() if not line.startswith("1 ")]
+    finding = _build_cu_finding(capsys, tmp_path, head + "action:" + "\n".join(kept))
+    assert finding == {
+        "name": "ParseError", "pass": False, "witness": "line 0: missing action line '1 obj 0'"
+    }

@@ -1,17 +1,25 @@
 """Categories with group actions, the pair-monoid construction, the
 band-extension family, the enumerator and the fixture corpus."""
 
+import random
+from itertools import product
+
 import pytest
 
 from edense import construction, core
 from edense.errors import (
+    ActionAxiomViolation,
     BadComposability,
     MissingIdentity,
+    NonAssociative,
     NotGroup,
     OrderTooLarge,
+    OutOfRangeEntry,
+    ParseError,
     PreconditionFailed,
     UnknownFixture,
     UnsupportedBand,
+    WorkbenchError,
 )
 
 from conftest import fx
@@ -205,3 +213,300 @@ def test_parse_category_file():
     assert transitive and free
     cu = construction.c_u_monoid(C, action, 0)
     assert core.find_semigroup_isomorphism(cu.semigroup, G) is not None
+
+
+# --- witness equivalence with the per-triple checks ------------------------
+#
+# The category and action validators compare whole rows and rescan a
+# failing row only to name its witness.  The functions below check the
+# same axioms pair by pair and triple by triple, as an oracle: on every
+# input both must raise the same class with the same witness and message,
+# or accept with the same result.
+
+
+def _loop_build_category(n_objects, morphisms, compose_map):
+    source = tuple(src for src, _ in morphisms)
+    target = tuple(dst for _, dst in morphisms)
+    m = len(source)
+    compose = [[None] * m for _ in range(m)]
+    for (p, q), r in compose_map.items():
+        if target[p] != source[q]:
+            raise BadComposability(p, q, "pair is not composable")
+        if source[r] != source[p] or target[r] != target[q]:
+            raise BadComposability(p, q, f"composite {r} has wrong endpoints")
+        compose[p][q] = r
+    for p in range(m):
+        for q in range(m):
+            if target[p] == source[q] and compose[p][q] is None:
+                raise BadComposability(p, q, "composable pair left undefined")
+    for p in range(m):
+        for q in range(m):
+            if compose[p][q] is None:
+                continue
+            for r in range(m):
+                if compose[q][r] is None:
+                    continue
+                if compose[compose[p][q]][r] != compose[p][compose[q][r]]:
+                    raise NonAssociative(p, q, r, where="composition")
+    identities = []
+    for u in range(n_objects):
+        loops = [p for p in range(m) if source[p] == u and target[p] == u]
+        unit = None
+        for e in loops:
+            left = all(compose[e][q] == q for q in range(m) if source[q] == u)
+            right = all(compose[p][e] == p for p in range(m) if target[p] == u)
+            if left and right:
+                unit = e
+                break
+        if unit is None:
+            raise MissingIdentity(u)
+        identities.append(unit)
+    return tuple(tuple(row) for row in compose), tuple(identities)
+
+
+def _loop_validate_group_action(C, G, on_objects, on_morphisms):
+    one = G.identity
+    for u in range(C.n_objects):
+        if on_objects[one][u] != u:
+            raise ActionAxiomViolation("identity must fix objects", u)
+    for p in range(C.n_morphisms):
+        if on_morphisms[one][p] != p:
+            raise ActionAxiomViolation("identity must fix morphisms", p)
+    for g, h in product(G.elements, repeat=2):
+        gh = G.mul(g, h)
+        for u in range(C.n_objects):
+            if on_objects[g][on_objects[h][u]] != on_objects[gh][u]:
+                raise ActionAxiomViolation("(gh)u != g(hu)", (g, h, u))
+        for p in range(C.n_morphisms):
+            if on_morphisms[g][on_morphisms[h][p]] != on_morphisms[gh][p]:
+                raise ActionAxiomViolation("(gh)p != g(hp)", (g, h, p))
+    for g in G.elements:
+        for p in range(C.n_morphisms):
+            gp = on_morphisms[g][p]
+            if C.source[gp] != on_objects[g][C.source[p]] or C.target[gp] != on_objects[g][C.target[p]]:
+                raise ActionAxiomViolation("gp must lie in hom(gu, gv)", (g, p))
+        for p in range(C.n_morphisms):
+            for q in range(C.n_morphisms):
+                if C.compose[p][q] is None:
+                    continue
+                gp, gq = on_morphisms[g][p], on_morphisms[g][q]
+                if C.compose[gp][gq] != on_morphisms[g][C.compose[p][q]]:
+                    raise ActionAxiomViolation("g(p+q) != gp+gq", (g, p, q))
+        for u in range(C.n_objects):
+            if on_morphisms[g][C.identities[u]] != C.identities[on_objects[g][u]]:
+                raise ActionAxiomViolation("g 0_u != 0_gu", (g, u))
+    transitive = all(
+        any(on_objects[g][u] == v for g in G.elements)
+        for u in range(C.n_objects)
+        for v in range(C.n_objects)
+    )
+    free = all(
+        g == one
+        for g in G.elements
+        for u in range(C.n_objects)
+        if on_objects[g][u] == u
+    )
+    return transitive, free
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except WorkbenchError as exc:
+        return type(exc), getattr(exc, "witness", getattr(exc, "object", None)), str(exc)
+
+
+def _category_outcome(n_objects, morphisms, compose_map):
+    new = _outcome(construction.build_category, n_objects, morphisms, compose_map)
+    return ("ok", (new[1].compose, new[1].identities)) if new[0] == "ok" else new
+
+
+def _action_outcome(C, G, on_objects, on_morphisms):
+    new = _outcome(construction.validate_group_action, C, G, on_objects, on_morphisms)
+    return ("ok", new[1][1:]) if new[0] == "ok" else new
+
+
+def _built():
+    """The Z2 and Z3 derived and adjoin-band categories with their actions."""
+    for name in ("Z2", "Z3"):
+        G = fx(name)
+        yield (G, *construction.derived_category(G))
+        yield (G, *construction.adjoin_band_category(G, 2))
+
+
+# (objects, morphisms, composition) of small hand-made categories: one
+# morphism, a one-object group, two loops under right-zero composition
+# (no identity), and two objects with two parallel arrows
+SMALL_CATEGORIES = [
+    (1, [(0, 0)], {(0, 0): 0}),
+    (1, [(0, 0), (0, 0)], {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0}),
+    (1, [(0, 0), (0, 0)], {(0, 0): 0, (0, 1): 1, (1, 0): 0, (1, 1): 1}),
+    (
+        2,
+        [(0, 0), (1, 1), (0, 1), (0, 1)],
+        {(0, 0): 0, (1, 1): 1, (0, 2): 2, (0, 3): 3, (2, 1): 2, (3, 1): 3},
+    ),
+]
+
+
+def _compose_corruptions(morphisms, compose_map, rng, count):
+    """One-entry corruptions of a composition map: a new composite with
+    the right endpoints or anywhere, a removed pair, or an extra pair; and
+    one-row corruptions, which remove every pair of one row."""
+    m = len(morphisms)
+    keys = list(compose_map)
+    for _ in range(count):
+        corrupt = dict(compose_map)
+        kind = rng.randrange(5)
+        p, q = rng.choice(keys)
+        if kind == 0:
+            ends = (morphisms[p][0], morphisms[q][1])
+            corrupt[(p, q)] = rng.choice([r for r in range(m) if morphisms[r] == ends])
+        elif kind == 1:
+            corrupt[(p, q)] = rng.randrange(m)
+        elif kind == 2:
+            del corrupt[(p, q)]
+        elif kind == 3:
+            corrupt[(rng.randrange(m), rng.randrange(m))] = rng.randrange(m)
+        else:
+            corrupt = {pq: r for pq, r in corrupt.items() if pq[0] != p}
+        yield corrupt
+
+
+def test_build_category_witnesses_match_triple_loops():
+    cases = list(SMALL_CATEGORIES)
+    for _, C, _ in _built():
+        morphisms = list(zip(C.source, C.target))
+        compose_map = {
+            (p, q): r for p, row in enumerate(C.compose) for q, r in enumerate(row) if r is not None
+        }
+        cases.append((C.n_objects, morphisms, compose_map))
+    seen = set()
+    for n_objects, morphisms, compose_map in cases:
+        rng = random.Random(f"compose {n_objects} {len(morphisms)} {len(compose_map)}")
+        maps = [compose_map, *_compose_corruptions(morphisms, compose_map, rng, 60)]
+        for cm in maps:
+            old = _outcome(_loop_build_category, n_objects, morphisms, cm)
+            assert _category_outcome(n_objects, morphisms, cm) == old
+            seen.add(old[0])
+    assert seen == {"ok", BadComposability, NonAssociative, MissingIdentity}
+
+
+def _action_corruptions(C, action, rng, count):
+    """One-entry corruptions of an action's object or morphism rows."""
+    for _ in range(count):
+        on_objects = [list(row) for row in action.on_objects]
+        on_morphisms = [list(row) for row in action.on_morphisms]
+        rows, width = (on_objects, C.n_objects) if rng.randrange(3) == 0 else (on_morphisms, C.n_morphisms)
+        rows[rng.randrange(len(rows))][rng.randrange(width)] = rng.randrange(width)
+        yield on_objects, on_morphisms
+
+
+def _law_keeping_actions(G, C, action):
+    """Actions that keep the action law but break a later axiom: objects
+    left fixed while morphisms move, or while g moves only the target of
+    each morphism (both break hom-sets), and on the Z2 band category,
+    g = 1 also swapping the flags 0 and e (functoriality)."""
+    fixed = [list(range(C.n_objects))] * G.n
+    yield fixed, action.on_morphisms
+    # p : u -> v goes to the morphism u -> gv in the same place of its hom-set
+    place = [C.hom(u, v).index(p) for p, (u, v) in enumerate(zip(C.source, C.target))]
+    yield fixed, [
+        [C.hom(u, G.mul(g, v))[place[p]] for p, (u, v) in enumerate(zip(C.source, C.target))]
+        for g in G.elements
+    ]
+    if G.n == 2 and C.n_morphisms == 8:
+        yield action.on_objects, [action.on_morphisms[0], [p ^ 1 for p in action.on_morphisms[1]]]
+
+
+def test_validate_group_action_witnesses_match_triple_loops():
+    # "g 0_u != 0_gu" cannot fail once the earlier axioms hold: a bijection
+    # that keeps hom-sets and composition sends identities to identities
+    seen = set()
+    for G, C, action in _built():
+        rng = random.Random(f"action {G.name} {C.n_morphisms}")
+        cases = [*_action_corruptions(C, action, rng, 120), *_law_keeping_actions(G, C, action)]
+        for on_objects, on_morphisms in cases:
+            old = _outcome(_loop_validate_group_action, C, G, on_objects, on_morphisms)
+            assert _action_outcome(C, G, on_objects, on_morphisms) == old
+            seen.add(old[2].split(": ", 1)[1].split(" (witness")[0] if old[0] != "ok" else old)
+    assert seen == {
+        ("ok", (True, True)),
+        "identity must fix objects",
+        "identity must fix morphisms",
+        "(gh)u != g(hu)",
+        "(gh)p != g(hp)",
+        "gp must lie in hom(gu, gv)",
+        "g(p+q) != gp+gq",
+    }
+
+
+def _trivial_action(C, G):
+    return [list(range(C.n_objects))] * G.n, [list(range(C.n_morphisms))] * G.n
+
+
+def test_action_flags_match_loops():
+    # free and transitive, and the trivial action, which is neither when
+    # there are two objects and two group elements
+    cases = [(C, G, action.on_objects, action.on_morphisms) for G, C, action in _built()]
+    cases += [(C, G, *_trivial_action(C, G)) for G, C, _ in _built()]
+    C = one_object_z2_category()
+    cases.append((C, fx("Z2"), *_trivial_action(C, fx("Z2"))))
+    flags = set()
+    for C, G, on_objects, on_morphisms in cases:
+        action, transitive, free = construction.validate_group_action(C, G, on_objects, on_morphisms)
+        assert (action.transitive, action.free) == (transitive, free)
+        assert (transitive, free) == _loop_validate_group_action(C, G, on_objects, on_morphisms)
+        assert action.category is C
+        flags.add((transitive, free))
+    assert flags == {(True, True), (True, False), (False, False)}
+
+
+def test_c_u_monoid_rejects_action_of_another_category():
+    C, action = construction.derived_category(fx("Z2"))
+    twin, _ = construction.derived_category(fx("Z2"))
+    assert twin == C and twin is not C
+    with pytest.raises(PreconditionFailed) as exc:
+        construction.c_u_monoid(twin, action, 0)
+    assert exc.value.name == "action_category"
+
+
+def test_build_category_range_errors():
+    with pytest.raises(OutOfRangeEntry) as exc:
+        construction.build_category(1, [(0, 0), (0, 1)], {(0, 0): 0})
+    assert exc.value.witness == (1, 1, 1)
+    with pytest.raises(OutOfRangeEntry) as exc:
+        construction.build_category(1, [(0, 0)], {(0, 0): 0, (0, 5): 0})
+    assert exc.value.witness == (0, 5, 0)
+    with pytest.raises(OutOfRangeEntry) as exc:
+        construction.build_category(1, [(0, 0)], {(0, 0): -1})
+    assert exc.value.witness == (0, 0, -1)
+
+
+def test_validate_group_action_shape_and_range():
+    C = one_object_z2_category()
+    Z2 = fx("Z2")
+    with pytest.raises(PreconditionFailed) as exc:
+        construction.validate_group_action(C, Z2, [[0]], [[0, 1], [0, 1]])
+    assert exc.value.name == "action_shape"
+    with pytest.raises(PreconditionFailed) as exc:
+        construction.validate_group_action(C, Z2, [[0], [0]], [[0, 1], [0]])
+    assert exc.value.name == "action_shape"
+    with pytest.raises(OutOfRangeEntry) as exc:
+        construction.validate_group_action(C, Z2, [[0], [0]], [[0, 1], [1, 2]])
+    assert exc.value.witness == (1, 1, 2)
+    with pytest.raises(OutOfRangeEntry) as exc:
+        construction.validate_group_action(C, Z2, [[0], [-1]], [[0, 1], [0, 1]])
+    assert exc.value.witness == (1, 0, -1)
+
+
+def test_parse_category_errors():
+    G = fx("Z2")
+    with pytest.raises(ParseError, match="line 2: expected a count"):
+        construction.parse_category("# header\nobjects: two\n", G)
+    with pytest.raises(ParseError, match="line 3: expected 'p q r'"):
+        construction.parse_category("objects: 1\ncompose:\n0 0 x\n", G)
+    head, action = DERIVED_Z2_FILE.split("action:")
+    kept = [line for line in action.splitlines() if line != "1 mor 2 0"]
+    with pytest.raises(ParseError, match="missing action line '1 mor 2'"):
+        construction.parse_category(head + "action:" + "\n".join(kept), G)

@@ -1,6 +1,8 @@
 """Element-level invariants, checked against values computed by direct
 table scans (frozen below) and against the documented fixture corpus."""
 
+from itertools import product
+
 import pytest
 
 from edense import core
@@ -9,6 +11,7 @@ from edense.errors import (
     NonAssociative,
     OutOfRangeEntry,
     ParseError,
+    PreconditionFailed,
 )
 
 from conftest import fx
@@ -38,6 +41,43 @@ def test_build_rejects_non_associative():
 def test_build_rejects_out_of_range():
     with pytest.raises(OutOfRangeEntry):
         core.build_semigroup([[0, 2], [1, 0]])
+
+
+def _triple_loop_witness(table):
+    """The first non-associative triple in (i, j, k) order, or None, found
+    triple by triple as an oracle for the row-wise check."""
+    n = len(table)
+    for i, j, k in product(range(n), repeat=3):
+        if table[table[i][j]][k] != table[i][table[j][k]]:
+            return (i, j, k)
+    return None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_build_witness_matches_triple_loop_on_every_table(n):
+    # all n^(n*n) labelled tables of order n
+    counts = {True: 0, False: 0}
+    for flat in product(range(n), repeat=n * n):
+        rows = [flat[i * n : (i + 1) * n] for i in range(n)]
+        witness = _triple_loop_witness(rows)
+        if witness is None:
+            S = core.build_semigroup(rows)
+            assert S.table == tuple(map(tuple, rows))
+            assert S.identity == core._find_identity(S.table)
+        else:
+            with pytest.raises(NonAssociative) as exc:
+                core.build_semigroup(rows)
+            assert exc.value.witness == witness
+            assert str(exc.value) == str(NonAssociative(*witness))
+        counts[witness is None] += 1
+    # associative tables of order 1, 2, 3: OEIS A023814
+    assert counts[True] == {1: 1, 2: 8, 3: 113}[n]
+
+
+def test_build_rejects_wrong_label_count():
+    with pytest.raises(PreconditionFailed) as exc:
+        core.build_semigroup([[0, 1], [1, 0]], labels=("a",))
+    assert exc.value.name == "labels"
 
 
 def test_build_rejects_bad_identity_hint():

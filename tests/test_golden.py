@@ -1,6 +1,7 @@
-"""The corpus report is the behaviour fingerprint: ``verify --corpus --json``
-must reproduce the checked-in golden file byte for byte, with and without
-``python -O`` (which strips every ``assert``)."""
+"""The behaviour fingerprints: ``verify --corpus --json`` and ``build-cu``
+over Z8 with an adjoined band must reproduce their checked-in golden files
+byte for byte, with and without ``python -O`` (which strips every
+``assert``)."""
 
 import os
 import subprocess
@@ -11,6 +12,26 @@ from edense.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "bench" / "golden" / "verify_corpus.json"
+# the group table is given by its path relative to the repository root,
+# because the report's command line names it
+BUILD_CU = ["build-cu", "--group", "tests/golden/z8.tbl", "--adjoin-band", "2", "--json"]
+BUILD_CU_GOLDEN = ROOT / "tests" / "golden" / "build_cu_z8_band2.json"
+
+
+def _run_optimized(argv):
+    src = str(ROOT / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "edense", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=ROOT,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 def test_verify_corpus_json_matches_golden(capsys):
@@ -20,16 +41,15 @@ def test_verify_corpus_json_matches_golden(capsys):
 
 
 def test_verify_corpus_json_matches_golden_under_optimize():
-    src = str(ROOT / "src")
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-    done = subprocess.run(
-        [sys.executable, "-O", "-m", "edense", "verify", "--corpus", "--json"],
-        capture_output=True,
-        text=True,
-        env=env,
-        cwd=ROOT,
-        timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == GOLDEN.read_text()
+    assert _run_optimized(["verify", "--corpus", "--json"]) == GOLDEN.read_text()
+
+
+def test_build_cu_json_matches_golden(capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    code = main(BUILD_CU)
+    assert code == 0
+    assert capsys.readouterr().out == BUILD_CU_GOLDEN.read_text()
+
+
+def test_build_cu_json_matches_golden_under_optimize():
+    assert _run_optimized(BUILD_CU) == BUILD_CU_GOLDEN.read_text()
