@@ -109,14 +109,14 @@ def validate_act(S: FiniteSemigroup, rows, point_labels=None) -> PartialAct:
         for x, v in enumerate(row):
             if v is not None and not 0 <= v < m:
                 raise OutOfRangeEntry(s, x, v)
-    if m:
-        # slot m stands for "undefined", and every element keeps it there,
-        # so row s*t must equal row t followed by row s, slot for slot
-        full = [tuple(m if v is None else v for v in row) + (m,) for row in table]
-        then = [itemgetter(*row) for row in full]
-        for s, t in product(S.elements, repeat=2):
-            if then[t](full[s]) != full[S.mul(s, t)]:
-                _raise_composition_witness(S, table, s, t)
+    witness = _composition_witness(S, table)
+    if witness:
+        s, t, x = witness
+        via = None if table[t][x] is None else table[s][table[t][x]]
+        direct = table[S.mul(s, t)][x]
+        if (direct is None) != (via is None):
+            raise CompositionViolation(s, t, x, "(one side defined, the other not)")
+        raise CompositionViolation(s, t, x, f"({direct} != {via})")
     for s, row in enumerate(table):
         defined = [v for v in row if v is not None]
         if len(set(defined)) != len(defined):
@@ -138,19 +138,27 @@ def validate_act(S: FiniteSemigroup, rows, point_labels=None) -> PartialAct:
     return PartialAct(S, table, tuple(point_labels) if point_labels else None)
 
 
-def _raise_composition_witness(S: FiniteSemigroup, table, s: int, t: int) -> None:
-    """Raise the violation at the first point where (st)x and s(tx) differ."""
-    st = S.mul(s, t)
-    for x in range(len(table[0])):
-        tx = table[t][x]
-        via = None if tx is None else table[s][tx]
-        direct = table[st][x]
-        if (direct is None) != (via is None):
-            raise CompositionViolation(
-                s, t, x, "(one side defined, the other not)"
+def _composition_witness(S: FiniteSemigroup, table, right=False):
+    """The first (s, t, x) where (st)x and s(tx), defined or not, differ,
+    or None.
+
+    With ``right``, ``table[s][x]`` is x*s and x(st) is compared with
+    (xs)t.  A failing row is rescanned only to name its first point.
+    """
+    m = len(table[0]) if table else 0
+    if not m:
+        return None
+    # slot m stands for "undefined", and every element keeps it there
+    full = [tuple(m if v is None else v for v in row) + (m,) for row in table]
+    then = [itemgetter(*row) for row in full]
+    for s, t in product(S.elements, repeat=2):
+        inner, outer = (s, t) if right else (t, s)
+        row = full[S.mul(s, t)]
+        if then[inner](full[outer]) != row:
+            return next(
+                (s, t, x) for x in range(m) if full[outer][full[inner][x]] != row[x]
             )
-        if direct is not None and direct != via:
-            raise CompositionViolation(s, t, x, f"({direct} != {via})")
+    return None
 
 
 def left_mult_total(S: FiniteSemigroup, carrier=None):
@@ -171,15 +179,6 @@ def left_mult_total(S: FiniteSemigroup, carrier=None):
     return rows, [S.label(e) for e in ids]
 
 
-def validate_total_action(S: FiniteSemigroup, rows) -> None:
-    m = len(rows[0])
-    for s, t in product(S.elements, repeat=2):
-        st = S.mul(s, t)
-        for x in range(m):
-            if rows[st][x] != rows[s][rows[t][x]]:
-                raise NotAssociativeAction(s, t, x)
-
-
 def wagner_preston(S: FiniteSemigroup, total_rows=None, point_labels=None) -> PartialAct:
     """Restrict a total action to the domains where some weak inverse
     undoes the element: D_s = {x : x = s'sx for some s' in W(s)}.
@@ -190,7 +189,9 @@ def wagner_preston(S: FiniteSemigroup, total_rows=None, point_labels=None) -> Pa
     closures.require_semilattice(S)
     if total_rows is None:
         total_rows, point_labels = left_mult_total(S)
-    validate_total_action(S, total_rows)
+    witness = _composition_witness(S, total_rows)
+    if witness:
+        raise NotAssociativeAction(*witness)
     m = len(total_rows[0])
     table = []
     for s in S.elements:

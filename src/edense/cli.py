@@ -13,13 +13,21 @@ import sys
 from pathlib import Path
 
 from . import acts, closures, construction, core, cosets, crypto, verify
-from .errors import WorkbenchError
+from .errors import UnreadableFile, WorkbenchError
 from .report import Finding, Report
 
 
+def _read(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise UnreadableFile(path, exc.strerror) from None
+    except UnicodeDecodeError as exc:
+        raise UnreadableFile(path, exc.reason) from None
+
+
 def _load_table(path: str) -> core.FiniteSemigroup:
-    text = Path(path).read_text()
-    return core.parse_cayley_table(text, name=Path(path).stem)
+    return core.parse_cayley_table(_read(path), name=Path(path).stem)
 
 
 def _emit(report: Report, as_json: bool, extra_text: list[str] | None = None) -> int:
@@ -59,7 +67,7 @@ def cmd_analyze(args) -> int:
 
 def _act_from_args(S, args):
     if args.act_file:
-        return acts.parse_act(Path(args.act_file).read_text(), S), f"file:{args.act_file}"
+        return acts.parse_act(_read(args.act_file), S), f"file:{args.act_file}"
     carrier = None
     if args.carrier:
         carrier = sorted(closures.parse_subset(args.carrier))
@@ -117,7 +125,7 @@ def cmd_cosets(args) -> int:
 def cmd_build_cu(args) -> int:
     G = _load_table(args.group)
     if args.category:
-        C, action, _, _ = construction.parse_category(Path(args.category).read_text(), G)
+        C, action, _, _ = construction.parse_category(_read(args.category), G)
         source = f"category:{args.category}"
     elif args.adjoin_band:
         C, action = construction.adjoin_band_category(G, args.adjoin_band)

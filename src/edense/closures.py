@@ -2,34 +2,25 @@
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import combinations
 
 from . import core
 from .core import FiniteSemigroup
-from .errors import NotSemilattice, OrderTooLarge
+from .errors import NotSemilattice, OrderTooLarge, ParseError
 
 SUBSET_SCAN_BOUND = 16
 
 
 def omega_m(S: FiniteSemigroup, A) -> frozenset[int]:
     """Upward closure of A under the natural partial order."""
-    return _omega_m(S, frozenset(A))
-
-
-@lru_cache(maxsize=None)
-def _omega_m(S, A):
-    return frozenset(s for s in S.elements if any(core.mitsch_leq(S, a, s) for a in A))
+    down, A = S.structure.natural_down, frozenset(A)
+    return frozenset(s for s in S.elements if not down[s].isdisjoint(A))
 
 
 def omega_h(S: FiniteSemigroup, A) -> frozenset[int]:
     """Upward closure of A under the idempotent-witnessed order."""
-    return _omega_h(S, frozenset(A))
-
-
-@lru_cache(maxsize=None)
-def _omega_h(S, A):
-    return frozenset(s for s in S.elements if any(core.h_leq(S, a, s) for a in A))
+    down, A = S.structure.h_down, frozenset(A)
+    return frozenset(s for s in S.elements if not down[s].isdisjoint(A))
 
 
 def is_omega_h_closed(S: FiniteSemigroup, A) -> bool:
@@ -100,7 +91,10 @@ def closed_e_dense_subsemigroups(S: FiniteSemigroup) -> list[frozenset[int]]:
 
 def parse_subset(text: str) -> frozenset[int]:
     """Space-separated base-10 ids on one line."""
-    return frozenset(int(tok) for tok in text.split())
+    try:
+        return frozenset(int(tok) for tok in text.split())
+    except ValueError:
+        raise ParseError(1, f"expected space-separated ids, got {text!r}") from None
 
 
 def format_subset(A) -> str:

@@ -120,7 +120,6 @@ def _adjoined_band_table(G: FiniteSemigroup, k: int, name="") -> FiniteSemigroup
     return build_semigroup(rows, labels=labels, name=name or f"{G.name}+E{k}")
 
 
-@lru_cache(maxsize=None)
 def adjoined_band_semigroup(G: FiniteSemigroup, k: int = 2, name="") -> FiniteSemigroup:
     """Extend a group by a k-element band of commuting flags (default G u eG).
 
@@ -390,6 +389,8 @@ def c_u_monoid(C: FiniteCategory, action: GroupCategoryAction, u: int) -> CuMono
     """
     if action.category is not C:
         raise PreconditionFailed("action_category", "action was validated on another category")
+    if not 0 <= u < C.n_objects:
+        raise PreconditionFailed("base_object", f"{u} is not one of the {C.n_objects} objects")
     G = action.group
     if not C.is_strongly_connected():
         raise PreconditionFailed("strongly_connected")
@@ -583,13 +584,18 @@ def parse_category(text: str, G: FiniteSemigroup):
             if len(toks) != 3:
                 raise ParseError(lineno, "expected 'p q r'")
             p, q, r = ints(lineno, toks, "'p q r'")
+            if (p, q) in compose_map:
+                raise ParseError(lineno, f"second compose line for ({p}, {q})")
             compose_map[(p, q)] = r
         elif section == "action":
             if len(toks) != 4 or toks[1] not in ("obj", "mor"):
                 raise ParseError(lineno, "expected 'g obj u v' or 'g mor p q'")
             kind = toks[1]
             g, a, b = ints(lineno, toks[:1] + toks[2:], "'g obj u v' or 'g mor p q'")
-            (obj_action if kind == "obj" else mor_action)[(g, a)] = b
+            entries = obj_action if kind == "obj" else mor_action
+            if (g, a) in entries:
+                raise ParseError(lineno, f"second action line for '{g} {kind} {a}'")
+            entries[(g, a)] = b
         else:
             raise ParseError(lineno, f"unexpected line {line!r}")
     if n_objects is None:

@@ -1,16 +1,16 @@
 """Finite semigroups on Cayley tables and their element-level invariants.
 
 Elements are dense integer ids 0..n-1; a semigroup is just its n x n
-multiplication table, validated associative on construction.  All
-predicates below are exhaustive scans (n, n^2 or n^3 loops): at desk
-scale this is both fast enough and trustworthy enough to serve as an
-oracle for the rest of the package.
+multiplication table, validated associative on construction.  The queries
+below read its ``Structure`` record, ``S.structure``, which computes each
+datum by an exhaustive scan on first use and dies with S: at desk scale
+this is fast and trustworthy enough to serve as the package's oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from itertools import product
 from operator import itemgetter
 
@@ -64,6 +64,11 @@ class FiniteSemigroup:
     def __len__(self) -> int:
         return len(self.table)
 
+    @cached_property
+    def structure(self) -> Structure:
+        """The derived-data record of this semigroup, built on first use."""
+        return Structure(self.table)
+
 
 @dataclass(frozen=True)
 class InverseSets:
@@ -78,6 +83,66 @@ class InverseSets:
 class IdempotentStructure:
     is_band: bool
     is_semilattice: bool
+
+
+class Structure:
+    """The derived data of one Cayley table, each part computed on first use.
+    ``cosets`` memoises coset spaces and conjugacy witnesses here, by subset."""
+
+    def __init__(self, table):
+        self.table, self.coset_spaces, self.conjugacy = table, {}, {}
+
+    @cached_property
+    def idempotents(self) -> frozenset[int]:
+        return frozenset(e for e, row in enumerate(self.table) if row[e] == e)
+
+    @cached_property
+    def idempotent_structure(self) -> IdempotentStructure:
+        t, E = self.table, self.idempotents
+        band = all(t[e][f] in E for e in E for f in E)
+        return IdempotentStructure(band, band and all(t[e][f] == t[f][e] for e in E for f in E))
+
+    @cached_property
+    def inverse_sets(self) -> tuple[InverseSets, ...]:
+        t, E, out = self.table, self.idempotents, []
+        for s, row_s in enumerate(t):
+            W = frozenset(x for x, row in enumerate(t) if t[row[s]][x] == x)
+            V = frozenset(x for x in W if t[row_s[x]][s] == s)
+            L = frozenset(x for x, row in enumerate(t) if row[s] in E)
+            out.append(InverseSets(W, V, L))
+        return tuple(out)
+
+    @cached_property
+    def natural_down(self) -> tuple[frozenset[int], ...]:
+        # row b holds every a <= b: a == b, or a = x*b = b*y with x*a = a = a*y
+        t = self.table
+        left = [{x[b] for x in t if x[x[b]] == x[b]} for b in range(len(t))]
+        right = [{a for y, a in enumerate(row) if t[a][y] == a} for row in t]
+        return tuple(frozenset(lb & rb | {b}) for b, (lb, rb) in enumerate(zip(left, right)))
+
+    @cached_property
+    def h_down(self) -> tuple[frozenset[int], ...]:
+        # row b holds every a <= b: a == b, or a = f*b = b*e for idempotents e, f
+        t, E = self.table, self.idempotents
+        return tuple(
+            frozenset({t[f][b] for f in E} & {row[e] for e in E}) | {b} for b, row in enumerate(t)
+        )
+
+    @cached_property
+    def l_classes(self) -> tuple[frozenset[int], ...]:
+        # a and b are L-related when S^1 a = S^1 b
+        ideals = [frozenset(col) | {a} for a, col in enumerate(zip(*self.table))]
+        return tuple(frozenset(b for b, J in enumerate(ideals) if J == I) for I in ideals)
+
+    @cached_property
+    def regular(self) -> frozenset[int]:
+        t = self.table
+        return frozenset(x for x, row in enumerate(t) if any(t[xy][x] == x for xy in row))
+
+    @cached_property
+    def is_group(self) -> bool:
+        t, full = self.table, set(range(len(self.table)))
+        return _find_identity(t) is not None and all(set(r) == full for r in (*t, *zip(*t)))
 
 
 def _find_identity(table) -> int | None:
@@ -160,10 +225,10 @@ def parse_cayley_table(text: str, name="") -> FiniteSemigroup:
                 raise ParseError(lineno, "order must be positive")
             continue
         if line.startswith("identity"):
-            parts = line.split()
-            if len(parts) != 2:
-                raise ParseError(lineno, "expected 'identity <id>'")
-            identity_hint = int(parts[1])
+            try:
+                (identity_hint,) = map(int, line.split()[1:])
+            except ValueError:
+                raise ParseError(lineno, "expected 'identity <id>'") from None
             continue
         if len(rows) == n:
             raise ParseError(lineno, "unexpected extra row")
@@ -187,49 +252,35 @@ def format_cayley_table(S: FiniteSemigroup) -> str:
     return "\n".join(lines) + "\n"
 
 
-@lru_cache(maxsize=None)
 def idempotents(S: FiniteSemigroup) -> frozenset[int]:
     """All e with e*e == e."""
-    return frozenset(e for e in S.elements if S.mul(e, e) == e)
+    return S.structure.idempotents
 
 
-@lru_cache(maxsize=None)
 def classify_idempotents(S: FiniteSemigroup) -> IdempotentStructure:
     """Whether E(S) is closed under the product (a band), and commutative."""
-    E = idempotents(S)
-    band = all(S.mul(e, f) in E for e in E for f in E)
-    semilattice = band and all(S.mul(e, f) == S.mul(f, e) for e in E for f in E)
-    return IdempotentStructure(band, semilattice)
+    return S.structure.idempotent_structure
 
 
 def is_semilattice_of_idempotents(S: FiniteSemigroup) -> bool:
     return classify_idempotents(S).is_semilattice
 
 
-@lru_cache(maxsize=None)
 def weak_inverses(S: FiniteSemigroup, s: int) -> frozenset[int]:
     """W(s): all t with t*s*t == t."""
-    return frozenset(t for t in S.elements if S.prod(t, s, t) == t)
+    return S.structure.inverse_sets[s].W
 
 
 def inverse_sets(S: FiniteSemigroup, s: int) -> InverseSets:
     """W(s), V(s) and L(s) for one element; always V <= W <= L."""
-    E = idempotents(S)
-    W = weak_inverses(S, s)
-    V = frozenset(t for t in W if S.prod(s, t, s) == s)
-    L = frozenset(t for t in S.elements if S.mul(t, s) in E)
-    assert V <= W <= L
-    return InverseSets(W, V, L)
+    return S.structure.inverse_sets[s]
 
 
-@lru_cache(maxsize=None)
 def left_pre_inverses(S: FiniteSemigroup, s: int) -> frozenset[int]:
     """L(s): all t with t*s idempotent."""
-    E = idempotents(S)
-    return frozenset(t for t in S.elements if S.mul(t, s) in E)
+    return S.structure.inverse_sets[s].L
 
 
-@lru_cache(maxsize=None)
 def mitsch_leq(S: FiniteSemigroup, a: int, b: int) -> bool:
     """The natural partial order: a == b, or a = x*b = b*y with x*a = a*y = a.
 
@@ -237,38 +288,20 @@ def mitsch_leq(S: FiniteSemigroup, a: int, b: int) -> bool:
     without local left/right identities (equivalently, witnesses may be
     taken in the monoid obtained by adjoining an identity).
     """
-    if a == b:
-        return True
-    for x in S.elements:
-        if S.mul(x, b) != a or S.mul(x, a) != a:
-            continue
-        for y in S.elements:
-            if S.mul(b, y) == a and S.mul(a, y) == a:
-                return True
-    return False
+    return a in S.structure.natural_down[b]
 
 
-@lru_cache(maxsize=None)
 def h_leq(S: FiniteSemigroup, a: int, b: int) -> bool:
     """Idempotent-witnessed refinement of the natural order.
 
     a <= b iff a == b or a = b*e and a = f*b for idempotents e, f.
     """
-    if a == b:
-        return True
-    E = idempotents(S)
-    return any(S.mul(b, e) == a for e in E) and any(S.mul(f, b) == a for f in E)
+    return a in S.structure.h_down[b]
 
 
-@lru_cache(maxsize=None)
 def green_l_class(S: FiniteSemigroup, a: int) -> frozenset[int]:
     """The L-class of a: all b generating the same principal left ideal."""
-
-    def left_ideal(x):
-        return frozenset(S.mul(t, x) for t in S.elements) | {x}
-
-    target = left_ideal(a)
-    return frozenset(b for b in S.elements if left_ideal(b) == target)
+    return S.structure.l_classes[a]
 
 
 def is_e_dense(S: FiniteSemigroup) -> bool:
@@ -277,26 +310,12 @@ def is_e_dense(S: FiniteSemigroup) -> bool:
     True for every finite semigroup; kept as a sanity assertion.
     """
     E = idempotents(S)
-    for s in S.elements:
-        if not any(S.mul(t, s) in E for t in S.elements):
-            return False
-        if not any(S.mul(s, t) in E for t in S.elements):
-            return False
-    return True
+    return all(iv.L for iv in S.structure.inverse_sets) and all(map(E.intersection, S.table))
 
 
-@lru_cache(maxsize=None)
 def is_group(S: FiniteSemigroup) -> bool:
-    """Group test via |L(s)| == 1 for all s, cross-checked directly."""
-    via_l = all(len(left_pre_inverses(S, s)) == 1 for s in S.elements)
-    full = set(S.elements)
-    direct = (
-        S.identity is not None
-        and all(set(row) == full for row in S.table)
-        and all({row[j] for row in S.table} == full for j in S.elements)
-    )
-    assert via_l == direct, "group criteria disagree; table scan is buggy"
-    return via_l
+    """An identity, and every row and column a permutation."""
+    return S.structure.is_group
 
 
 def is_unitary_subset(S: FiniteSemigroup, A) -> bool:
@@ -316,18 +335,14 @@ def is_e_unitary(S: FiniteSemigroup) -> bool:
     return is_unitary_subset(S, idempotents(S))
 
 
-@lru_cache(maxsize=None)
 def regular_elements(S: FiniteSemigroup) -> frozenset[int]:
     """All x with x*y*x == x for some y."""
-    return frozenset(
-        x for x in S.elements if any(S.prod(x, y, x) == x for y in S.elements)
-    )
+    return S.structure.regular
 
 
-@lru_cache(maxsize=None)
 def is_inverse_semigroup(S: FiniteSemigroup) -> bool:
     """Every element has exactly one inverse."""
-    return all(len(inverse_sets(S, s).V) == 1 for s in S.elements)
+    return all(len(iv.V) == 1 for iv in S.structure.inverse_sets)
 
 
 def set_mul(S: FiniteSemigroup, *sets) -> frozenset[int]:

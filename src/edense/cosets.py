@@ -5,7 +5,6 @@ congruence, omega-cosets, the coset act, conjugacy and quotient groups.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import acts, closures, core
 from .core import FiniteSemigroup
@@ -87,12 +86,10 @@ def pi_h_related(S: FiniteSemigroup, H, s: int, t: int) -> bool:
 
 def coset(S: FiniteSemigroup, H, s: int):
     """The omega-coset of s, or None when s is outside the domain."""
-    H = check_base(S, H)
-    if s not in domain_d_h(S, H):
+    space = coset_space(S, H)
+    if s not in space.domain:
         return None
-    members = closures.omega_h(S, core.set_mul(S, {s}, H))
-    assert s in members
-    return OmegaCoset(H, s, members)
+    return OmegaCoset(space.base, s, space.cosets[space.coset_of(s)].members)
 
 
 def coset_space(S: FiniteSemigroup, H) -> CosetSpace:
@@ -101,11 +98,10 @@ def coset_space(S: FiniteSemigroup, H) -> CosetSpace:
     The act is validated against the partial-act axioms, and the
     stabilizer of the coset H itself is asserted to be exactly H.
     """
-    return _coset_space(S, frozenset(H))
-
-
-@lru_cache(maxsize=None)
-def _coset_space(S: FiniteSemigroup, H) -> CosetSpace:
+    spaces = S.structure.coset_spaces
+    H = frozenset(H)
+    if H in spaces:
+        return spaces[H]
     H = check_base(S, H)
     d_h = domain_d_h(S, H)
     by_members = {}
@@ -142,7 +138,7 @@ def _coset_space(S: FiniteSemigroup, H) -> CosetSpace:
     act = acts.validate_act(S, rows, labels)
     h_idx = index[H]
     assert acts.stabilizer(act, h_idx) == H, "stabilizer of the base coset must be H"
-    return CosetSpace(S, H, cosets, d_h, act)
+    return spaces.setdefault(H, CosetSpace(S, H, cosets, d_h, act))
 
 
 def are_conjugate(S: FiniteSemigroup, H, K):
@@ -153,13 +149,11 @@ def are_conjugate(S: FiniteSemigroup, H, K):
     act isomorphism between the two coset spaces; the two answers must
     agree.
     """
-    return _are_conjugate(S, frozenset(H), frozenset(K))
-
-
-@lru_cache(maxsize=None)
-def _are_conjugate(S: FiniteSemigroup, H, K):
-    H = check_base(S, H)
-    K = check_base(S, K)
+    answers = S.structure.conjugacy
+    key = frozenset(H), frozenset(K)
+    if key in answers:
+        return answers[key]
+    H, K = check_base(S, H), check_base(S, K)
     witness = None
     for s in S.elements:
         for w in core.weak_inverses(S, s):
@@ -181,7 +175,7 @@ def _are_conjugate(S: FiniteSemigroup, H, K):
     assert (witness is not None) == (iso is not None), (
         "conjugacy witness search and act isomorphism disagree"
     )
-    return witness
+    return answers.setdefault(key, witness)
 
 
 def is_self_conjugate(S: FiniteSemigroup, H) -> bool:

@@ -259,25 +259,23 @@ class BiactTable:
 
 
 def build_biact(S: FiniteSemigroup, left_rows, right_rows) -> BiactTable:
+    """Check both actions and their compatibility, a whole row at a time."""
     left = tuple(tuple(r) for r in left_rows)
     right = tuple(tuple(r) for r in right_rows)
     m = len(left[0])
-    for s, t in product(S.elements, repeat=2):
-        st = S.mul(s, t)
-        for x in range(m):
-            if left[st][x] != left[s][left[t][x]]:
-                raise NotAssociativeAction(s, t, x)
-            if right[right[x][s]][t] != right[x][st]:
-                raise NotAssociativeAction(s, t, x)
+    by_element = [tuple(row[s] for row in right) for s in S.elements]  # x*s, by s
+    witnesses = [acts._composition_witness(S, left), acts._composition_witness(S, by_element, True)]
+    if any(witnesses):
+        raise NotAssociativeAction(*min(w for w in witnesses if w))
     for s in S.elements:
-        if len({left[s][x] for x in range(m)}) != m:
-            raise NotCancellative(s, -1, -1)
-        if len({right[x][s] for x in range(m)}) != m:
+        if len(set(left[s])) != m or len(set(by_element[s])) != m:
             raise NotCancellative(s, -1, -1)
     for s, t in product(S.elements, repeat=2):
-        for x in range(m):
-            if right[left[s][x]][t] != left[s][right[x][t]]:
-                raise NotAssociativeAction(s, t, x)
+        # (sx)t against s(xt)
+        after, before = left[s], by_element[t]
+        if [before[v] for v in after] != [after[v] for v in before]:
+            x = next(x for x in range(m) if before[after[x]] != after[before[x]])
+            raise NotAssociativeAction(s, t, x)
     return BiactTable(S, left, right)
 
 

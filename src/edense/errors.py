@@ -15,6 +15,12 @@ class ParseError(WorkbenchError):
         super().__init__(f"line {line}: {message}")
 
 
+class UnreadableFile(WorkbenchError):
+    def __init__(self, path, reason):
+        self.path = path
+        super().__init__(f"cannot read {path}: {reason}")
+
+
 class NonAssociative(WorkbenchError):
     def __init__(self, i, j, k, where="table"):
         self.witness = (i, j, k)

@@ -246,3 +246,53 @@ def test_build_cu_category_missing_action_line(capsys, tmp_path):
     assert finding == {
         "name": "ParseError", "pass": False, "witness": "line 0: missing action line '1 obj 0'"
     }
+
+
+def _single_failure(capsys, *argv):
+    code, out = run(capsys, *argv, "--json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["ok"] is False
+    (finding,) = payload["findings"]
+    assert finding["pass"] is False
+    return finding
+
+
+@pytest.mark.parametrize("u", ["9", "-1"])
+def test_build_cu_object_out_of_range(capsys, tmp_path, u):
+    grp = tmp_path / "z2.tbl"
+    grp.write_text(core.format_cayley_table(fx("Z2")))
+    finding = _single_failure(capsys, "build-cu", "--group", str(grp), "--object", u)
+    assert finding == {
+        "name": "PreconditionFailed",
+        "pass": False,
+        "witness": f"precondition failed: base_object {u} is not one of the 2 objects",
+    }
+
+
+def test_analyze_identity_not_an_id(capsys, tmp_path):
+    bad = tmp_path / "bad.tbl"
+    bad.write_text("2\n0 1\n1 0\nidentity x\n")
+    finding = _single_failure(capsys, "analyze", str(bad))
+    assert finding == {
+        "name": "ParseError", "pass": False, "witness": "line 4: expected 'identity <id>'"
+    }
+
+
+def test_cosets_subsemigroup_not_ids(capsys, z3e_file):
+    finding = _single_failure(capsys, "cosets", z3e_file, "--subsemigroup", "0,9")
+    assert finding == {
+        "name": "ParseError",
+        "pass": False,
+        "witness": "line 1: expected space-separated ids, got '0,9'",
+    }
+
+
+def test_missing_table_file(capsys, tmp_path):
+    missing = str(tmp_path / "missing.tbl")
+    finding = _single_failure(capsys, "analyze", missing)
+    assert finding == {
+        "name": "UnreadableFile",
+        "pass": False,
+        "witness": f"cannot read {missing}: No such file or directory",
+    }

@@ -510,3 +510,24 @@ def test_parse_category_errors():
     kept = [line for line in action.splitlines() if line != "1 mor 2 0"]
     with pytest.raises(ParseError, match="missing action line '1 mor 2'"):
         construction.parse_category(head + "action:" + "\n".join(kept), G)
+
+
+def test_parse_category_rejects_second_lines():
+    # each first line alone would build; the second one must not overwrite it
+    G = fx("Z2")
+    twice = DERIVED_Z2_FILE.replace("0 1 1\n", "0 1 0\n0 1 1\n")
+    with pytest.raises(ParseError, match=r"line 11: second compose line for \(0, 1\)"):
+        construction.parse_category(twice, G)
+    twice = DERIVED_Z2_FILE.replace("1 obj 0 1\n", "1 obj 0 0\n1 obj 0 1\n")
+    with pytest.raises(ParseError, match="line 25: second action line for '1 obj 0'"):
+        construction.parse_category(twice, G)
+    twice = DERIVED_Z2_FILE.replace("1 mor 3 1\n", "1 mor 3 1\n1 mor 3 1\n")
+    with pytest.raises(ParseError, match="line 30: second action line for '1 mor 3'"):
+        construction.parse_category(twice, G)
+
+
+def test_c_u_monoid_rejects_object_out_of_range():
+    C, action = construction.derived_category(fx("Z2"))
+    for u in (2, 9, -1):
+        with pytest.raises(PreconditionFailed, match=f"base_object {u} is not one of the 2"):
+            construction.c_u_monoid(C, action, u)

@@ -487,3 +487,94 @@ def test_build_cryptosystem_rejects_bad_input_without_asserts():
     out_of_range[2][0] = 3
     with pytest.raises(OutOfRangeEntry, match="entry \\[2\\]\\[0\\] = 3"):
         crypto.build_cryptosystem(S, out_of_range, 0)
+
+
+# --- the shared composition scan against the per-triple loops -------------------
+
+
+def reference_total_action_error(S, rows):
+    """The per-triple composition check ``wagner_preston`` ran on its total rows."""
+    for s, t in product(S.elements, repeat=2):
+        st = S.mul(s, t)
+        for x in range(len(rows[0])):
+            if rows[st][x] != rows[s][rows[t][x]]:
+                return NotAssociativeAction(s, t, x)
+    return None
+
+
+def reference_biact_error(S, left, right):
+    """The per-triple checks of ``build_biact``, in their order."""
+    m = len(left[0])
+    for s, t in product(S.elements, repeat=2):
+        st = S.mul(s, t)
+        for x in range(m):
+            if left[st][x] != left[s][left[t][x]]:
+                return NotAssociativeAction(s, t, x)
+            if right[right[x][s]][t] != right[x][st]:
+                return NotAssociativeAction(s, t, x)
+    for s in S.elements:
+        if len({left[s][x] for x in range(m)}) != m:
+            return NotCancellative(s, -1, -1)
+        if len({right[x][s] for x in range(m)}) != m:
+            return NotCancellative(s, -1, -1)
+    for s, t in product(S.elements, repeat=2):
+        for x in range(m):
+            if right[left[s][x]][t] != left[s][right[x][t]]:
+                return NotAssociativeAction(s, t, x)
+    return None
+
+
+@pytest.mark.parametrize("name", SEMILATTICE_FIXTURES)
+def test_wagner_preston_composition_matches_triple_loop(name):
+    S = fx(name)
+    rows, labels = acts.left_mult_total(S)
+    assert outcome(acts.wagner_preston, S, rows, labels) is None
+    for seed in SEEDS:
+        bad = corrupted(rows, random.Random(f"wp-total-{name}:{seed}"))
+        error = reference_total_action_error(S, bad)
+        witness = acts._composition_witness(S, bad)
+        assert witness == (None if error is None else error.witness), (name, seed)
+        got = outcome(acts.wagner_preston, S, bad, labels)
+        if error is None:
+            assert got is None or got[0] is not NotAssociativeAction, (name, seed)
+        else:
+            assert got == expected(error), (name, seed)
+
+
+def biact_rows(name, S, rows):
+    if name.startswith("modexp"):
+        return [[rows[s][x] for s in S.elements] for x in range(len(rows[0]))]
+    return [[S.mul(x, s) for s in S.elements] for x in S.elements]
+
+
+@pytest.mark.parametrize("name,S,rows", TOTAL_ACTS, ids=[n for n, _, _ in TOTAL_ACTS])
+def test_build_biact_witnesses_match_triple_loops(name, S, rows):
+    right = biact_rows(name, S, rows)
+    assert outcome(crypto.build_biact, S, rows, right) == expected(
+        reference_biact_error(S, rows, right)
+    )
+    seen = set()
+    for seed in range(3 * len(SEEDS)):
+        # corrupt the left rows, the right rows, or both
+        rng = random.Random(f"biact-{name}:{seed}")
+        left = corrupted(rows, rng) if seed % 3 != 1 else rows
+        right_bad = corrupted(right, rng) if seed % 3 != 0 else right
+        error = reference_biact_error(S, left, right_bad)
+        assert outcome(crypto.build_biact, S, left, right_bad) == expected(error), (name, seed)
+        seen.add(type(error))
+    assert NotAssociativeAction in seen
+
+
+def test_build_biact_later_checks_match_triple_loop():
+    # two actions of Z6 that compose: a constant right action, which is not
+    # cancellative, and addition seen through the swap of points 0 and 1,
+    # which is cancellative but does not commute with the left action
+    S = fx("Z6")
+    rows, _ = acts.left_mult_total(S)
+    swap = [1, 0, 2, 3, 4, 5]
+    constant = [[0] * 6 for _ in S.elements]
+    swapped = [[swap[(swap[x] + s) % 6] for s in S.elements] for x in S.elements]
+    for right, kind in ((constant, NotCancellative), (swapped, NotAssociativeAction)):
+        error = reference_biact_error(S, rows, right)
+        assert isinstance(error, kind)
+        assert outcome(crypto.build_biact, S, rows, right) == expected(error)
