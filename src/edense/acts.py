@@ -415,28 +415,33 @@ def find_act_isomorphism(act1: PartialAct, act2: PartialAct, max_points: int = 1
 
 def parse_act(text: str, S: FiniteSemigroup) -> PartialAct:
     """Partial-act text format: first line ``n m``, then n rows of m
-    entries, each a point id or ``-`` for undefined."""
+    entries, each a point id or ``-`` for undefined.  ``#`` starts a
+    comment; errors name the line of the file."""
     lines = [
-        ln.split("#", 1)[0].strip()
-        for ln in text.splitlines()
+        (lineno, ln.split("#", 1)[0].strip())
+        for lineno, ln in enumerate(text.splitlines(), start=1)
     ]
-    lines = [ln for ln in lines if ln]
+    lines = [(lineno, ln) for lineno, ln in lines if ln]
     if not lines:
         raise ParseError(0, "empty act file")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ParseError(1, "expected 'n m' header")
-    n, m = int(head[0]), int(head[1])
+    lineno, head = lines[0]
+    try:
+        n, m = map(int, head.split())
+    except ValueError:
+        raise ParseError(lineno, "expected 'n m' header") from None
     if n != S.n:
-        raise ParseError(1, f"act has {n} rows but semigroup has order {S.n}")
+        raise ParseError(lineno, f"act has {n} rows but semigroup has order {S.n}")
     if len(lines) != n + 1:
-        raise ParseError(len(lines), f"expected {n} rows, got {len(lines) - 1}")
+        raise ParseError(lines[-1][0], f"expected {n} rows, got {len(lines) - 1}")
     rows = []
-    for i, ln in enumerate(lines[1:], start=2):
+    for lineno, ln in lines[1:]:
         toks = ln.split()
         if len(toks) != m:
-            raise ParseError(i, f"expected {m} entries, got {len(toks)}")
-        rows.append([None if t == "-" else int(t) for t in toks])
+            raise ParseError(lineno, f"expected {m} entries, got {len(toks)}")
+        try:
+            rows.append([None if t == "-" else int(t) for t in toks])
+        except ValueError:
+            raise ParseError(lineno, f"bad row {ln!r}") from None
     return validate_act(S, rows)
 
 

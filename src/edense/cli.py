@@ -8,6 +8,7 @@ when all checks pass.
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 from pathlib import Path
@@ -217,7 +218,13 @@ def cmd_verify(args) -> int:
     return _emit(report, args.json)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first call.
+
+    ``parse_args`` keeps no state between calls (each call starts a fresh
+    namespace from the defaults), so ``main`` can reuse it.
+    """
     parser = argparse.ArgumentParser(
         prog="edense",
         description="Workbench for finite E-dense semigroups and act cryptosystems",

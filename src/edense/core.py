@@ -87,10 +87,11 @@ class IdempotentStructure:
 
 class Structure:
     """The derived data of one Cayley table, each part computed on first use.
-    ``cosets`` memoises coset spaces and conjugacy witnesses here, by subset."""
+    ``cosets`` memoises validated bases, coset spaces and conjugacy
+    witnesses here, by subset."""
 
     def __init__(self, table):
-        self.table, self.coset_spaces, self.conjugacy = table, {}, {}
+        self.table, self.bases, self.coset_spaces, self.conjugacy = table, set(), {}, {}
 
     @cached_property
     def idempotents(self) -> frozenset[int]:

@@ -45,9 +45,16 @@ class CosetSpace:
 
 
 def check_base(S: FiniteSemigroup, H) -> frozenset[int]:
-    """Validate that H qualifies as a coset base; name the failure if not."""
-    closures.require_semilattice(S)
+    """Validate that H qualifies as a coset base; name the failure if not.
+
+    A base that passes is remembered in ``S.structure.bases`` and not
+    validated again; a failing one raises on every call.
+    """
     H = frozenset(H)
+    bases = S.structure.bases
+    if H in bases:
+        return H
+    closures.require_semilattice(S)
     if not H:
         raise BadSubsemigroup("empty subset")
     if not all(0 <= h < S.n for h in H):
@@ -65,6 +72,7 @@ def check_base(S: FiniteSemigroup, H) -> frozenset[int]:
         raise BadSubsemigroup(
             "not upward closed", sorted(closure - H)
         )
+    bases.add(H)
     return H
 
 

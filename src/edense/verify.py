@@ -11,6 +11,7 @@ from itertools import combinations, product
 
 from . import acts, closures, core, cosets, construction, crypto
 from .core import FiniteSemigroup
+from .errors import OrderTooLarge
 from .report import Finding
 
 SUITE_NAMES = ("core", "closures", "acts", "cosets", "construction", "crypto")
@@ -252,7 +253,8 @@ def _subset_family(S):
 
 def e_dense_subsemigroups(S: FiniteSemigroup) -> list[frozenset[int]]:
     """Every E-dense subsemigroup, closed or not (power-set scan)."""
-    assert S.n <= closures.SUBSET_SCAN_BOUND
+    if S.n > closures.SUBSET_SCAN_BOUND:
+        raise OrderTooLarge(S.n, closures.SUBSET_SCAN_BOUND, "subset scan")
     out = []
     for r in range(1, S.n + 1):
         for sub in combinations(S.elements, r):
@@ -327,23 +329,26 @@ def _idempotent_closed_lemma_violations(S):
     E = core.idempotents(S)
     for H in e_dense_subsemigroups(S):
         Hc = closures.omega_h(S, H)
+        # x'ex in Hc forces x'x in Hc
         for x in S.elements:
             for xp in core.weak_inverses(S, x):
+                if S.mul(xp, x) in Hc:
+                    continue
                 for e in E:
-                    if S.prod(xp, e, x) in Hc and S.mul(xp, x) not in Hc:
+                    if S.prod(xp, e, x) in Hc:
                         yield f"part 1 at H={sorted(H)}, x={x}, x'={xp}, e={e}"
                         return
+        # x'ey in Hc and y'y in Hc, for some weak inverse y' of y, force x'y in Hc
         for x, y in product(S.elements, repeat=2):
+            if not any(S.mul(yp, y) in Hc for yp in core.weak_inverses(S, y)):
+                continue
             for xp in core.weak_inverses(S, x):
-                for yp in core.weak_inverses(S, y):
-                    for e in E:
-                        if (
-                            S.prod(xp, e, y) in Hc
-                            and S.mul(yp, y) in Hc
-                            and S.mul(xp, y) not in Hc
-                        ):
-                            yield f"part 2 at H={sorted(H)}, x={x}, y={y}, e={e}"
-                            return
+                if S.mul(xp, y) in Hc:
+                    continue
+                for e in E:
+                    if S.prod(xp, e, y) in Hc:
+                        yield f"part 2 at H={sorted(H)}, x={x}, y={y}, e={e}"
+                        return
 
 
 def suite_closures(S: FiniteSemigroup) -> list[Finding]:

@@ -1,5 +1,6 @@
 """Command-line interface: reports, JSON schema, exit codes, determinism."""
 
+import argparse
 import json
 
 import pytest
@@ -122,6 +123,22 @@ def test_act_file_out_of_range_entry(capsys, tmp_path, z3e_file):
     assert payload["findings"] == [
         {"name": "OutOfRangeEntry", "pass": False, "witness": "entry [1][2] = 3 out of range"}
     ]
+
+
+@pytest.mark.parametrize(
+    "text, witness",
+    [
+        ("3 x\n0\n0\n0\n", "line 1: expected 'n m' header"),
+        ("# a comment line\n3 1\nz\n0\n0\n", "line 3: bad row 'z'"),
+    ],
+)
+def test_act_file_not_integers(capsys, tmp_path, text, witness):
+    table = tmp_path / "chain3.tbl"
+    table.write_text(core.format_cayley_table(fx("CHAIN3")))
+    act_path = tmp_path / "bad.act"
+    act_path.write_text(text)
+    finding = _single_failure(capsys, "act", str(table), "--act-file", str(act_path))
+    assert finding == {"name": "ParseError", "pass": False, "witness": witness}
 
 
 def test_build_cu_derived(capsys, z6_file):
@@ -296,3 +313,40 @@ def test_missing_table_file(capsys, tmp_path):
         "pass": False,
         "witness": f"cannot read {missing}: No such file or directory",
     }
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch, z3e_file):
+    run(capsys, "analyze", z3e_file)
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    code, out = run(capsys, "analyze", z3e_file)
+    assert code == 0 and "[PASS] e-unitary  [True]" in out
+    assert built == []
+
+
+@pytest.mark.parametrize("bad_argv", [["verify"], ["no-such-command"]])
+def test_main_works_after_an_argparse_exit(capsys, z3e_file, bad_argv):
+    with pytest.raises(SystemExit) as exc:
+        main(bad_argv)
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out = run(capsys, "analyze", z3e_file, "--json")
+    assert code == 0
+    assert json.loads(out)["command"] == f"analyze {z3e_file}"
+
+
+def test_options_do_not_leak_between_calls(capsys, z3e_file):
+    _, out = run(capsys, "act", z3e_file, "--munn", "--json")
+    assert json.loads(out)["command"] == f"act {z3e_file} (munn)"
+    _, out = run(capsys, "act", z3e_file, "--json")
+    assert json.loads(out)["command"] == f"act {z3e_file} (wagner-preston)"
+    _, out = run(capsys, "crypto-demo", "--prime", "7", "--protocol", "elgamal", "--json")
+    assert json.loads(out)["command"] == "crypto-demo modexp p=7 protocol=elgamal seed=0"
+    _, out = run(capsys, "crypto-demo", "--prime", "7", "--json")
+    assert json.loads(out)["command"] == "crypto-demo modexp p=7 protocol=mo seed=0"

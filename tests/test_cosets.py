@@ -1,9 +1,12 @@
 """Coset spaces, conjugacy, quotient groups and the permutation
 representation on cosets."""
 
+import functools
+
 import pytest
 
-from edense import acts, closures, core, cosets
+from edense import acts, closures, construction, core, cosets
+from edense.cli import main
 from edense.errors import BadSubsemigroup, NotSelfConjugate
 
 from conftest import fx
@@ -28,6 +31,48 @@ def test_check_base_names_failures():
         cosets.check_base(fx("N2"), {1})
     with pytest.raises(BadSubsemigroup, match="empty"):
         cosets.check_base(S, set())
+
+
+def test_bad_base_raises_on_every_call():
+    S = core.build_semigroup(fx("Z3E").table)
+    messages = []
+    for _ in range(2):
+        with pytest.raises(BadSubsemigroup, match="upward closed") as exc:
+            cosets.check_base(S, {3})
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    with pytest.raises(BadSubsemigroup):
+        cosets.coset_space(S, {3})
+
+
+def test_corpus_validates_each_base_once(capsys, monkeypatch):
+    # fresh fixtures, so that no earlier test has validated their bases
+    monkeypatch.setattr(
+        construction, "fixture", functools.lru_cache(construction.fixture.__wrapped__)
+    )
+    calls, validations, depth = [], [], [0]
+    check_base, is_subsemigroup = cosets.check_base, core.is_subsemigroup
+
+    def counting_check_base(S, H):
+        calls.append((S, frozenset(H)))  # keeps S alive, so its id is not reused
+        depth[0] += 1
+        try:
+            return check_base(S, H)
+        finally:
+            depth[0] -= 1
+
+    def counting_is_subsemigroup(S, H):
+        if depth[0]:
+            validations.append((id(S), frozenset(H)))
+        return is_subsemigroup(S, H)
+
+    monkeypatch.setattr(cosets, "check_base", counting_check_base)
+    monkeypatch.setattr(core, "is_subsemigroup", counting_is_subsemigroup)
+    assert main(["verify", "--corpus", "--json"]) == 0
+    capsys.readouterr()
+    distinct = {(id(S), H) for S, H in calls}
+    assert len(validations) == len(set(validations)) == len(distinct) == 27
+    assert len(calls) > len(distinct)
 
 
 def test_coset_examples():

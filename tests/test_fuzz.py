@@ -1,8 +1,9 @@
-"""Fuzzing the table and subset parsers through the command line.
+"""Fuzzing the table, subset, act and category parsers through the
+command line.
 
-Whatever a table file or a ``--subsemigroup`` argument holds, a command
-must end in a JSON findings report with exit status 0 or 1, and raise
-nothing.
+Whatever a table file, a ``--subsemigroup`` argument, an act file or a
+category file holds, a command must end in a JSON findings report with
+exit status 0 or 1, and raise nothing.
 """
 
 import contextlib
@@ -14,10 +15,11 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edense import core
+from edense import acts, core
 from edense.cli import main
 
 from conftest import fx
+from test_construction import DERIVED_Z2_FILE
 
 # digits, separators, the format's words, and characters that Python
 # reads as digits or whitespace, or that str.splitlines splits on
@@ -65,3 +67,68 @@ def test_any_table_and_subset_give_a_report(text, subset):
         path.write_text(text, encoding="utf-8")
         run_json("analyze", str(path))
         run_json("cosets", str(path), f"--subsemigroup={subset}")
+
+
+ACT_TABLES = st.sampled_from(["LZ2", "N2", "Z3", "B2", "Z3E"])
+Z3E_ACT = acts.format_act(acts.munn_act(fx("Z3E"))).splitlines()
+
+
+@st.composite
+def near_miss_acts(draw):
+    """The act format with a right or wrong header and one row too few,
+    enough or one too many, each row of the header's width."""
+    name = draw(ACT_TABLES)
+    n, m = fx(name).n, draw(st.integers(0, 4))
+    head = draw(st.one_of(st.just(f"{n} {m}"), LINES))
+    entry = st.one_of(st.integers(-1, 5).map(str), st.just("-"), TOKENS)
+    row = st.lists(entry, min_size=m, max_size=m).map(" ".join)
+    rows = draw(st.lists(row, min_size=n - 1, max_size=n + 1))
+    return name, "\n".join([head, *rows])
+
+
+@st.composite
+def edited_acts(draw):
+    """The Munn act of Z3E with one line replaced by a near miss."""
+    i = draw(st.integers(0, len(Z3E_ACT) - 1))
+    return "Z3E", "\n".join(Z3E_ACT[:i] + [draw(LINES)] + Z3E_ACT[i + 1:])
+
+
+TABLES_AND_ACTS = st.one_of(st.tuples(ACT_TABLES, TEXT), near_miss_acts(), edited_acts())
+
+
+@FUZZ
+@given(pair=TABLES_AND_ACTS)
+def test_any_act_file_gives_a_report(pair):
+    name, text = pair
+    with tempfile.TemporaryDirectory() as tmp:
+        table_path, act_path = Path(tmp) / "fuzz.tbl", Path(tmp) / "fuzz.act"
+        table_path.write_text(core.format_cayley_table(fx(name)), encoding="utf-8")
+        act_path.write_text(text, encoding="utf-8")
+        run_json("act", str(table_path), f"--act-file={act_path}")
+
+
+CATEGORY_LINES = DERIVED_Z2_FILE.strip().splitlines()
+# category-format words next to the table near-misses
+CATEGORY_TOKENS = st.one_of(
+    TOKENS, st.sampled_from(["objects:", "morphisms:", "compose:", "action:", "obj", "mor"])
+)
+
+
+@st.composite
+def edited_categories(draw):
+    """The derived category of Z2 with one line replaced by a near miss,
+    or with a near miss inserted."""
+    line = draw(st.lists(CATEGORY_TOKENS, max_size=5).map(" ".join))
+    i = draw(st.integers(0, len(CATEGORY_LINES)))
+    keep = i + 1 if draw(st.booleans()) else i
+    return "\n".join(CATEGORY_LINES[:i] + [line] + CATEGORY_LINES[keep:])
+
+
+@FUZZ
+@given(text=st.one_of(TEXT, edited_categories()))
+def test_any_category_file_gives_a_report(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        group_path, category_path = Path(tmp) / "z2.tbl", Path(tmp) / "fuzz.cat"
+        group_path.write_text(core.format_cayley_table(fx("Z2")), encoding="utf-8")
+        category_path.write_text(text, encoding="utf-8")
+        run_json("build-cu", f"--group={group_path}", f"--category={category_path}")
