@@ -207,16 +207,14 @@ def wagner_preston(S: FiniteSemigroup, total_rows=None, point_labels=None) -> Pa
 
 
 def order_ideal(S: FiniteSemigroup, e: int) -> frozenset[int]:
-    """[e] = eE, the idempotents below e; asserted equal to W(e) and to
-    the set of elements under e in the idempotent-witnessed order."""
+    """[e] = eE, the idempotents below e.  That it equals W(e) and the set
+    of elements under e in the idempotent-witnessed order is the finding
+    ``acts.order-ideal-forms``."""
     closures.require_semilattice(S)
     if S.mul(e, e) != e:
         raise NotIdempotent(e)
     E = core.idempotents(S)
-    ideal = frozenset(S.mul(e, f) for f in E)
-    assert ideal == core.weak_inverses(S, e)
-    assert ideal == frozenset(s for s in S.elements if core.h_leq(S, s, e))
-    return ideal
+    return frozenset(S.mul(e, f) for f in E)
 
 
 def munn_act(S: FiniteSemigroup) -> PartialAct:
@@ -289,7 +287,8 @@ def grading(act: PartialAct):
     The grading sends x to the minimum idempotent in its stabilizer; it
     exists exactly when the act is effective and each stabilizer has a
     minimum idempotent, and then the domain of every idempotent e is the
-    preimage of the order ideal of e.
+    preimage of the order ideal of e (the domain formula of the finding
+    ``acts.grading-laws``).
     """
     S = act.semigroup
     closures.require_semilattice(S)
@@ -304,11 +303,6 @@ def grading(act: PartialAct):
             return GradingObstruction("stabilizer without minimum idempotent", x)
         assert len(minima) == 1
         p.append(minima[0])
-    for e in E:
-        ideal = order_ideal(S, e)
-        assert act.element_domain(e) == frozenset(
-            x for x in act.points if p[x] in ideal
-        ), f"grading does not match the domain of idempotent {e}"
     return Grading(tuple(p))
 
 
@@ -318,8 +312,8 @@ def subact(act: PartialAct, points) -> PartialAct:
     pos = {x: i for i, x in enumerate(pts)}
     for s in act.semigroup.elements:
         for x in pts:
-            if act.defined(s, x):
-                assert act.act(s, x) in pos, f"{s}*{x} leaves the subset"
+            if act.defined(s, x) and act.act(s, x) not in pos:
+                raise PreconditionFailed("closed_subset", f"{s}*{x} leaves the subset")
     table = [
         [pos[act.act(s, x)] if act.defined(s, x) else None for x in pts]
         for s in act.semigroup.elements
@@ -328,9 +322,14 @@ def subact(act: PartialAct, points) -> PartialAct:
     return PartialAct(act.semigroup, tuple(tuple(r) for r in table), tuple(labels))
 
 
+def _require_same_semigroup(S: FiniteSemigroup, *acts: PartialAct) -> None:
+    if any(a.semigroup.table != S.table for a in acts):
+        raise PreconditionFailed("same_semigroup", "the acts are over different semigroups")
+
+
 def disjoint_union(*acts: PartialAct) -> PartialAct:
     S = acts[0].semigroup
-    assert all(a.semigroup.table == S.table for a in acts)
+    _require_same_semigroup(S, *acts)
     table = [[] for _ in S.elements]
     labels = []
     for k, a in enumerate(acts):
@@ -370,7 +369,7 @@ def find_act_isomorphism(act1: PartialAct, act2: PartialAct, max_points: int = 1
     Plain backtracking pruned by per-point definedness and stabilizer
     signatures; carriers beyond ``max_points`` are refused.
     """
-    assert act1.semigroup.table == act2.semigroup.table, "acts over different semigroups"
+    _require_same_semigroup(act1.semigroup, act2)
     if act1.carrier != act2.carrier:
         return None
     if act1.carrier > max_points:

@@ -18,6 +18,7 @@ from operator import and_, eq
 from . import acts, closures, core
 from .core import FiniteSemigroup
 from .errors import (
+    CarrierTooLarge,
     CompositionViolation,
     NoDecryptKey,
     NoMinimumIdempotent,
@@ -214,7 +215,8 @@ def verify_key_space_theorem(sys: Cryptosystem, x: int) -> list[Finding]:
 
 def locally_free_key_space(sys: Cryptosystem, x: int) -> frozenset[int]:
     """K(s, x) in the locally free E-unitary case, where it collapses to
-    the closure of the weak inverses of s (equivalently, to L(s))."""
+    the closure of the weak inverses of s (equivalently, to L(s)); both
+    forms are checked by the finding ``crypto.unitary-key-spaces``."""
     S = sys.semigroup
     closures.require_semilattice(S)
     if not core.is_e_dense(S):
@@ -226,11 +228,7 @@ def locally_free_key_space(sys: Cryptosystem, x: int) -> frozenset[int]:
     for y in sys.act.points:
         if acts.stabilizer(sys.act, y) != e_closure:
             raise PreconditionFailed("locally_free", f"point {y}")
-    s = sys.cipher_key
-    K = decrypt_key_space(sys, x)
-    assert K == closures.omega_h(S, core.weak_inverses(S, s))
-    assert K == core.left_pre_inverses(S, s)
-    return K
+    return decrypt_key_space(sys, x)
 
 
 @dataclass(frozen=True)
@@ -431,28 +429,18 @@ def modexp_system(p: int) -> ModExpSystem:
     return ModExpSystem(p, exponents, units, S, rows, not non_free, non_free)
 
 
-def _pointwise_decryptable(act: acts.PartialAct) -> bool:
-    """Whether for all x and s some t*s fixes x: each left ideal S*s
-    meets every stabilizer."""
-    S = act.semigroup
-    _require_total(act.table)
-    table = DecryptKeyTable.of(S, act)
-    ideals = [sum(1 << u for u in set(col)) for col in table.columns]
-    return all(ideal & fixing for fixing in table.stabilizers for ideal in ideals)
-
-
 def stabilizers_left_dense(act: acts.PartialAct) -> bool:
     """Whether every stabilizer is left dense: each key has a pointwise
-    decrypt key (for all x and s there is t with (ts)x = x).
+    decrypt key (for all x and s there is t with (ts)x = x), that is, each
+    left ideal S*s meets every stabilizer.
 
-    On small carriers the two equivalent orbit formulations are asserted
-    to agree with the direct scan.
+    That the two orbit formulations of ``left_dense_equivalences`` agree
+    with this scan is the finding ``crypto.left-dense-equivalences``.
     """
-    dense = _pointwise_decryptable(act)
-    if act.carrier <= 16:
-        for f in left_dense_equivalences(act):
-            assert f.passed, f.witness
-    return dense
+    _require_total(act.table)
+    table = DecryptKeyTable.of(act.semigroup, act)
+    ideals = [sum(1 << u for u in set(col)) for col in table.columns]
+    return all(ideal & fixing for fixing in table.stabilizers for ideal in ideals)
 
 
 def left_dense_equivalences(act: acts.PartialAct) -> list[Finding]:
@@ -461,8 +449,9 @@ def left_dense_equivalences(act: acts.PartialAct) -> list[Finding]:
     every locally cyclic subact transitive with x in its own image."""
     S = act.semigroup
     m = act.carrier
-    assert m <= 16, "equivalence scan limited to small carriers"
-    cond1 = _pointwise_decryptable(act)
+    if m > 16:
+        raise CarrierTooLarge(m, 16, "equivalence scan")
+    cond1 = stabilizers_left_dense(act)
 
     # reach[x] is the bitmask of {s*x : s in S}
     reach = [0] * m
@@ -534,8 +523,8 @@ def classify_locally_free_cryptosystem(S: FiniteSemigroup, act: acts.PartialAct)
     orbit of the minimum idempotent, orbit by orbit.
 
     The decomposition exists exactly when the act is locally free (every
-    stabilizer equals the closure of the idempotents); that equivalence is
-    asserted on the way out.
+    stabilizer equals the closure of the idempotents); that the two fields
+    of the report agree is the finding ``crypto.classification-theorem``.
     """
     f = minimum_idempotent(S)
     wp = acts.wagner_preston(S)
@@ -553,9 +542,6 @@ def classify_locally_free_cryptosystem(S: FiniteSemigroup, act: acts.PartialAct)
     E = core.idempotents(S)
     e_closure = closures.omega_h(S, E)
     locally_free = all(acts.stabilizer(act, x) == e_closure for x in act.points)
-    assert locally_free == all_iso, (
-        "a locally free system must decompose into copies of the base orbit"
-    )
     return ClassificationReport(
         f,
         base_points,

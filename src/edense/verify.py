@@ -11,7 +11,6 @@ from itertools import combinations, product
 
 from . import acts, closures, core, cosets, construction, crypto
 from .core import FiniteSemigroup
-from .errors import OrderTooLarge
 from .report import Finding
 
 SUITE_NAMES = ("core", "closures", "acts", "cosets", "construction", "crypto")
@@ -251,17 +250,17 @@ def _subset_family(S):
     return sorted(fam, key=lambda A: (len(A), sorted(A)))
 
 
-def e_dense_subsemigroups(S: FiniteSemigroup) -> list[frozenset[int]]:
-    """Every E-dense subsemigroup, closed or not (power-set scan)."""
-    if S.n > closures.SUBSET_SCAN_BOUND:
-        raise OrderTooLarge(S.n, closures.SUBSET_SCAN_BOUND, "subset scan")
-    out = []
-    for r in range(1, S.n + 1):
-        for sub in combinations(S.elements, r):
-            H = frozenset(sub)
-            if closures.is_e_dense_subsemigroup(S, H):
-                out.append(H)
-    return out
+# the power-set scan lives in closures; the name stays here for callers
+e_dense_subsemigroups = closures.e_dense_subsemigroups
+
+
+def _lemma_subsemigroups(S):
+    """The E-dense subsemigroups the three subsemigroup lemmas scan: all of
+    them on a table of order <= 12 whose idempotents form a semilattice,
+    none otherwise."""
+    if not core.classify_idempotents(S).is_semilattice or S.n > 12:
+        return []
+    return e_dense_subsemigroups(S)
 
 
 def _closure_law_violations(S):
@@ -301,20 +300,16 @@ def _closure_on_idempotents_violations(S):
                 return
 
 
-def _subsemigroup_closure_violations(S):
-    if not core.classify_idempotents(S).is_semilattice or S.n > 12:
-        return
-    for H in e_dense_subsemigroups(S):
+def _subsemigroup_closure_violations(S, subsemigroups):
+    for H in subsemigroups:
         Hc = closures.omega_h(S, H)
         if not closures.is_e_dense_subsemigroup(S, Hc):
             yield f"closure of {sorted(H)} not an E-dense subsemigroup"
             return
 
 
-def _three_way_closed_violations(S):
-    if not core.classify_idempotents(S).is_semilattice or S.n > 12:
-        return
-    for H in e_dense_subsemigroups(S):
+def _three_way_closed_violations(S, subsemigroups):
+    for H in subsemigroups:
         ch = closures.is_omega_h_closed(S, H)
         cu = closures.is_unitary(S, H)
         cm = closures.is_omega_m_closed(S, H)
@@ -323,11 +318,9 @@ def _three_way_closed_violations(S):
             return
 
 
-def _idempotent_closed_lemma_violations(S):
-    if not core.classify_idempotents(S).is_semilattice or S.n > 12:
-        return
+def _idempotent_closed_lemma_violations(S, subsemigroups):
     E = core.idempotents(S)
-    for H in e_dense_subsemigroups(S):
+    for H in subsemigroups:
         Hc = closures.omega_h(S, H)
         # x'ex in Hc forces x'x in Hc
         for x in S.elements:
@@ -353,13 +346,14 @@ def _idempotent_closed_lemma_violations(S):
 
 def suite_closures(S: FiniteSemigroup) -> list[Finding]:
     t = _tag(S)
+    subs = _lemma_subsemigroups(S)
     return [
         finding(f"closures.idempotence-and-ordering{t}", _closure_law_violations(S)),
         finding(f"closures.monotonicity{t}", _closure_monotone_violations(S)),
         finding(f"closures.agree-on-idempotent-subsets{t}", _closure_on_idempotents_violations(S)),
-        finding(f"closures.subsemigroup-closure{t}", _subsemigroup_closure_violations(S)),
-        finding(f"closures.closed-unitary-equivalence{t}", _three_way_closed_violations(S)),
-        finding(f"closures.idempotent-sandwich-laws{t}", _idempotent_closed_lemma_violations(S)),
+        finding(f"closures.subsemigroup-closure{t}", _subsemigroup_closure_violations(S, subs)),
+        finding(f"closures.closed-unitary-equivalence{t}", _three_way_closed_violations(S, subs)),
+        finding(f"closures.idempotent-sandwich-laws{t}", _idempotent_closed_lemma_violations(S, subs)),
     ]
 
 
@@ -710,11 +704,14 @@ def suite_acts(S: FiniteSemigroup) -> list[Finding]:
 
 
 def _order_ideal_violations(S):
+    # [e] = eE = W(e) = {s : s below e in the idempotent-witnessed order}
     for e in sorted(core.idempotents(S)):
-        try:
-            acts.order_ideal(S, e)
-        except AssertionError as exc:
-            yield f"e={e}: {exc}"
+        ideal = acts.order_ideal(S, e)
+        if ideal != core.weak_inverses(S, e):
+            yield f"e={e}: [e] != W(e)"
+            return
+        if ideal != frozenset(s for s in S.elements if core.h_leq(S, s, e)):
+            yield f"e={e}: [e] != the elements below e"
             return
 
 
@@ -778,6 +775,15 @@ def _pi_properties_violations(S, H, space):
 def _coset_class_violations(S, H, space):
     d = space.domain
     members = [c.members for c in space.cosets]
+    if H not in members:
+        yield "H is not a coset"
+        return
+    if frozenset().union(*members) != d or sum(map(len, members)) != len(d):
+        yield "cosets do not partition D_H"
+        return
+    if acts.stabilizer(space.act, space.index_of(H)) != H:
+        yield "stabilizer of the coset H is not H"
+        return
     for s in d:
         cls = closures.omega_h(S, core.set_mul(S, {s}, H))
         if cls not in members:
@@ -830,13 +836,28 @@ def _coset_lemma_violations(S, H, space):
 
 def _conjugacy_violations(S, bases):
     for H, K in product(bases, repeat=2):
-        try:
-            witness = cosets.are_conjugate(S, H, K)
-        except AssertionError as exc:
-            yield f"H={sorted(H)}, K={sorted(K)}: {exc}"
-            return
+        at = f"H={sorted(H)}, K={sorted(K)}"
+        witness = cosets.are_conjugate(S, H, K)
         if H == K and witness is None:
             yield f"H={sorted(H)} not conjugate to itself"
+            return
+        if witness is not None:
+            s, w = witness
+            if (
+                closures.omega_h(S, core.set_mul(S, {w}, H, {s})) != K
+                or closures.omega_h(S, core.set_mul(S, {s}, K, {w})) != H
+            ):
+                yield f"{at}: closure of s'Hs is not K, or of sKs' not H, at {witness}"
+                return
+            if S.mul(s, w) not in H or S.mul(w, s) not in K:
+                yield f"{at}: ss' not in H or s's not in K at {witness}"
+                return
+        act_h, act_k = cosets.coset_space(S, H).act, cosets.coset_space(S, K).act
+        iso = None
+        if act_h.carrier == act_k.carrier:
+            iso = acts.find_act_isomorphism(act_h, act_k)
+        if (witness is None) != (iso is None):
+            yield f"{at}: conjugacy witness search and act isomorphism disagree"
             return
 
 
@@ -894,12 +915,40 @@ def _self_conjugacy_violations(S, bases):
             if closures.omega_h(S, d) != d or not closures.is_e_dense_subsemigroup(S, d):
                 yield f"D_H not a closed E-dense subsemigroup for H={sorted(H)}"
                 return
-            try:
-                cosets.quotient_group(S, H)
-                cosets.rho_representation(S, H)
-            except AssertionError as exc:
-                yield f"H={sorted(H)}: {exc}"
+            for v in _quotient_violations(S, H):
+                yield f"H={sorted(H)}: {v}"
                 return
+
+
+def _quotient_violations(S, H):
+    # the cosets of a self-conjugate H form a group with identity H, and
+    # rho: D_H -> Sym(cosets) is a homomorphism whose kernel is pi_H
+    space = cosets.coset_space(S, H)
+    Q = cosets.quotient_group(S, H)
+    if not core.is_group(Q) or Q.identity != space.index_of(H):
+        yield "the cosets do not form a group with identity H"
+        return
+    rho = cosets.rho_representation(S, H)
+    perms, k = rho.permutations, len(space.cosets)
+    for s, images in perms.items():
+        if None in images:
+            yield "D_H must be closed under products"
+            return
+        if sorted(images) != list(range(k)):
+            yield "each rho_s must be a bijection"
+            return
+    for s, t in product(perms, repeat=2):
+        st = S.mul(s, t)
+        if st not in perms or perms[st] != tuple(perms[s][i] for i in perms[t]):
+            yield "rho must be a homomorphism"
+            return
+    pi = {
+        (s, t)
+        for s, t in product(space.domain, repeat=2)
+        if any(S.mul(w, t) in H for w in core.weak_inverses(S, s))
+    }
+    if rho.kernel_pairs() != pi:
+        yield "kernel of rho must be the coset congruence"
 
 
 def _orbit_stabilizer_violations(S, wp):
@@ -947,6 +996,27 @@ def suite_cosets(S: FiniteSemigroup) -> list[Finding]:
 # --- construction suite ----------------------------------------------------
 
 
+def _pair_monoid_violations(C, action, cu):
+    """The pair monoid over u is an E-unitary E-dense monoid with identity
+    (0_u, 1) whose idempotents are the pairs with trivial group part; it is
+    a group exactly when every hom(u, gu) has one morphism."""
+    S, G, u = cu.semigroup, action.group, cu.base_object
+    one = G.identity
+    if core.idempotents(S) != frozenset(i for i, (p, g) in enumerate(cu.pairs) if g == one):
+        yield "idempotents are not the pairs with trivial group part"
+        return
+    unit = (C.identities[u], one)
+    if unit not in cu.pairs or S.identity != cu.pairs.index(unit):
+        yield "identity is not (0_u, 1)"
+        return
+    if not (core.is_e_dense(S) and core.is_e_unitary(S)):
+        yield "not E-unitary dense"
+        return
+    group_iff = all(len(C.hom(u, action.obj(g, u))) == 1 for g in G.elements)
+    if core.is_group(S) != group_iff:
+        yield f"group={core.is_group(S)}, but singleton hom-sets={group_iff}"
+
+
 def suite_construction() -> list[Finding]:
     out = []
 
@@ -964,7 +1034,18 @@ def suite_construction() -> list[Finding]:
         for name in ("Z2", "Z3", "Z6"):
             G = construction.fixture(name)
             C, action = construction.derived_category(G)
+            for i in range(C.n_morphisms):
+                u, v = C.source[i], C.target[i]
+                if not any(
+                    C.compose[i][j] == C.identities[u] and C.compose[j][i] == C.identities[v]
+                    for j in C.hom(v, u)
+                ):
+                    yield f"derived category of {name}: morphism {i} not invertible"
+                    return
             cu = construction.c_u_monoid(C, action, 0)
+            for v in _pair_monoid_violations(C, action, cu):
+                yield f"{name}: {v}"
+                return
             if core.find_semigroup_isomorphism(cu.semigroup, G) is None:
                 yield f"pair monoid over the derived category of {name} not isomorphic to it"
                 return
@@ -984,8 +1065,8 @@ def suite_construction() -> list[Finding]:
             if len(core.idempotents(S)) != k:
                 yield f"{name}, k={k}: wrong idempotent count"
                 return
-            if not (core.is_e_dense(S) and core.is_e_unitary(S)):
-                yield f"{name}, k={k}: not E-unitary dense"
+            for v in _pair_monoid_violations(C, action, cu):
+                yield f"{name}, k={k}: {v}"
                 return
             for g in G.elements:
                 if len(C.hom(u, action.obj(g, u))) != k:
@@ -1009,11 +1090,13 @@ def suite_construction() -> list[Finding]:
 
     def displayed_map():
         for name in ("Z2", "Z3", "Z6"):
-            G = construction.fixture(name)
-            try:
-                construction.adjoined_band_to_cu_map(G)
-            except AssertionError as exc:
-                yield f"{name}: {exc}"
+            S, cu, mapping = construction.adjoined_band_to_cu_map(construction.fixture(name))
+            for a, b in product(S.elements, repeat=2):
+                if mapping[S.mul(a, b)] != cu.semigroup.mul(mapping[a], mapping[b]):
+                    yield f"{name}: map not multiplicative at ({a}, {b})"
+                    return
+            if sorted(mapping.values()) != list(cu.semigroup.elements):
+                yield f"{name}: map not a bijection onto the pair monoid"
                 return
 
     out.append(finding("construction.direct-extension-matches-pair-monoid", displayed_map()))
@@ -1169,11 +1252,12 @@ def _left_dense_violations(systems):
 
 def _classification_violations(systems):
     for name, sys in systems:
-        S = sys.semigroup
-        try:
-            rep = crypto.classify_locally_free_cryptosystem(S, sys.act)
-        except AssertionError as exc:
-            yield f"{name}: {exc}"
+        rep = crypto.classify_locally_free_cryptosystem(sys.semigroup, sys.act)
+        if rep.locally_free != rep.is_disjoint_union_of_base:
+            yield (
+                f"{name}: locally-free={rep.locally_free} but "
+                f"copies-of-the-base-orbit={rep.is_disjoint_union_of_base}"
+            )
             return
         if name in ("Z3E", "Z6E"):
             if not (rep.locally_free and rep.copies == 1):
@@ -1192,6 +1276,9 @@ def _unitary_key_space_violations():
                 K = crypto.locally_free_key_space(keyed, x)
                 if K != expected or len(K) != len(expected):
                     yield f"{name}: key space differs from closed weak inverses at s={s}"
+                    return
+                if K != core.left_pre_inverses(S, s):
+                    yield f"{name}: key space differs from L(s) at s={s}"
                     return
 
 

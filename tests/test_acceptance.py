@@ -198,10 +198,12 @@ def test_criterion_06_coset_suite():
     for name, bases in targets:
         S = fx(name)
         for H in bases:
-            space = cosets.coset_space(S, H)  # asserts S_{H} = H internally
+            space = cosets.coset_space(S, H)
             assert all(
                 not v for v in verify._pi_properties_violations(S, H, space)
             ), f"{name}, H={sorted(H)}"
+            # also checks that H is a coset, that the cosets partition D_H
+            # and that S_{H} = H
             assert all(
                 not v for v in verify._coset_class_violations(S, H, space)
             ), f"{name}, H={sorted(H)}"

@@ -12,6 +12,7 @@ from edense.errors import (
     NotReflexive,
     NotSemilattice,
     ParseError,
+    PreconditionFailed,
 )
 
 from conftest import SEMILATTICE_FIXTURES, fx
@@ -218,3 +219,23 @@ def test_disjoint_union_doubles_orbits():
     double = acts.disjoint_union(wp, wp)
     assert double.carrier == 6
     assert len(acts.orbits(double)) == 2
+
+
+def test_subact_rejects_a_subset_the_act_leaves():
+    _, wp = eg_act()
+    with pytest.raises(PreconditionFailed, match="1\\*0 leaves the subset"):
+        acts.subact(wp, [0])
+
+
+def one_point_acts():
+    return acts.validate_act(fx("Z2"), [[0], [0]]), acts.validate_act(fx("Z3"), [[0], [0], [0]])
+
+
+def test_disjoint_union_rejects_acts_over_different_semigroups():
+    with pytest.raises(PreconditionFailed, match="different semigroups"):
+        acts.disjoint_union(*one_point_acts())
+
+
+def test_act_isomorphism_rejects_acts_over_different_semigroups():
+    with pytest.raises(PreconditionFailed, match="different semigroups"):
+        acts.find_act_isomorphism(*one_point_acts())

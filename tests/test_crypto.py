@@ -8,6 +8,7 @@ import pytest
 
 from edense import acts, closures, construction, core, crypto, verify
 from edense.errors import (
+    CarrierTooLarge,
     CompositionViolation,
     NotAssociativeAction,
     NotCancellative,
@@ -207,6 +208,13 @@ def test_stabilizers_left_dense():
     assert not crypto.stabilizers_left_dense(raw)
 
 
+def test_left_dense_equivalences_refuse_large_carriers():
+    S = fx("Z2")
+    big = acts.validate_act(S, [list(range(17)), list(range(17))])
+    with pytest.raises(CarrierTooLarge, match="equivalence scan limited to 16 points, got 17"):
+        crypto.left_dense_equivalences(big)
+
+
 def test_minimum_idempotent():
     assert crypto.minimum_idempotent(fx("Z3E")) == 3
     assert crypto.minimum_idempotent(fx("B2")) == 0
@@ -313,7 +321,7 @@ def test_key_table_matches_act_scans(name, sys_):
         assert crypto.uniform_decrypt_keys(keyed) == expected
     commutative = all(S.mul(a, b) == S.mul(b, a) for a in S.elements for b in S.elements)
     assert sys_.key_table.commutative == commutative
-    assert crypto._pointwise_decryptable(sys_.act) == reference_pointwise_decryptable(sys_.act)
+    assert crypto.stabilizers_left_dense(sys_.act) == reference_pointwise_decryptable(sys_.act)
 
 
 def test_reference_systems_include_a_non_commutative_one():
@@ -333,7 +341,7 @@ def test_pointwise_decryptable_non_cancellative_matches_scan():
     S = fx("N2")
     rows, _ = acts.left_mult_total(S)
     raw = acts.PartialAct(S, tuple(tuple(r) for r in rows))
-    assert crypto._pointwise_decryptable(raw) == reference_pointwise_decryptable(raw) is False
+    assert crypto.stabilizers_left_dense(raw) == reference_pointwise_decryptable(raw) is False
 
 
 # --- one-pass validation against the per-triple loops ---------------------------

@@ -1,14 +1,23 @@
 """The lemma-verification suites must come back clean over the corpus,
-and the one statement we had to repair is pinned by its counterexample."""
+must fail when the library returns a wrong result, and the one statement
+we had to repair is pinned by its counterexample."""
 
+import ast
+import dataclasses
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
-from edense import closures, construction, core, verify
+from edense import acts, closures, construction, core, cosets, crypto, verify
 from edense.errors import OrderTooLarge
 
 from conftest import fx
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("name", construction.FIXTURE_NAMES)
@@ -114,7 +123,160 @@ def test_idempotent_closed_lemma_keeps_its_first_witness(monkeypatch, closure):
         monkeypatch.setattr(closures, "omega_h", stand_in)
     witnesses = []
     for S in lemma_tables():
-        got = list(verify._idempotent_closed_lemma_violations(S))
+        got = list(verify._idempotent_closed_lemma_violations(S, verify._lemma_subsemigroups(S)))
         assert got == list(ref_idempotent_closed_lemma_violations(S)), S
         witnesses += got
     assert {w.split(" at ")[0] for w in witnesses} == failing_parts
+
+
+def test_suite_closures_scans_the_subsets_once(monkeypatch):
+    scans = []
+    scan = closures.e_dense_subsemigroups
+    monkeypatch.setattr(verify, "e_dense_subsemigroups", lambda S: scans.append(S) or scan(S))
+    verify.suite_closures(fx("Z3E"))
+    assert len(scans) == 1
+
+
+# Each case breaks one library result the way a bug would, then runs the
+# finding that checks it.  The checks are plain conditions in verify, so
+# the finding fails with and without ``python -O``.
+
+
+def _wrong_order_ideal(monkeypatch):
+    real = acts.order_ideal
+    monkeypatch.setattr(acts, "order_ideal", lambda S, e: real(S, e) - {e})
+    return verify._order_ideal_violations(fx("CHAIN3"))
+
+
+def _wrong_conjugacy_witness(monkeypatch):
+    S = fx("Z6")
+    bases = closures.closed_e_dense_subsemigroups(S)
+    monkeypatch.setattr(cosets, "are_conjugate", lambda S, H, K: (0, 0))
+    return verify._conjugacy_violations(S, bases)
+
+
+def _swapped_rho_images(monkeypatch):
+    S = fx("Z3E")
+    bases = closures.closed_e_dense_subsemigroups(S)
+    real = cosets.rho_representation
+
+    def swapped(S, H):
+        rho = real(S, H)
+        perms = dict(rho.permutations)
+        perms[1], perms[2] = perms[2], perms[1]
+        return dataclasses.replace(rho, permutations=perms)
+
+    monkeypatch.setattr(cosets, "rho_representation", swapped)
+    return verify._self_conjugacy_violations(S, bases)
+
+
+def _swapped_displayed_map(monkeypatch):
+    real = construction.adjoined_band_to_cu_map
+
+    def swapped(G, k=2, name=""):
+        S, cu, mapping = real(G, k, name)
+        mapping[0], mapping[1] = mapping[1], mapping[0]
+        return S, cu, mapping
+
+    monkeypatch.setattr(construction, "adjoined_band_to_cu_map", swapped)
+    (f,) = (
+        f
+        for f in verify.suite_construction()
+        if f.name == "construction.direct-extension-matches-pair-monoid"
+    )
+    return [] if f.passed else [f.witness]
+
+
+def _flipped_decomposition(monkeypatch):
+    real = crypto.classify_locally_free_cryptosystem
+
+    def flipped(S, act):
+        rep = real(S, act)
+        return dataclasses.replace(
+            rep, is_disjoint_union_of_base=not rep.is_disjoint_union_of_base
+        )
+
+    monkeypatch.setattr(crypto, "classify_locally_free_cryptosystem", flipped)
+    return verify._classification_violations(verify._system_corpus())
+
+
+WRONG_RESULTS = {
+    "acts.order-ideal-forms": (_wrong_order_ideal, "e=0: [e] != W(e)"),
+    "cosets.conjugacy-consistency": (
+        _wrong_conjugacy_witness,
+        "H=[0], K=[0, 3]: closure of s'Hs is not K, or of sKs' not H, at (0, 0)",
+    ),
+    "cosets.self-conjugacy-forms": (
+        _swapped_rho_images,
+        "H=[0, 3]: rho must be a homomorphism",
+    ),
+    "construction.direct-extension-matches-pair-monoid": (
+        _swapped_displayed_map,
+        "Z2: map not multiplicative at (0, 0)",
+    ),
+    "crypto.classification-theorem": (
+        _flipped_decomposition,
+        "Z3: locally-free=True but copies-of-the-base-orbit=False",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", WRONG_RESULTS)
+def test_finding_fails_on_a_wrong_library_result(monkeypatch, name):
+    breaks, witness = WRONG_RESULTS[name]
+    assert next(iter(breaks(monkeypatch)), None) == witness
+
+
+def test_findings_fail_on_a_wrong_library_result_under_optimize():
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src") + (os.pathsep + path if path else ""))
+    done = subprocess.run(
+        [
+            sys.executable,
+            "-O",
+            "-m",
+            "pytest",
+            "-q",
+            "-p",
+            "no:cacheprovider",
+            f"{Path(__file__).name}::test_finding_fails_on_a_wrong_library_result",
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=Path(__file__).parent,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert f"{len(WRONG_RESULTS)} passed" in done.stdout
+
+
+def test_pair_monoid_check_rejects_a_wrong_monoid():
+    C, action = construction.derived_category(fx("Z3"))
+    cu = construction.c_u_monoid(C, action, 0)
+    assert not list(verify._pair_monoid_violations(C, action, cu))
+    wrong = dataclasses.replace(cu, semigroup=fx("CHAIN3"))
+    assert next(verify._pair_monoid_violations(C, action, wrong)) == (
+        "idempotents are not the pairs with trivial group part"
+    )
+    G = fx("Z2")
+    C, action = construction.adjoin_band_category(G, 2)
+    cu = construction.c_u_monoid(C, action, G.identity)
+    assert not list(verify._pair_monoid_violations(C, action, cu))
+    units = [i for i, (p, g) in enumerate(cu.pairs) if g == G.identity]
+    pairs = list(cu.pairs)
+    pairs[units[0]], pairs[units[1]] = pairs[units[1]], pairs[units[0]]
+    wrong = dataclasses.replace(cu, pairs=tuple(pairs))
+    assert next(verify._pair_monoid_violations(C, action, wrong)) == "identity is not (0_u, 1)"
+
+
+def test_no_handler_in_the_package_catches_assertion_error():
+    # a check that only catches an AssertionError raised inside the library
+    # checks nothing under python -O, which strips every assert
+    for path in sorted((ROOT / "src" / "edense").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.ExceptHandler) or node.type is None:
+                continue
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            names = {getattr(t, "id", getattr(t, "attr", None)) for t in caught}
+            assert "AssertionError" not in names, f"{path.name}:{node.lineno}"
