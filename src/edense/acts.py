@@ -28,6 +28,8 @@ from .errors import (
     WellDefinednessViolation,
 )
 
+ISOMORPHISM_POINT_BOUND = 12
+
 
 @dataclass(frozen=True)
 class PartialAct:
@@ -363,17 +365,17 @@ def _point_signature(act: PartialAct, x: int):
     )
 
 
-def find_act_isomorphism(act1: PartialAct, act2: PartialAct, max_points: int = 12):
+def find_act_isomorphism(act1: PartialAct, act2: PartialAct):
     """A bijection satisfying the act-map law both ways, or None.
 
     Plain backtracking pruned by per-point definedness and stabilizer
-    signatures; carriers beyond ``max_points`` are refused.
+    signatures; carriers beyond ``ISOMORPHISM_POINT_BOUND`` are refused.
     """
     _require_same_semigroup(act1.semigroup, act2)
     if act1.carrier != act2.carrier:
         return None
-    if act1.carrier > max_points:
-        raise CarrierTooLarge(act1.carrier, max_points)
+    if act1.carrier > ISOMORPHISM_POINT_BOUND:
+        raise CarrierTooLarge(act1.carrier, ISOMORPHISM_POINT_BOUND)
     sig1 = [_point_signature(act1, x) for x in act1.points]
     sig2 = [_point_signature(act2, x) for x in act2.points]
     if sorted(sig1) != sorted(sig2):

@@ -208,13 +208,11 @@ def cmd_verify(args) -> int:
             except WorkbenchError as exc:
                 report.info("crypto-skipped", exc)
             else:
-                for s in S.elements:
-                    keyed = sys_.with_key(s)
-                    for x in sys_.act.points:
-                        for f in crypto.verify_key_space_theorem(keyed, x):
-                            if not f.passed:
-                                report.add(f)
-                report.add(Finding("crypto.key-space-theorem", True))
+                report.add(
+                    verify.finding(
+                        "crypto.key-space-theorem", verify._key_space_violations([(S.name, sys_)])
+                    )
+                )
     return _emit(report, args.json)
 
 

@@ -59,18 +59,21 @@ def require_semilattice(S: FiniteSemigroup) -> None:
         raise NotSemilattice(witness)
 
 
-def e_dense_subsemigroups(S: FiniteSemigroup) -> list[frozenset[int]]:
+def e_dense_subsemigroups(S: FiniteSemigroup) -> tuple[frozenset[int], ...]:
     """Every E-dense subsemigroup, closed or not, by power-set scan, in
-    order of size and then of sorted members."""
+    order of size and then of sorted members.  The scan runs once per
+    semigroup; its result is kept in ``S.structure.subsemigroups``."""
     if S.n > SUBSET_SCAN_BOUND:
         raise OrderTooLarge(S.n, SUBSET_SCAN_BOUND, "subset scan")
-    out = []
-    for r in range(1, S.n + 1):
-        for sub in combinations(S.elements, r):
-            H = frozenset(sub)
-            if is_e_dense_subsemigroup(S, H):
-                out.append(H)
-    return out
+    st = S.structure
+    if st.subsemigroups is None:
+        st.subsemigroups = tuple(
+            H
+            for r in range(1, S.n + 1)
+            for H in map(frozenset, combinations(S.elements, r))
+            if is_e_dense_subsemigroup(S, H)
+        )
+    return st.subsemigroups
 
 
 def closed_e_dense_subsemigroups(S: FiniteSemigroup) -> list[frozenset[int]]:

@@ -98,7 +98,13 @@ def _combine_flags(f1: int, f2: int) -> int:
     return f2 if f2 else f1
 
 
-def _adjoined_band_table(G: FiniteSemigroup, k: int, name="") -> FiniteSemigroup:
+def adjoined_band_semigroup(G: FiniteSemigroup, k: int = 2, name="") -> FiniteSemigroup:
+    """Extend a group by a k-element band of commuting flags (default G u eG).
+
+    That the table is the pair monoid over the enlarged derived category
+    (``adjoined_band_to_cu_map``) is the finding
+    ``construction.direct-extension-matches-pair-monoid``.
+    """
     if not core.is_group(G):
         raise NotGroup()
     if k < 2:
@@ -118,16 +124,6 @@ def _adjoined_band_table(G: FiniteSemigroup, k: int, name="") -> FiniteSemigroup
         suffix = str(f) if k > 2 else ""
         labels += [f"e{suffix}.{G.label(g)}" for g in range(n)]
     return build_semigroup(rows, labels=labels, name=name or f"{G.name}+E{k}")
-
-
-def adjoined_band_semigroup(G: FiniteSemigroup, k: int = 2, name="") -> FiniteSemigroup:
-    """Extend a group by a k-element band of commuting flags (default G u eG).
-
-    That the table is the pair monoid over the enlarged derived category
-    (``adjoined_band_to_cu_map``) is the finding
-    ``construction.direct-extension-matches-pair-monoid``.
-    """
-    return _adjoined_band_table(G, k, name=name)
 
 
 # --- finite categories and group actions ----------------------------------
@@ -424,28 +420,7 @@ def derived_category(G: FiniteSemigroup):
     ``construction.derived-category-recovers-group``."""
     if not core.is_group(G):
         raise NotGroup()
-    n = G.n
-    morphs = [(u, s) for u in G.elements for s in G.elements]  # (u, s) : u -> su
-    index = {us: i for i, us in enumerate(morphs)}
-    pairs = [(u, G.mul(s, u)) for u, s in morphs]
-    compose_map = {}
-    for i, (u, s) in enumerate(morphs):
-        su = G.mul(s, u)
-        for t in G.elements:
-            j = index[(su, t)]
-            compose_map[(i, j)] = index[(u, G.mul(t, s))]
-    labels = [f"({G.label(u)},{G.label(s)},{G.label(G.mul(s, u))})" for u, s in morphs]
-    C = build_category(n, pairs, compose_map, labels=labels)
-
-    inv = {g: next(h for h in G.elements if G.mul(g, h) == G.identity) for g in G.elements}
-    on_objects = [[G.mul(g, u) for u in G.elements] for g in G.elements]
-    on_morphisms = [
-        [index[(G.mul(g, u), G.prod(g, s, inv[g]))] for u, s in morphs]
-        for g in G.elements
-    ]
-    action, _, _ = validate_group_action(C, G, on_objects, on_morphisms)
-    _require_free_transitive(action)
-    return C, action
+    return _translation_category(G, 1)
 
 
 def adjoin_band_category(G: FiniteSemigroup, k: int = 2):
@@ -455,6 +430,12 @@ def adjoin_band_category(G: FiniteSemigroup, k: int = 2):
         raise NotGroup()
     if k < 2:
         raise UnsupportedBand(k)
+    return _translation_category(G, k)
+
+
+def _translation_category(G: FiniteSemigroup, k: int):
+    """Morphisms (u, s, f) : u -> su, with f one of k flags (flag 0 only
+    for the derived category), in lexicographic order."""
     n = G.n
     morphs = [(u, s, f) for u in G.elements for s in G.elements for f in range(k)]
     index = {m: i for i, m in enumerate(morphs)}
@@ -501,7 +482,7 @@ def adjoined_band_to_cu_map(G: FiniteSemigroup, k: int = 2, name=""):
     band-extension element i.  That it is an isomorphism is the finding
     ``construction.direct-extension-matches-pair-monoid``.
     """
-    S = _adjoined_band_table(G, k, name=name)
+    S = adjoined_band_semigroup(G, k, name=name)
     C, action = adjoin_band_category(G, k)
     u = G.identity
     cu = c_u_monoid(C, action, u)

@@ -23,6 +23,8 @@ from .errors import (
     PreconditionFailed,
 )
 
+ISOMORPHISM_ORDER_BOUND = 16
+
 
 @dataclass(frozen=True)
 class FiniteSemigroup:
@@ -88,10 +90,11 @@ class IdempotentStructure:
 class Structure:
     """The derived data of one Cayley table, each part computed on first use.
     ``cosets`` memoises validated bases, coset spaces and conjugacy
-    witnesses here, by subset."""
+    witnesses here, by subset, and ``closures`` the E-dense subsemigroups."""
 
     def __init__(self, table):
         self.table, self.bases, self.coset_spaces, self.conjugacy = table, set(), {}, {}
+        self.subsemigroups = None
 
     @cached_property
     def idempotents(self) -> frozenset[int]:
@@ -263,10 +266,6 @@ def classify_idempotents(S: FiniteSemigroup) -> IdempotentStructure:
     return S.structure.idempotent_structure
 
 
-def is_semilattice_of_idempotents(S: FiniteSemigroup) -> bool:
-    return classify_idempotents(S).is_semilattice
-
-
 def weak_inverses(S: FiniteSemigroup, s: int) -> frozenset[int]:
     """W(s): all t with t*s*t == t."""
     return S.structure.inverse_sets[s].W
@@ -377,16 +376,17 @@ def _element_signature(S: FiniteSemigroup, x: int):
     return (index, period, S.mul(x, x) == x, len(Sx), len(xS), len(Sx & xS))
 
 
-def find_semigroup_isomorphism(S: FiniteSemigroup, T: FiniteSemigroup, max_order=16):
+def find_semigroup_isomorphism(S: FiniteSemigroup, T: FiniteSemigroup):
     """A table isomorphism S -> T found by backtracking, or None.
 
     Candidates are pruned by cyclic-structure signatures; fine for the
-    desk-scale orders this package works at.
+    desk-scale orders this package works at.  Orders beyond
+    ``ISOMORPHISM_ORDER_BOUND`` are refused.
     """
     if S.n != T.n:
         return None
-    if S.n > max_order:
-        raise CarrierTooLarge(S.n, max_order)
+    if S.n > ISOMORPHISM_ORDER_BOUND:
+        raise CarrierTooLarge(S.n, ISOMORPHISM_ORDER_BOUND)
     sig_s = [_element_signature(S, x) for x in S.elements]
     sig_t = [_element_signature(T, x) for x in T.elements]
     if sorted(sig_s) != sorted(sig_t):

@@ -86,10 +86,6 @@ class Cryptosystem:
     def carrier(self) -> int:
         return self.act.carrier
 
-    def encrypt(self, x: int, key: int | None = None) -> int:
-        key = self.cipher_key if key is None else key
-        return self.act.act(key, x)
-
     def with_key(self, key: int) -> "Cryptosystem":
         return Cryptosystem(self.semigroup, self.act, key, self.key_table)
 

@@ -20,14 +20,6 @@ class Finding:
         return f"[{mark}] {self.name}{tail}"
 
 
-def ok(name: str, info: str | None = None) -> Finding:
-    return Finding(name, True, info)
-
-
-def fail(name: str, witness) -> Finding:
-    return Finding(name, False, str(witness))
-
-
 def check(name: str, passed: bool, witness=None) -> Finding:
     if passed:
         return Finding(name, True)

@@ -2,7 +2,8 @@
 relies on: weak-inverse laws, order and closure laws, act and coset
 structure theorems, the pair-monoid construction, and the decrypt-key
 space results.  Each named check scans every instance in range and
-reports the first counterexample as its witness.
+returns the first counterexample as its witness, or None when it finds
+none.
 """
 
 from __future__ import annotations
@@ -16,10 +17,9 @@ from .report import Finding
 SUITE_NAMES = ("core", "closures", "acts", "cosets", "construction", "crypto")
 
 
-def finding(name: str, violations) -> Finding:
-    """Collapse a generator of violation witnesses into one finding."""
-    w = next(iter(violations), None)
-    return Finding(name, w is None, None if w is None else str(w))
+def finding(name: str, witness) -> Finding:
+    """The finding of a check that returned ``witness``: it passes on None."""
+    return Finding(name, witness is None, None if witness is None else str(witness))
 
 
 def _tag(S: FiniteSemigroup) -> str:
@@ -33,10 +33,10 @@ def _wvl_violations(S):
     for s in S.elements:
         iv = core.inverse_sets(S, s)
         if not (iv.V <= iv.W <= iv.L):
-            yield f"s={s}"
+            return f"s={s}"
         for t in iv.L:
             if S.prod(t, s, t) not in iv.W:
-                yield f"s={s}, t={t}: tst not a weak inverse"
+                return f"s={s}, t={t}: tst not a weak inverse"
 
 
 def _band_weak_inverse_violations(S):
@@ -45,51 +45,45 @@ def _band_weak_inverse_violations(S):
         lhs = core.weak_inverses(S, S.mul(s, t))
         rhs = core.set_mul(S, core.weak_inverses(S, t), core.weak_inverses(S, s))
         if band and lhs != rhs:
-            yield f"band but W(st) != W(t)W(s) at s={s}, t={t}"
-            return
+            return f"band but W(st) != W(t)W(s) at s={s}, t={t}"
         if not band and lhs != rhs:
-            return  # non-band direction satisfied by this witness
+            return None  # non-band direction satisfied by this witness
     if not band:
-        yield "E not a band yet W(st) = W(t)W(s) everywhere"
+        return "E not a band yet W(st) = W(t)W(s) everywhere"
 
 
 def _weak_self_conjugacy_violations(S):
     if not core.classify_idempotents(S).is_band:
-        return
+        return None
     E = core.idempotents(S)
     for s in S.elements:
         for w in core.weak_inverses(S, s):
             for e in E:
                 if S.prod(s, e, w) not in E or S.prod(w, e, s) not in E:
-                    yield f"s={s}, s'={w}, e={e}"
-                    return
+                    return f"s={s}, s'={w}, e={e}"
 
 
 def _mitsch_order_violations(S):
     els = S.elements
     for a in els:
         if not core.mitsch_leq(S, a, a):
-            yield f"not reflexive at {a}"
-            return
+            return f"not reflexive at {a}"
     for a, b in product(els, repeat=2):
         if a != b and core.mitsch_leq(S, a, b) and core.mitsch_leq(S, b, a):
-            yield f"not antisymmetric at ({a}, {b})"
-            return
+            return f"not antisymmetric at ({a}, {b})"
     for a, b, c in product(els, repeat=3):
         if (
             core.mitsch_leq(S, a, b)
             and core.mitsch_leq(S, b, c)
             and not core.mitsch_leq(S, a, c)
         ):
-            yield f"not transitive at ({a}, {b}, {c})"
-            return
+            return f"not transitive at ({a}, {b}, {c})"
 
 
 def _h_refines_mitsch_violations(S):
     for a, b in product(S.elements, repeat=2):
         if core.h_leq(S, a, b) and not core.mitsch_leq(S, a, b):
-            yield f"({a}, {b})"
-            return
+            return f"({a}, {b})"
 
 
 def _regular_orders_violations(S):
@@ -97,8 +91,7 @@ def _regular_orders_violations(S):
     for a in reg:
         for b in S.elements:
             if core.h_leq(S, a, b) != core.mitsch_leq(S, a, b):
-                yield f"regular a={a}, b={b}"
-                return
+                return f"regular a={a}, b={b}"
 
 
 def _group_criteria_violations(S):
@@ -106,7 +99,7 @@ def _group_criteria_violations(S):
     direct = core.is_group(S)
     via_e = core.is_e_dense(S) and S.is_monoid() and len(core.idempotents(S)) == 1
     if not (via_l == direct == via_e):
-        yield f"|L|=1: {via_l}, direct: {direct}, E-dense monoid with |E|=1: {via_e}"
+        return f"|L|=1: {via_l}, direct: {direct}, E-dense monoid with |E|=1: {via_e}"
 
 
 def _e_unitary_criteria_violations(S):
@@ -114,12 +107,12 @@ def _e_unitary_criteria_violations(S):
     E = core.idempotents(S)
     u2 = core.classify_idempotents(S).is_band and closures.omega_h(S, E) == E
     if u1 != u2:
-        yield f"unitary-def: {u1}, band-and-closed: {u2}"
+        return f"unitary-def: {u1}, band-and-closed: {u2}"
 
 
 def _e_dense_violations(S):
     if not core.is_e_dense(S):
-        yield "finite semigroup not E-dense"
+        return "finite semigroup not E-dense"
 
 
 def _idempotent_witness_violations(S):
@@ -129,13 +122,12 @@ def _idempotent_witness_violations(S):
             S.mul(b, f) == a for f in E
         )
         if witnessed and not core.mitsch_leq(S, a, b):
-            yield f"({a}, {b})"
-            return
+            return f"({a}, {b})"
 
 
 def _weak_inverse_lemma_violations(S):
     if not core.classify_idempotents(S).is_semilattice:
-        return
+        return None
     E = core.idempotents(S)
     els = S.elements
     for s in els:
@@ -143,77 +135,61 @@ def _weak_inverse_lemma_violations(S):
         for w in W:
             for e, f in product(E, repeat=2):
                 if S.prod(e, w, f) not in W:
-                    yield f"part 1 at s={s}, s'={w}, e={e}, f={f}"
-                    return
+                    return f"part 1 at s={s}, s'={w}, e={e}, f={f}"
         for w, v in product(W, repeat=2):
             meet = S.prod(w, s, v)
             if meet not in W:
-                yield f"part 2 (membership) at s={s}"
-                return
+                return f"part 2 (membership) at s={s}"
             if meet != S.prod(v, s, w):
-                yield f"part 2 (symmetry) at s={s}"
-                return
+                return f"part 2 (symmetry) at s={s}"
             if not (core.h_leq(S, meet, w) and core.h_leq(S, meet, v)):
-                yield f"part 2 (lower bound) at s={s}, {w}, {v}"
-                return
+                return f"part 2 (lower bound) at s={s}, {w}, {v}"
             for t in W:
                 if (
                     core.h_leq(S, t, w)
                     and core.h_leq(S, t, v)
                     and not core.h_leq(S, t, meet)
                 ):
-                    yield f"part 2 (greatest) at s={s}, t={t}"
-                    return
+                    return f"part 2 (greatest) at s={s}, t={t}"
         for w in W:
             for u in core.weak_inverses(S, w):
                 if u != S.prod(u, w, s) or u != S.prod(s, w, u):
-                    yield f"part 3 (identities) at s={s}, s'={w}, s'*={u}"
-                    return
+                    return f"part 3 (identities) at s={s}, s'={w}, s'*={u}"
                 if not core.h_leq(S, u, s):
-                    yield f"part 3 (below s) at s={s}, s'*={u}"
-                    return
+                    return f"part 3 (below s) at s={s}, s'*={u}"
                 for e in E:
                     if not core.h_leq(S, S.mul(e, u), s):
-                        yield f"part 3 (es'* below s) at s={s}, e={e}"
-                        return
+                        return f"part 3 (es'* below s) at s={s}, e={e}"
             # for a bare weak inverse only one inclusion survives; the
             # displayed equality needs a mutual inverse (see the pinned
             # counterexample in the tests)
             conjugated = core.set_mul(S, {s}, W, {s})
             if not core.weak_inverses(S, w) <= conjugated:
-                yield f"part 4 (W(s') inside sW(s)s) at s={s}, s'={w}"
-                return
+                return f"part 4 (W(s') inside sW(s)s) at s={s}, s'={w}"
             if core.inverse_sets(S, w).V != {S.prod(s, w, s)}:
-                yield f"part 4 (V(s')) at s={s}, s'={w}"
-                return
+                return f"part 4 (V(s')) at s={s}, s'={w}"
             for v in W:
                 if S.prod(s, w, s, v, s) not in core.weak_inverses(S, w):
-                    yield f"part 4 (ss'ss*s) at s={s}, s'={w}, s*={v}"
-                    return
+                    return f"part 4 (ss'ss*s) at s={s}, s'={w}, s*={v}"
         for w in core.inverse_sets(S, s).V:
             if core.weak_inverses(S, w) != core.set_mul(S, {s}, W, {s}):
-                yield f"part 4 (W(s') = sW(s)s for mutual inverses) at s={s}, s'={w}"
-                return
+                return f"part 4 (W(s') = sW(s)s for mutual inverses) at s={s}, s'={w}"
     regular = core.regular_elements(S)
     all_weak = frozenset().union(*(core.weak_inverses(S, s) for s in els))
     if all_weak != regular:
-        yield "part 5: union of weak inverses differs from the regular elements"
-        return
+        return "part 5: union of weak inverses differs from the regular elements"
     for a, b in product(all_weak, repeat=2):
         if S.mul(a, b) not in all_weak:
-            yield f"part 5: not closed at ({a}, {b})"
-            return
+            return f"part 5: not closed at ({a}, {b})"
     for w in all_weak:
         if len(core.inverse_sets(S, w).V) != 1:
-            yield f"part 5: non-unique inverse at {w}"
-            return
+            return f"part 5: non-unique inverse at {w}"
     for s in els:
         w1 = core.weak_inverses(S, s)
         w2 = frozenset().union(*(core.weak_inverses(S, a) for a in w1)) if w1 else frozenset()
         w3 = frozenset().union(*(core.weak_inverses(S, a) for a in w2)) if w2 else frozenset()
         if w3 != w1:
-            yield f"part 6 at s={s}"
-            return
+            return f"part 6 at s={s}"
 
 
 def suite_core(S: FiniteSemigroup) -> list[Finding]:
@@ -250,44 +226,35 @@ def _subset_family(S):
     return sorted(fam, key=lambda A: (len(A), sorted(A)))
 
 
-# the power-set scan lives in closures; the name stays here for callers
-e_dense_subsemigroups = closures.e_dense_subsemigroups
-
-
 def _lemma_subsemigroups(S):
     """The E-dense subsemigroups the three subsemigroup lemmas scan: all of
     them on a table of order <= 12 whose idempotents form a semilattice,
     none otherwise."""
     if not core.classify_idempotents(S).is_semilattice or S.n > 12:
-        return []
-    return e_dense_subsemigroups(S)
+        return ()
+    return closures.e_dense_subsemigroups(S)
 
 
 def _closure_law_violations(S):
     for A in _subset_family(S):
         am, ah = closures.omega_m(S, A), closures.omega_h(S, A)
         if closures.omega_m(S, am) != am:
-            yield f"m-closure not idempotent at {sorted(A)}"
-            return
+            return f"m-closure not idempotent at {sorted(A)}"
         if closures.omega_h(S, ah) != ah:
-            yield f"h-closure not idempotent at {sorted(A)}"
-            return
+            return f"h-closure not idempotent at {sorted(A)}"
         if not (A <= ah <= am):
-            yield f"A <= Ah <= Am fails at {sorted(A)}"
-            return
+            return f"A <= Ah <= Am fails at {sorted(A)}"
 
 
 def _closure_monotone_violations(S):
     fam = _subset_family(S)
     for A, B in product(fam, repeat=2):
         if A <= B and not closures.omega_m(S, A) <= closures.omega_m(S, B):
-            yield f"monotone fails at {sorted(A)} <= {sorted(B)}"
-            return
+            return f"monotone fails at {sorted(A)} <= {sorted(B)}"
         if A <= closures.omega_m(S, B) and not (
             closures.omega_m(S, A) <= closures.omega_m(S, B)
         ):
-            yield f"A <= Bm but Am !<= Bm at {sorted(A)}, {sorted(B)}"
-            return
+            return f"A <= Bm but Am !<= Bm at {sorted(A)}, {sorted(B)}"
 
 
 def _closure_on_idempotents_violations(S):
@@ -296,31 +263,28 @@ def _closure_on_idempotents_violations(S):
         for sub in combinations(E, r):
             A = frozenset(sub)
             if closures.omega_m(S, A) != closures.omega_h(S, A):
-                yield f"A <= E but closures differ at {sorted(A)}"
-                return
+                return f"A <= E but closures differ at {sorted(A)}"
 
 
-def _subsemigroup_closure_violations(S, subsemigroups):
-    for H in subsemigroups:
+def _subsemigroup_closure_violations(S):
+    for H in _lemma_subsemigroups(S):
         Hc = closures.omega_h(S, H)
         if not closures.is_e_dense_subsemigroup(S, Hc):
-            yield f"closure of {sorted(H)} not an E-dense subsemigroup"
-            return
+            return f"closure of {sorted(H)} not an E-dense subsemigroup"
 
 
-def _three_way_closed_violations(S, subsemigroups):
-    for H in subsemigroups:
+def _three_way_closed_violations(S):
+    for H in _lemma_subsemigroups(S):
         ch = closures.is_omega_h_closed(S, H)
         cu = closures.is_unitary(S, H)
         cm = closures.is_omega_m_closed(S, H)
         if not (ch == cu == cm):
-            yield f"{sorted(H)}: h-closed={ch}, unitary={cu}, m-closed={cm}"
-            return
+            return f"{sorted(H)}: h-closed={ch}, unitary={cu}, m-closed={cm}"
 
 
-def _idempotent_closed_lemma_violations(S, subsemigroups):
+def _idempotent_closed_lemma_violations(S):
     E = core.idempotents(S)
-    for H in subsemigroups:
+    for H in _lemma_subsemigroups(S):
         Hc = closures.omega_h(S, H)
         # x'ex in Hc forces x'x in Hc
         for x in S.elements:
@@ -329,8 +293,7 @@ def _idempotent_closed_lemma_violations(S, subsemigroups):
                     continue
                 for e in E:
                     if S.prod(xp, e, x) in Hc:
-                        yield f"part 1 at H={sorted(H)}, x={x}, x'={xp}, e={e}"
-                        return
+                        return f"part 1 at H={sorted(H)}, x={x}, x'={xp}, e={e}"
         # x'ey in Hc and y'y in Hc, for some weak inverse y' of y, force x'y in Hc
         for x, y in product(S.elements, repeat=2):
             if not any(S.mul(yp, y) in Hc for yp in core.weak_inverses(S, y)):
@@ -340,20 +303,18 @@ def _idempotent_closed_lemma_violations(S, subsemigroups):
                     continue
                 for e in E:
                     if S.prod(xp, e, y) in Hc:
-                        yield f"part 2 at H={sorted(H)}, x={x}, y={y}, e={e}"
-                        return
+                        return f"part 2 at H={sorted(H)}, x={x}, y={y}, e={e}"
 
 
 def suite_closures(S: FiniteSemigroup) -> list[Finding]:
     t = _tag(S)
-    subs = _lemma_subsemigroups(S)
     return [
         finding(f"closures.idempotence-and-ordering{t}", _closure_law_violations(S)),
         finding(f"closures.monotonicity{t}", _closure_monotone_violations(S)),
         finding(f"closures.agree-on-idempotent-subsets{t}", _closure_on_idempotents_violations(S)),
-        finding(f"closures.subsemigroup-closure{t}", _subsemigroup_closure_violations(S, subs)),
-        finding(f"closures.closed-unitary-equivalence{t}", _three_way_closed_violations(S, subs)),
-        finding(f"closures.idempotent-sandwich-laws{t}", _idempotent_closed_lemma_violations(S, subs)),
+        finding(f"closures.subsemigroup-closure{t}", _subsemigroup_closure_violations(S)),
+        finding(f"closures.closed-unitary-equivalence{t}", _three_way_closed_violations(S)),
+        finding(f"closures.idempotent-sandwich-laws{t}", _idempotent_closed_lemma_violations(S)),
     ]
 
 
@@ -367,13 +328,11 @@ def _basic_lemma_violations(act):
         dom = act.point_domain(x)
         stab = acts.stabilizer(act, x)
         if not (E & dom) <= stab:
-            yield f"part 1 at x={x}"
-            return
+            return f"part 1 at x={x}"
         for s in S.elements:
             for w in core.weak_inverses(S, s):
                 if act.defined(w, x) != act.defined(S.mul(s, w), x):
-                    yield f"part 2 at x={x}, s={s}, s'={w}"
-                    return
+                    return f"part 2 at x={x}, s={s}, s'={w}"
         for s in dom:
             y = act.act(s, x)
             back = any(
@@ -381,22 +340,19 @@ def _basic_lemma_violations(act):
                 for w in core.weak_inverses(S, s)
             )
             if not back:
-                yield f"part 3 at x={x}, s={s}"
-                return
+                return f"part 3 at x={x}, s={s}"
         for s, t in product(dom, repeat=2):
             same = act.act(s, x) == act.act(t, x)
             witnesses = [
                 w for w in core.weak_inverses(S, s) if S.mul(w, t) in stab
             ]
             if same != bool(witnesses):
-                yield f"part 4 at x={x}, s={s}, t={t}"
-                return
+                return f"part 4 at x={x}, s={s}, t={t}"
             if same:
                 sx = act.act(s, x)
                 for w in witnesses:
                     if not act.defined(w, sx):
-                        yield f"part 4 (domain) at x={x}, s={s}, s'={w}"
-                        return
+                        return f"part 4 (domain) at x={x}, s={s}, s'={w}"
 
 
 def _orbit_partition_violations(act):
@@ -404,8 +360,7 @@ def _orbit_partition_violations(act):
         for y in act.points:
             ox, oy = acts.orbit(act, x), acts.orbit(act, y)
             if (y in ox) != (ox == oy):
-                yield f"x={x}, y={y}"
-                return
+                return f"x={x}, y={y}"
 
 
 def _effective_orbit_violations(act):
@@ -415,11 +370,10 @@ def _effective_orbit_violations(act):
         piece = acts.subact(act, sorted(acts.orbit(act, x)))
         props = acts.act_properties(piece)
         if not (props.effective and props.transitive):
-            yield f"orbit of {x} not effective transitive"
-            return
+            return f"orbit of {x} not effective transitive"
     props = acts.act_properties(act)
     if props.effective and props.transitive and len(acts.orbits(act)) != 1:
-        yield "effective transitive act with several orbits"
+        return "effective transitive act with several orbits"
 
 
 def _wp_domain_forms_violations(S, wp):
@@ -430,19 +384,16 @@ def _wp_domain_forms_violations(S, wp):
             rows[S.mul(w, s)][x] for w in core.weak_inverses(S, s) for x in range(S.n)
         }
         if wp.element_domain(s) != image_form:
-            yield f"s={s}"
-            return
+            return f"s={s}"
 
 
 def _wp_idempotent_orbit_violations(S, wp):
     E = core.idempotents(S)
     for e in E:
         if acts.stabilizer(wp, e) != closures.omega_h(S, {e}):
-            yield f"stabilizer of idempotent {e}"
-            return
+            return f"stabilizer of idempotent {e}"
         if acts.orbit(wp, e) != core.green_l_class(S, e):
-            yield f"orbit of idempotent {e}"
-            return
+            return f"orbit of idempotent {e}"
     regular = core.regular_elements(S)
     for s in S.elements:
         stab = acts.stabilizer(wp, s)
@@ -451,30 +402,23 @@ def _wp_idempotent_orbit_violations(S, wp):
         for w in core.weak_inverses(S, s):
             up = closures.omega_h(S, {S.mul(s, w)})
             if not stab <= up:
-                yield f"part 2 (containment) at s={s}, s'={w}"
-                return
+                return f"part 2 (containment) at s={s}, s'={w}"
             hits.append(stab == up)
         if not orb <= core.green_l_class(S, s):
-            yield f"part 2 (orbit inside L-class) at s={s}"
-            return
+            return f"part 2 (orbit inside L-class) at s={s}"
         if any(hits) != (s in regular):
-            yield f"part 2 (equality iff regular) at s={s}"
-            return
+            return f"part 2 (equality iff regular) at s={s}"
         if s in regular:
             V = core.inverse_sets(S, s).V
             if not any(stab == closures.omega_h(S, {S.mul(s, v)}) for v in V):
-                yield f"part 2 (witness in V) at s={s}"
-                return
+                return f"part 2 (witness in V) at s={s}"
             if orb != core.green_l_class(S, s):
-                yield f"part 2 (orbit equals L-class) at s={s}"
-                return
+                return f"part 2 (orbit equals L-class) at s={s}"
         for w in core.weak_inverses(S, s):
             if acts.stabilizer(wp, w) != closures.omega_h(S, {S.mul(w, s)}):
-                yield f"part 4 (stabilizer) at s={s}, s'={w}"
-                return
+                return f"part 4 (stabilizer) at s={s}, s'={w}"
             if acts.orbit(wp, w) != core.green_l_class(S, w):
-                yield f"part 4 (orbit) at s={s}, s'={w}"
-                return
+                return f"part 4 (orbit) at s={s}, s'={w}"
     for e in E:
         for se in acts.orbit(wp, e):
             stab = acts.stabilizer(wp, se)
@@ -490,11 +434,9 @@ def _wp_idempotent_orbit_violations(S, wp):
             if se == e:
                 ok = ok or stab == closures.omega_h(S, {e})
             if not ok:
-                yield f"part 3 at e={e}, point {se}"
-                return
+                return f"part 3 at e={e}, point {se}"
             if acts.orbit(wp, se) != core.green_l_class(S, se):
-                yield f"part 3 (orbit) at point {se}"
-                return
+                return f"part 3 (orbit) at point {se}"
 
 
 def _locally_free_iff_violations(act):
@@ -512,7 +454,7 @@ def _locally_free_iff_violations(act):
         if not cond:
             break
     if lf != cond:
-        yield f"locally-free={lf}, gluing-condition={cond}"
+        return f"locally-free={lf}, gluing-condition={cond}"
 
 
 def _graded_equivalence_violations(act, munn):
@@ -530,37 +472,32 @@ def _graded_equivalence_violations(act, munn):
             break
     cond3 = effective and minima
     if graded != cond3:
-        yield f"graded={graded}, effective-with-minima={cond3}"
-        return
+        return f"graded={graded}, effective-with-minima={cond3}"
     # an act map to the idempotent act exists iff the act is graded
     if graded:
         mapping = [pos[g.p[x]] for x in act.points]
         if not acts.is_s_map(act, munn, mapping):
-            yield "grading is not an act map to the idempotent act"
-            return
+            return "grading is not an act map to the idempotent act"
     elif len(E) ** act.carrier <= 200000:
         for candidate in product(range(len(E)), repeat=act.carrier):
             if acts.is_s_map(act, munn, list(candidate)):
-                yield "ungraded act admits an act map to the idempotent act"
-                return
+                return "ungraded act admits an act map to the idempotent act"
 
 
 def _grading_law_violations(act):
     S = act.semigroup
     g = acts.grading(act)
     if not isinstance(g, acts.Grading):
-        return
+        return None
     p = g.p
     E = core.idempotents(S)
     for x in act.points:
         fixing = acts.stabilizer(act, x) & E
         if p[x] not in fixing or not all(core.h_leq(S, p[x], f) for f in fixing):
-            yield f"p({x}) is not the minimum stabilizing idempotent"
-            return
+            return f"p({x}) is not the minimum stabilizing idempotent"
         for w in core.weak_inverses(S, p[x]):
             if act.defined(w, x) and w != p[x]:
-                yield f"weak inverse of p({x}) acting on x differs from p(x)"
-                return
+                return f"weak inverse of p({x}) acting on x differs from p(x)"
     for s in S.elements:
         for x in act.points:
             if not act.defined(s, x):
@@ -568,11 +505,9 @@ def _grading_law_violations(act):
             sx = act.act(s, x)
             for w in core.weak_inverses(S, s):
                 if S.mul(w, s) == p[x] and S.mul(s, w) != p[sx]:
-                    yield f"s's = p(x) but ss' != p(sx) at s={s}, x={x}"
-                    return
+                    return f"s's = p(x) but ss' != p(sx) at s={s}, x={x}"
                 if act.defined(w, sx) and p[sx] != S.prod(s, p[x], w):
-                    yield f"p(sx) != s p(x) s' at s={s}, x={x}, s'={w}"
-                    return
+                    return f"p(sx) != s p(x) s' at s={s}, x={x}, s'={w}"
     for s in S.elements:
         dom = act.element_domain(s)
         union = frozenset()
@@ -583,11 +518,9 @@ def _grading_law_violations(act):
             ideal2 = acts.order_ideal(S, S.mul(s, w))
             image_union |= frozenset(x for x in act.points if p[x] in ideal2)
         if dom != union:
-            yield f"domain formula fails at s={s}"
-            return
+            return f"domain formula fails at s={s}"
         if frozenset(act.act(s, x) for x in dom) != image_union:
-            yield f"image formula fails at s={s}"
-            return
+            return f"image formula fails at s={s}"
 
 
 def _free_transitive_graded_violations(S, wp, collection):
@@ -596,11 +529,9 @@ def _free_transitive_graded_violations(S, wp, collection):
     for e, oa in orbit_acts.items():
         props = acts.act_properties(oa)
         if not (props.locally_free and props.transitive):
-            yield f"orbit of idempotent {e} not locally free transitive"
-            return
+            return f"orbit of idempotent {e} not locally free transitive"
         if not isinstance(acts.grading(oa), acts.Grading):
-            yield f"orbit of idempotent {e} not graded"
-            return
+            return f"orbit of idempotent {e} not graded"
     for name, act in collection:
         props = acts.act_properties(act)
         lhs = (
@@ -614,14 +545,13 @@ def _free_transitive_graded_violations(S, wp, collection):
                 rhs = True
                 break
         if lhs != rhs:
-            yield f"{name}: locally-free+transitive+graded={lhs} but iso-to-idempotent-orbit={rhs}"
-            return
+            return f"{name}: locally-free+transitive+graded={lhs} but iso-to-idempotent-orbit={rhs}"
 
 
 def _graded_quotient_violations(S, wp, act):
     g = acts.grading(act)
     if not isinstance(g, acts.Grading):
-        return
+        return None
     for O in acts.orbits(act):
         x = min(O)
         px = g.p[x]
@@ -636,20 +566,16 @@ def _graded_quotient_violations(S, wp, act):
             for s in S.elements:
                 if wp.defined(s, px) and wp.act(s, px) == q:
                     if not act.defined(s, x):
-                        yield f"{s} acts on p({x}) but not on {x}"
-                        return
+                        return f"{s} acts on p({x}) but not on {x}"
                     images.add(act.act(s, x))
             if len(images) != 1:
-                yield f"map undefined or inconsistent at orbit point {q}"
-                return
+                return f"map undefined or inconsistent at orbit point {q}"
             mapping[spos[q]] = tpos[images.pop()]
         image = {mapping[i] for i in mapping}
         if image != set(range(len(target_points))):
-            yield f"map not onto the orbit of {x}"
-            return
+            return f"map not onto the orbit of {x}"
         if not acts.is_s_map(source, acts.subact(act, target_points), [mapping[i] for i in range(len(mapping))]):
-            yield f"quotient map is not an act map on the orbit of {x}"
-            return
+            return f"quotient map is not an act map on the orbit of {x}"
 
 
 def _stabilizers_closed_violations(act):
@@ -659,11 +585,9 @@ def _stabilizers_closed_violations(act):
         if not stab:
             continue
         if not closures.is_e_dense_subsemigroup(S, stab):
-            yield f"stabilizer of {x} not an E-dense subsemigroup"
-            return
+            return f"stabilizer of {x} not an E-dense subsemigroup"
         if closures.omega_h(S, stab) != stab:
-            yield f"stabilizer of {x} not closed"
-            return
+            return f"stabilizer of {x} not closed"
 
 
 def suite_acts(S: FiniteSemigroup) -> list[Finding]:
@@ -708,21 +632,18 @@ def _order_ideal_violations(S):
     for e in sorted(core.idempotents(S)):
         ideal = acts.order_ideal(S, e)
         if ideal != core.weak_inverses(S, e):
-            yield f"e={e}: [e] != W(e)"
-            return
+            return f"e={e}: [e] != W(e)"
         if ideal != frozenset(s for s in S.elements if core.h_leq(S, s, e)):
-            yield f"e={e}: [e] != the elements below e"
-            return
+            return f"e={e}: [e] != the elements below e"
 
 
 def _munn_grading_violations(S, munn):
     g = acts.grading(munn)
     if not isinstance(g, acts.Grading):
-        yield f"idempotent act not graded: {g.reason}"
-        return
+        return f"idempotent act not graded: {g.reason}"
     E = sorted(core.idempotents(S))
     if tuple(E[i] for i in range(len(E))) != g.p:
-        yield f"grading is {g.p}, expected the identity on {E}"
+        return f"grading is {g.p}, expected the identity on {E}"
 
 
 # --- cosets suite ----------------------------------------------------------
@@ -733,8 +654,7 @@ def _pi_properties_violations(S, H, space):
     for s, t in product(S.elements, repeat=2):
         if any(S.mul(w, t) in H for w in core.weak_inverses(S, s)):
             if s not in d or t not in d:
-                yield f"related pair ({s}, {t}) escapes the domain"
-                return
+                return f"related pair ({s}, {t}) escapes the domain"
     rel = {
         (s, t)
         for s in d
@@ -743,55 +663,44 @@ def _pi_properties_violations(S, H, space):
     }
     for s in d:
         if (s, s) not in rel:
-            yield f"not reflexive on domain at {s}"
-            return
+            return f"not reflexive on domain at {s}"
     for s, t in rel:
         if (t, s) not in rel:
-            yield f"not symmetric at ({s}, {t})"
-            return
+            return f"not symmetric at ({s}, {t})"
     for s, t in rel:
         for r in d:
             if (t, r) in rel and (s, r) not in rel:
-                yield f"not transitive at ({s}, {t}, {r})"
-                return
+                return f"not transitive at ({s}, {t}, {r})"
     for (u, v) in rel:
         for r in S.elements:
             ru, rv = S.mul(r, u), S.mul(r, v)
             if (ru in d) != (rv in d):
-                yield f"left compatibility (domain) at r={r}, ({u}, {v})"
-                return
+                return f"left compatibility (domain) at r={r}, ({u}, {v})"
             if ru in d and (ru, rv) not in rel:
-                yield f"left compatibility (relation) at r={r}, ({u}, {v})"
-                return
+                return f"left compatibility (relation) at r={r}, ({u}, {v})"
     # left cancellative
     for x in S.elements:
         for a, b in product(S.elements, repeat=2):
             xa, xb = S.mul(x, a), S.mul(x, b)
             if (xa, xb) in rel and (a, b) not in rel:
-                yield f"left cancellation at x={x}, a={a}, b={b}"
-                return
+                return f"left cancellation at x={x}, a={a}, b={b}"
 
 
 def _coset_class_violations(S, H, space):
     d = space.domain
     members = [c.members for c in space.cosets]
     if H not in members:
-        yield "H is not a coset"
-        return
+        return "H is not a coset"
     if frozenset().union(*members) != d or sum(map(len, members)) != len(d):
-        yield "cosets do not partition D_H"
-        return
+        return "cosets do not partition D_H"
     if acts.stabilizer(space.act, space.index_of(H)) != H:
-        yield "stabilizer of the coset H is not H"
-        return
+        return "stabilizer of the coset H is not H"
     for s in d:
         cls = closures.omega_h(S, core.set_mul(S, {s}, H))
         if cls not in members:
-            yield f"class of {s} is not a coset"
-            return
+            return f"class of {s} is not a coset"
         if s not in cls:
-            yield f"{s} outside its own class"
-            return
+            return f"{s} outside its own class"
     for a, b in product(sorted(d), repeat=2):
         e1 = closures.omega_h(S, core.set_mul(S, {a}, H)) == closures.omega_h(
             S, core.set_mul(S, {b}, H)
@@ -800,20 +709,17 @@ def _coset_class_violations(S, H, space):
         e3 = a in closures.omega_h(S, core.set_mul(S, {b}, H))
         e4 = b in closures.omega_h(S, core.set_mul(S, {a}, H))
         if not (e1 == e2 == e3 == e4):
-            yield f"four-way equivalence fails at ({a}, {b})"
-            return
+            return f"four-way equivalence fails at ({a}, {b})"
 
 
 def _coset_lemma_violations(S, H, space):
     E = core.idempotents(S)
     with_idem = [c for c in space.cosets if c.members & E]
     if len(with_idem) != 1 or with_idem[0].members != H:
-        yield "idempotents distributed over cosets other than the base"
-        return
+        return "idempotents distributed over cosets other than the base"
     for c in space.cosets:
         if closures.omega_h(S, c.members) != c.members:
-            yield f"coset {sorted(c.members)} not closed"
-            return
+            return f"coset {sorted(c.members)} not closed"
     members = {c.members for c in space.cosets}
     d = space.domain
     for s, t in product(S.elements, repeat=2):
@@ -824,14 +730,11 @@ def _coset_lemma_violations(S, H, space):
             stc = closures.omega_h(S, core.set_mul(S, {S.mul(s, t)}, H))
             s_tc = closures.omega_h(S, core.set_mul(S, {s}, tc))
             if st_coset != (s_tc in members):
-                yield f"part 4 (definedness) at s={s}, t={t}"
-                return
+                return f"part 4 (definedness) at s={s}, t={t}"
             if st_coset and s_tc != stc:
-                yield f"part 4 (equality) at s={s}, t={t}"
-                return
+                return f"part 4 (equality) at s={s}, t={t}"
         elif st_coset:
-            yield f"part 4 (st defined without t) at s={s}, t={t}"
-            return
+            return f"part 4 (st defined without t) at s={s}, t={t}"
 
 
 def _conjugacy_violations(S, bases):
@@ -839,26 +742,22 @@ def _conjugacy_violations(S, bases):
         at = f"H={sorted(H)}, K={sorted(K)}"
         witness = cosets.are_conjugate(S, H, K)
         if H == K and witness is None:
-            yield f"H={sorted(H)} not conjugate to itself"
-            return
+            return f"H={sorted(H)} not conjugate to itself"
         if witness is not None:
             s, w = witness
             if (
                 closures.omega_h(S, core.set_mul(S, {w}, H, {s})) != K
                 or closures.omega_h(S, core.set_mul(S, {s}, K, {w})) != H
             ):
-                yield f"{at}: closure of s'Hs is not K, or of sKs' not H, at {witness}"
-                return
+                return f"{at}: closure of s'Hs is not K, or of sKs' not H, at {witness}"
             if S.mul(s, w) not in H or S.mul(w, s) not in K:
-                yield f"{at}: ss' not in H or s's not in K at {witness}"
-                return
+                return f"{at}: ss' not in H or s's not in K at {witness}"
         act_h, act_k = cosets.coset_space(S, H).act, cosets.coset_space(S, K).act
         iso = None
         if act_h.carrier == act_k.carrier:
             iso = acts.find_act_isomorphism(act_h, act_k)
         if (witness is None) != (iso is None):
-            yield f"{at}: conjugacy witness search and act isomorphism disagree"
-            return
+            return f"{at}: conjugacy witness search and act isomorphism disagree"
 
 
 def _stabilizer_conjugacy_violations(S, wp):
@@ -872,16 +771,13 @@ def _stabilizer_conjugacy_violations(S, wp):
                     continue
                 conj = closures.omega_h(S, core.set_mul(S, {s}, stab_x, {w}))
                 if conj != stab_sx:
-                    yield f"(s S_x s')^ != S_sx at s={s}, x={x}, s'={w}"
-                    return
+                    return f"(s S_x s')^ != S_sx at s={s}, x={x}, s'={w}"
                 if not closures.is_e_dense_subsemigroup(
                     S, core.set_mul(S, {s}, stab_x, {w})
                 ):
-                    yield f"s S_x s' not an E-dense subsemigroup at s={s}, x={x}"
-                    return
+                    return f"s S_x s' not an E-dense subsemigroup at s={s}, x={x}"
             if cosets.are_conjugate(S, stab_x, stab_sx) is None:
-                yield f"S_x and S_sx not conjugate at s={s}, x={x}"
-                return
+                return f"S_x and S_sx not conjugate at s={s}, x={x}"
 
 
 def _conjugate_subsemigroup_remark_violations(S, bases):
@@ -891,8 +787,7 @@ def _conjugate_subsemigroup_remark_violations(S, bases):
                 if S.mul(s, w) in H:
                     conj = core.set_mul(S, {w}, H, {s})
                     if not closures.is_e_dense_subsemigroup(S, conj):
-                        yield f"s'Hs not E-dense subsemigroup at H={sorted(H)}, s={s}"
-                        return
+                        return f"s'Hs not E-dense subsemigroup at H={sorted(H)}, s={s}"
 
 
 def _self_conjugacy_violations(S, bases):
@@ -908,16 +803,14 @@ def _self_conjugacy_violations(S, bases):
             (cosets.are_conjugate(S, H, K) is None) == (H != K) for K in bases
         )
         if not (crit == form2 == only_self):
-            yield f"H={sorted(H)}: product-criterion={crit}, conjugation-form={form2}, only-self={only_self}"
-            return
+            return f"H={sorted(H)}: product-criterion={crit}, conjugation-form={form2}, only-self={only_self}"
         if crit:
             d = cosets.domain_d_h(S, H)
             if closures.omega_h(S, d) != d or not closures.is_e_dense_subsemigroup(S, d):
-                yield f"D_H not a closed E-dense subsemigroup for H={sorted(H)}"
-                return
-            for v in _quotient_violations(S, H):
-                yield f"H={sorted(H)}: {v}"
-                return
+                return f"D_H not a closed E-dense subsemigroup for H={sorted(H)}"
+            v = _quotient_violations(S, H)
+            if v:
+                return f"H={sorted(H)}: {v}"
 
 
 def _quotient_violations(S, H):
@@ -926,29 +819,25 @@ def _quotient_violations(S, H):
     space = cosets.coset_space(S, H)
     Q = cosets.quotient_group(S, H)
     if not core.is_group(Q) or Q.identity != space.index_of(H):
-        yield "the cosets do not form a group with identity H"
-        return
+        return "the cosets do not form a group with identity H"
     rho = cosets.rho_representation(S, H)
     perms, k = rho.permutations, len(space.cosets)
     for s, images in perms.items():
         if None in images:
-            yield "D_H must be closed under products"
-            return
+            return "D_H must be closed under products"
         if sorted(images) != list(range(k)):
-            yield "each rho_s must be a bijection"
-            return
+            return "each rho_s must be a bijection"
     for s, t in product(perms, repeat=2):
         st = S.mul(s, t)
         if st not in perms or perms[st] != tuple(perms[s][i] for i in perms[t]):
-            yield "rho must be a homomorphism"
-            return
+            return "rho must be a homomorphism"
     pi = {
         (s, t)
         for s, t in product(space.domain, repeat=2)
         if any(S.mul(w, t) in H for w in core.weak_inverses(S, s))
     }
     if rho.kernel_pairs() != pi:
-        yield "kernel of rho must be the coset congruence"
+        return "kernel of rho must be the coset congruence"
 
 
 def _orbit_stabilizer_violations(S, wp):
@@ -959,8 +848,7 @@ def _orbit_stabilizer_violations(S, wp):
         stab = acts.stabilizer(wp, x)
         space = cosets.coset_space(S, stab)
         if acts.find_act_isomorphism(piece, space.act) is None:
-            yield f"orbit of {x} not isomorphic to the coset act of its stabilizer"
-            return
+            return f"orbit of {x} not isomorphic to the coset act of its stabilizer"
 
 
 def suite_cosets(S: FiniteSemigroup) -> list[Finding]:
@@ -1003,18 +891,15 @@ def _pair_monoid_violations(C, action, cu):
     S, G, u = cu.semigroup, action.group, cu.base_object
     one = G.identity
     if core.idempotents(S) != frozenset(i for i, (p, g) in enumerate(cu.pairs) if g == one):
-        yield "idempotents are not the pairs with trivial group part"
-        return
+        return "idempotents are not the pairs with trivial group part"
     unit = (C.identities[u], one)
     if unit not in cu.pairs or S.identity != cu.pairs.index(unit):
-        yield "identity is not (0_u, 1)"
-        return
+        return "identity is not (0_u, 1)"
     if not (core.is_e_dense(S) and core.is_e_unitary(S)):
-        yield "not E-unitary dense"
-        return
+        return "not E-unitary dense"
     group_iff = all(len(C.hom(u, action.obj(g, u))) == 1 for g in G.elements)
     if core.is_group(S) != group_iff:
-        yield f"group={core.is_group(S)}, but singleton hom-sets={group_iff}"
+        return f"group={core.is_group(S)}, but singleton hom-sets={group_iff}"
 
 
 def suite_construction() -> list[Finding]:
@@ -1025,8 +910,7 @@ def suite_construction() -> list[Finding]:
         for n, want in expected.items():
             got = sum(1 for _ in construction.enumerate_semigroups(n))
             if got != want:
-                yield f"order {n}: {got} associative tables, expected {want}"
-                return
+                return f"order {n}: {got} associative tables, expected {want}"
 
     out.append(finding("construction.enumeration-counts", counts()))
 
@@ -1040,18 +924,15 @@ def suite_construction() -> list[Finding]:
                     C.compose[i][j] == C.identities[u] and C.compose[j][i] == C.identities[v]
                     for j in C.hom(v, u)
                 ):
-                    yield f"derived category of {name}: morphism {i} not invertible"
-                    return
+                    return f"derived category of {name}: morphism {i} not invertible"
             cu = construction.c_u_monoid(C, action, 0)
-            for v in _pair_monoid_violations(C, action, cu):
-                yield f"{name}: {v}"
-                return
+            v = _pair_monoid_violations(C, action, cu)
+            if v:
+                return f"{name}: {v}"
             if core.find_semigroup_isomorphism(cu.semigroup, G) is None:
-                yield f"pair monoid over the derived category of {name} not isomorphic to it"
-                return
+                return f"pair monoid over the derived category of {name} not isomorphic to it"
             if len(C.hom(0, 1 % G.n)) != 1:
-                yield f"derived category of {name} has fat hom-sets"
-                return
+                return f"derived category of {name} has fat hom-sets"
 
     out.append(finding("construction.derived-category-recovers-group", derived()))
 
@@ -1063,15 +944,13 @@ def suite_construction() -> list[Finding]:
             cu = construction.c_u_monoid(C, action, u)
             S = cu.semigroup
             if len(core.idempotents(S)) != k:
-                yield f"{name}, k={k}: wrong idempotent count"
-                return
-            for v in _pair_monoid_violations(C, action, cu):
-                yield f"{name}, k={k}: {v}"
-                return
+                return f"{name}, k={k}: wrong idempotent count"
+            v = _pair_monoid_violations(C, action, cu)
+            if v:
+                return f"{name}, k={k}: {v}"
             for g in G.elements:
                 if len(C.hom(u, action.obj(g, u))) != k:
-                    yield f"{name}, k={k}: hom-set size wrong at g={g}"
-                    return
+                    return f"{name}, k={k}: hom-set size wrong at g={g}"
             # flags slide across translations: t_g + e_gu = e_u + t_g
             n = G.n
             for g in G.elements:
@@ -1080,11 +959,9 @@ def suite_construction() -> list[Finding]:
                 gu = action.obj(g, u)
                 e_gu = (gu * n + G.identity) * k + 1
                 if C.compose[tg][e_gu] != C.compose[e_u][tg]:
-                    yield f"{name}, k={k}: commutation fails at g={g}"
-                    return
+                    return f"{name}, k={k}: commutation fails at g={g}"
                 if C.compose[tg][e_gu] == tg:
-                    yield f"{name}, k={k}: flagged translation collapsed at g={g}"
-                    return
+                    return f"{name}, k={k}: flagged translation collapsed at g={g}"
 
     out.append(finding("construction.adjoined-band-structure", band_family()))
 
@@ -1093,24 +970,24 @@ def suite_construction() -> list[Finding]:
             S, cu, mapping = construction.adjoined_band_to_cu_map(construction.fixture(name))
             for a, b in product(S.elements, repeat=2):
                 if mapping[S.mul(a, b)] != cu.semigroup.mul(mapping[a], mapping[b]):
-                    yield f"{name}: map not multiplicative at ({a}, {b})"
-                    return
+                    return f"{name}: map not multiplicative at ({a}, {b})"
             if sorted(mapping.values()) != list(cu.semigroup.elements):
-                yield f"{name}: map not a bijection onto the pair monoid"
-                return
+                return f"{name}: map not a bijection onto the pair monoid"
 
     out.append(finding("construction.direct-extension-matches-pair-monoid", displayed_map()))
 
     def fixtures_match():
-        if construction.fixture("Z3E").table != construction.adjoined_band_semigroup(
-            construction.fixture("Z3")
-        ).table:
-            yield "Z3E differs from the band extension of Z3"
-            return
-        if construction.fixture("Z6E").table != construction.adjoined_band_semigroup(
-            construction.fixture("Z6")
-        ).table:
-            yield "Z6E differs from the band extension of Z6"
+        # G u eG computed from the group table: f*n + g times f'*n + h is
+        # max(f, f')*n + gh
+        for name, group in (("Z3E", "Z3"), ("Z6E", "Z6")):
+            G = construction.fixture(group)
+            table = tuple(
+                tuple(max(f1, f2) * G.n + G.mul(g, h) for f2 in (0, 1) for h in G.elements)
+                for f1 in (0, 1)
+                for g in G.elements
+            )
+            if construction.fixture(name).table != table:
+                return f"{name} differs from the band extension of {group}"
 
     out.append(finding("construction.fixtures-match-extension", fixtures_match()))
     return out
@@ -1148,8 +1025,7 @@ def _cancellative_lemma_violations():
             for st in stabs
         )
         if not (c1 == c2 == c3 == c4):
-            yield f"{name}: cancellative={c1}, E-fixes={c2}, closure-fixes={c3}, L-products-fix={c4}"
-            return
+            return f"{name}: cancellative={c1}, E-fixes={c2}, closure-fixes={c3}, L-products-fix={c4}"
 
 
 def _pre_inverse_uniform_violations(systems):
@@ -1160,8 +1036,7 @@ def _pre_inverse_uniform_violations(systems):
             for x in sys.act.points:
                 values = {sys.act.act(t, x) for t in L}
                 if len(values) > 1:
-                    yield f"{name}: pre-inverses of {s} act differently on {x}"
-                    return
+                    return f"{name}: pre-inverses of {s} act differently on {x}"
 
 
 def _stabilizer_closed_violations(systems):
@@ -1170,8 +1045,7 @@ def _stabilizer_closed_violations(systems):
         for x in sys.act.points:
             st = acts.stabilizer(sys.act, x)
             if closures.omega_h(S, st) != st:
-                yield f"{name}: stabilizer of {x} not closed"
-                return
+                return f"{name}: stabilizer of {x} not closed"
 
 
 def _key_space_violations(systems):
@@ -1181,8 +1055,7 @@ def _key_space_violations(systems):
             for x in sys.act.points:
                 for f in crypto.verify_key_space_theorem(keyed, x):
                     if not f.passed:
-                        yield f"{name}: {f.name} fails ({f.witness})"
-                        return
+                        return f"{name}: {f.name} fails ({f.witness})"
 
 
 def _left_ideal_violations():
@@ -1200,11 +1073,9 @@ def _left_ideal_violations():
             for i in range(m):
                 st = frozenset(s for s in S.elements if rows[s][i] == i)
                 if not st <= ec:
-                    yield f"{name}: ideal of {a}: stabilizer escapes the idempotent closure"
-                    return
+                    return f"{name}: ideal of {a}: stabilizer escapes the idempotent closure"
                 if cancellative and st != ec:
-                    yield f"{name}: cancellative ideal act of {a} not locally free"
-                    return
+                    return f"{name}: cancellative ideal act of {a} not locally free"
 
 
 def _roundtrip_violations(systems):
@@ -1216,12 +1087,10 @@ def _roundtrip_violations(systems):
         for x in sys.act.points:
             for s, t in product(decryptable, repeat=2):
                 if not crypto.massey_omura(sys, x, s, t).ok:
-                    yield f"{name}: three-pass fails at x={x}, s={s}, t={t}"
-                    return
+                    return f"{name}: three-pass fails at x={x}, s={s}, t={t}"
             for s, c, d in product(decryptable, repeat=3):
                 if not crypto.elgamal(sys, x, s, c, d).ok:
-                    yield f"{name}: key-trace protocol fails at x={x}"
-                    return
+                    return f"{name}: key-trace protocol fails at x={x}"
 
 
 def _biact_roundtrip_violations():
@@ -1233,8 +1102,7 @@ def _biact_roundtrip_violations():
     for x in sys.act.points:
         for s, t in product(S.elements, repeat=2):
             if not crypto.massey_omura(sys, x, s, t, biact=biact).ok:
-                yield f"biact three-pass fails at x={x}, s={s}, t={t}"
-                return
+                return f"biact three-pass fails at x={x}, s={s}, t={t}"
 
 
 def _left_dense_violations(systems):
@@ -1242,27 +1110,23 @@ def _left_dense_violations(systems):
         if sys.act.carrier > 16:
             continue
         if not crypto.stabilizers_left_dense(sys.act):
-            yield f"{name}: stabilizers not left dense"
-            return
+            return f"{name}: stabilizers not left dense"
         for f in crypto.left_dense_equivalences(sys.act):
             if not f.passed:
-                yield f"{name}: {f.name} ({f.witness})"
-                return
+                return f"{name}: {f.name} ({f.witness})"
 
 
 def _classification_violations(systems):
     for name, sys in systems:
         rep = crypto.classify_locally_free_cryptosystem(sys.semigroup, sys.act)
         if rep.locally_free != rep.is_disjoint_union_of_base:
-            yield (
+            return (
                 f"{name}: locally-free={rep.locally_free} but "
                 f"copies-of-the-base-orbit={rep.is_disjoint_union_of_base}"
             )
-            return
         if name in ("Z3E", "Z6E"):
             if not (rep.locally_free and rep.copies == 1):
-                yield f"{name}: expected one copy of the base orbit"
-                return
+                return f"{name}: expected one copy of the base orbit"
 
 
 def _unitary_key_space_violations():
@@ -1275,11 +1139,9 @@ def _unitary_key_space_violations():
             for x in sys.act.points:
                 K = crypto.locally_free_key_space(keyed, x)
                 if K != expected or len(K) != len(expected):
-                    yield f"{name}: key space differs from closed weak inverses at s={s}"
-                    return
+                    return f"{name}: key space differs from closed weak inverses at s={s}"
                 if K != core.left_pre_inverses(S, s):
-                    yield f"{name}: key space differs from L(s) at s={s}"
-                    return
+                    return f"{name}: key space differs from L(s) at s={s}"
 
 
 def suite_crypto() -> list[Finding]:

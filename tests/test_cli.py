@@ -208,6 +208,27 @@ def test_verify_table_crypto_suite(capsys, z3e_file):
     assert "crypto.key-space-theorem" in out
 
 
+def test_verify_table_reports_a_failing_key_space_part_once(capsys, monkeypatch, z3e_file):
+    from edense import crypto
+    from edense.report import Finding
+
+    monkeypatch.setattr(
+        crypto,
+        "verify_key_space_theorem",
+        lambda sys, x: [Finding("key-space-m-closed", False, f"x={x}")],
+    )
+    code, out = run(capsys, "verify", z3e_file, "--suite", "crypto", "--json")
+    assert code == 1
+    named = [f for f in json.loads(out)["findings"] if f["name"] == "crypto.key-space-theorem"]
+    assert named == [
+        {
+            "name": "crypto.key-space-theorem",
+            "pass": False,
+            "witness": "z3e: key-space-m-closed fails (x=0)",
+        }
+    ]
+
+
 def test_build_cu_category_file(capsys, tmp_path):
     from test_construction import DERIVED_Z2_FILE
 

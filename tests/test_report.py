@@ -17,8 +17,9 @@ def test_check_helper_keeps_witness_only_on_failure():
 
 
 def test_finding_from_violation_stream():
-    assert finding("ok", iter(())).passed
-    bad = finding("bad", iter(["first", "second"]))
+    # a check returns its first witness, or None when it finds none
+    assert finding("ok", None) == Finding("ok", True)
+    bad = finding("bad", "first")
     assert not bad.passed
     assert bad.witness == "first"
 

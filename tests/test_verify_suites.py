@@ -63,7 +63,7 @@ def test_e_dense_subsemigroups_refuses_large_orders():
     n = closures.SUBSET_SCAN_BOUND + 1
     chain = core.build_semigroup([[min(i, j) for j in range(n)] for i in range(n)])
     with pytest.raises(OrderTooLarge, match="subset scan limited to order 16, got 17"):
-        verify.e_dense_subsemigroups(chain)
+        closures.e_dense_subsemigroups(chain)
 
 
 def ref_idempotent_closed_lemma_violations(S):
@@ -71,7 +71,7 @@ def ref_idempotent_closed_lemma_violations(S):
     if not core.classify_idempotents(S).is_semilattice or S.n > 12:
         return
     E = core.idempotents(S)
-    for H in verify.e_dense_subsemigroups(S):
+    for H in closures.e_dense_subsemigroups(S):
         Hc = closures.omega_h(S, H)
         for x in S.elements:
             for xp in core.weak_inverses(S, x):
@@ -123,17 +123,42 @@ def test_idempotent_closed_lemma_keeps_its_first_witness(monkeypatch, closure):
         monkeypatch.setattr(closures, "omega_h", stand_in)
     witnesses = []
     for S in lemma_tables():
-        got = list(verify._idempotent_closed_lemma_violations(S, verify._lemma_subsemigroups(S)))
-        assert got == list(ref_idempotent_closed_lemma_violations(S)), S
-        witnesses += got
+        got = verify._idempotent_closed_lemma_violations(S)
+        assert got == next(ref_idempotent_closed_lemma_violations(S), None), S
+        if got is not None:
+            witnesses.append(got)
     assert {w.split(" at ")[0] for w in witnesses} == failing_parts
 
 
-def test_suite_closures_scans_the_subsets_once(monkeypatch):
+def count_subset_scans(monkeypatch):
+    # the power-set scan is the one caller of closures.combinations, and it
+    # starts each scan with the singletons
     scans = []
-    scan = closures.e_dense_subsemigroups
-    monkeypatch.setattr(verify, "e_dense_subsemigroups", lambda S: scans.append(S) or scan(S))
-    verify.suite_closures(fx("Z3E"))
+    real = closures.combinations
+
+    def counting(elements, r):
+        if r == 1:
+            scans.append(elements)
+        return real(elements, r)
+
+    monkeypatch.setattr(closures, "combinations", counting)
+    return scans
+
+
+def test_suite_closures_scans_the_subsets_once(monkeypatch):
+    scans = count_subset_scans(monkeypatch)
+    verify.suite_closures(dataclasses.replace(fx("Z3E")))
+    assert len(scans) == 1
+
+
+def test_one_subset_scan_per_table(monkeypatch):
+    # suite_closures and suite_cosets share the scan of the table
+    scans = count_subset_scans(monkeypatch)
+    S = dataclasses.replace(fx("Z3E"))
+    verify.suites_for_table(S)
+    assert len(scans) == 1
+    subs = closures.e_dense_subsemigroups(S)
+    assert isinstance(subs, tuple) and subs is closures.e_dense_subsemigroups(S)
     assert len(scans) == 1
 
 
@@ -184,7 +209,7 @@ def _swapped_displayed_map(monkeypatch):
         for f in verify.suite_construction()
         if f.name == "construction.direct-extension-matches-pair-monoid"
     )
-    return [] if f.passed else [f.witness]
+    return None if f.passed else f.witness
 
 
 def _flipped_decomposition(monkeypatch):
@@ -224,7 +249,7 @@ WRONG_RESULTS = {
 @pytest.mark.parametrize("name", WRONG_RESULTS)
 def test_finding_fails_on_a_wrong_library_result(monkeypatch, name):
     breaks, witness = WRONG_RESULTS[name]
-    assert next(iter(breaks(monkeypatch)), None) == witness
+    assert breaks(monkeypatch) == witness
 
 
 def test_findings_fail_on_a_wrong_library_result_under_optimize():
@@ -251,23 +276,52 @@ def test_findings_fail_on_a_wrong_library_result_under_optimize():
     assert f"{len(WRONG_RESULTS)} passed" in done.stdout
 
 
+def test_fixtures_match_extension_fails_on_a_wrong_extension(monkeypatch):
+    # the finding computes G u eG from the group table, so a broken builder
+    # of the Z3E and Z6E fixtures shows
+    def null_extension(G, k=2, name=""):
+        n = k * G.n
+        return core.build_semigroup([[0] * n for _ in range(n)], name=name)
+
+    monkeypatch.setattr(construction, "adjoined_band_semigroup", null_extension)
+    construction.fixture.cache_clear()
+    try:
+        (f,) = (
+            f
+            for f in verify.suite_construction()
+            if f.name == "construction.fixtures-match-extension"
+        )
+    finally:
+        monkeypatch.undo()
+        construction.fixture.cache_clear()
+    assert not f.passed
+    assert f.witness == "Z3E differs from the band extension of Z3"
+
+
 def test_pair_monoid_check_rejects_a_wrong_monoid():
     C, action = construction.derived_category(fx("Z3"))
     cu = construction.c_u_monoid(C, action, 0)
-    assert not list(verify._pair_monoid_violations(C, action, cu))
+    assert verify._pair_monoid_violations(C, action, cu) is None
     wrong = dataclasses.replace(cu, semigroup=fx("CHAIN3"))
-    assert next(verify._pair_monoid_violations(C, action, wrong)) == (
+    assert verify._pair_monoid_violations(C, action, wrong) == (
         "idempotents are not the pairs with trivial group part"
     )
     G = fx("Z2")
     C, action = construction.adjoin_band_category(G, 2)
     cu = construction.c_u_monoid(C, action, G.identity)
-    assert not list(verify._pair_monoid_violations(C, action, cu))
+    assert verify._pair_monoid_violations(C, action, cu) is None
     units = [i for i, (p, g) in enumerate(cu.pairs) if g == G.identity]
     pairs = list(cu.pairs)
     pairs[units[0]], pairs[units[1]] = pairs[units[1]], pairs[units[0]]
     wrong = dataclasses.replace(cu, pairs=tuple(pairs))
-    assert next(verify._pair_monoid_violations(C, action, wrong)) == "identity is not (0_u, 1)"
+    assert verify._pair_monoid_violations(C, action, wrong) == "identity is not (0_u, 1)"
+
+
+def test_verify_checks_are_plain_functions():
+    # each check returns its first witness or None; finding() reads no stream
+    path = ROOT / "src" / "edense" / "verify.py"
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        assert not isinstance(node, (ast.Yield, ast.YieldFrom)), f"{path.name}:{node.lineno}"
 
 
 def test_no_handler_in_the_package_catches_assertion_error():
