@@ -103,7 +103,6 @@ from .crypto import (
     modexp_system,
     stabilizers_left_dense,
     uniform_decrypt_keys,
-    verify_key_space_theorem,
 )
 from .report import Finding, Report
 

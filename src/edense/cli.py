@@ -128,7 +128,7 @@ def cmd_build_cu(args) -> int:
     if args.category:
         C, action, _, _ = construction.parse_category(_read(args.category), G)
         source = f"category:{args.category}"
-    elif args.adjoin_band:
+    elif args.adjoin_band is not None:
         C, action = construction.adjoin_band_category(G, args.adjoin_band)
         source = f"adjoin-band:{args.adjoin_band}"
     else:
@@ -153,7 +153,7 @@ def cmd_build_cu(args) -> int:
 
 
 def _demo_system(args, rng):
-    if args.prime:
+    if args.prime is not None:
         ms = crypto.modexp_system(args.prime)
         key = rng.choice(ms.exponents)
         sys_ = ms.system(key)
@@ -201,18 +201,7 @@ def cmd_verify(args) -> int:
     else:
         S = _load_table(args.table)
         report = Report(f"verify {args.table} --suite {args.suite}")
-        report.extend(verify.suites_for_table(S, names))
-        if "crypto" in names:
-            try:
-                sys_ = crypto.locally_free_system(S, min(S.elements))
-            except WorkbenchError as exc:
-                report.info("crypto-skipped", exc)
-            else:
-                report.add(
-                    verify.finding(
-                        "crypto.key-space-theorem", verify._key_space_violations([(S.name, sys_)])
-                    )
-                )
+        report.extend(verify.table_findings(S, names))
     return _emit(report, args.json)
 
 

@@ -18,7 +18,6 @@ from operator import and_, eq
 from . import acts, closures, core
 from .core import FiniteSemigroup
 from .errors import (
-    CarrierTooLarge,
     CompositionViolation,
     NoDecryptKey,
     NoMinimumIdempotent,
@@ -28,7 +27,6 @@ from .errors import (
     OrderTooLarge,
     PreconditionFailed,
 )
-from .report import Finding, check
 
 
 @dataclass(frozen=True)
@@ -155,68 +153,12 @@ def _uniform_key(sys: Cryptosystem, key: int) -> int:
     return min(keys)
 
 
-def verify_key_space_theorem(sys: Cryptosystem, x: int) -> list[Finding]:
-    """Evaluate the structural description of K(s, x) part by part.
-
-    Parts: K is closed upward in the natural order; the closed triple
-    product of stabilizers around a weak inverse sits inside K; with a
-    band of idempotents that closure is exactly K; in an inverse
-    semigroup K is the closure of S_x s^{-1}; in a group K = S_x s^{-1}
-    with |K| = |S_x|.
-    """
-    S = sys.semigroup
-    s = sys.cipher_key
-    K = decrypt_key_space(sys, x)
-    S_x = acts.stabilizer(sys.act, x)
-    S_sx = acts.stabilizer(sys.act, sys.act.act(s, x))
-    W_s = core.weak_inverses(S, s)
-    triple = core.set_mul(S, S_x, W_s, S_sx)
-    findings = [
-        check("key-space-m-closed", closures.omega_m(S, K) == K, f"s={s} x={x}"),
-        check(
-            "key-space-contains-closed-triple",
-            closures.omega_m(S, triple) <= K,
-            f"s={s} x={x}",
-        ),
-    ]
-    if core.classify_idempotents(S).is_band:
-        findings.append(
-            check(
-                "key-space-equals-h-closed-triple",
-                closures.omega_h(S, triple) == K,
-                f"s={s} x={x}",
-            )
-        )
-    if core.is_inverse_semigroup(S):
-        (s_inv,) = core.inverse_sets(S, s).V
-        findings.append(
-            check(
-                "key-space-inverse-form",
-                closures.omega_h(S, core.set_mul(S, S_x, {s_inv})) == K,
-                f"s={s} x={x}",
-            )
-        )
-    if core.is_group(S):
-        (s_inv,) = core.inverse_sets(S, s).V
-        coset = core.set_mul(S, S_x, {s_inv})
-        findings.append(
-            check(
-                "key-space-group-form",
-                coset == K and len(K) == len(S_x),
-                f"s={s} x={x}",
-            )
-        )
-    return findings
-
-
 def locally_free_key_space(sys: Cryptosystem, x: int) -> frozenset[int]:
     """K(s, x) in the locally free E-unitary case, where it collapses to
     the closure of the weak inverses of s (equivalently, to L(s)); both
     forms are checked by the finding ``crypto.unitary-key-spaces``."""
     S = sys.semigroup
     closures.require_semilattice(S)
-    if not core.is_e_dense(S):
-        raise PreconditionFailed("e_dense")
     if not core.is_e_unitary(S):
         raise PreconditionFailed("e_unitary")
     E = core.idempotents(S)
@@ -430,76 +372,13 @@ def stabilizers_left_dense(act: acts.PartialAct) -> bool:
     decrypt key (for all x and s there is t with (ts)x = x), that is, each
     left ideal S*s meets every stabilizer.
 
-    That the two orbit formulations of ``left_dense_equivalences`` agree
-    with this scan is the finding ``crypto.left-dense-equivalences``.
+    That two orbit formulations of pointwise decryptability agree with
+    this scan is the finding ``crypto.left-dense-equivalences``.
     """
     _require_total(act.table)
     table = DecryptKeyTable.of(act.semigroup, act)
     ideals = [sum(1 << u for u in set(col)) for col in table.columns]
     return all(ideal & fixing for fixing in table.stabilizers for ideal in ideals)
-
-
-def left_dense_equivalences(act: acts.PartialAct) -> list[Finding]:
-    """The three equivalent forms of pointwise decryptability on a total act:
-    left dense stabilizers; every orbit transitive with x in its own image;
-    every locally cyclic subact transitive with x in its own image."""
-    S = act.semigroup
-    m = act.carrier
-    if m > 16:
-        raise CarrierTooLarge(m, 16, "equivalence scan")
-    cond1 = stabilizers_left_dense(act)
-
-    # reach[x] is the bitmask of {s*x : s in S}
-    reach = [0] * m
-    for x in range(m):
-        for s in S.elements:
-            reach[x] |= 1 << act.act(s, x)
-
-    def transitive_mask(mask):
-        return all(
-            mask & ~reach[y] == 0 for y in range(m) if mask >> y & 1
-        )
-
-    cond2 = all(
-        reach[x] >> x & 1 and transitive_mask(reach[x] | 1 << x) for x in range(m)
-    )
-
-    # subacts of a total act are exactly the unions of forward closures,
-    # so scanning unions of the distinct reach-closures covers them all
-    def closure_mask(x):
-        mask = 1 << x
-        while True:
-            grown = mask
-            for y in range(m):
-                if mask >> y & 1:
-                    grown |= reach[y]
-            if grown == mask:
-                return mask
-            mask = grown
-
-    distinct = sorted({closure_mask(x) for x in range(m)})
-    cond3 = all(reach[x] >> x & 1 for x in range(m))
-    for bits in range(1, 1 << len(distinct)):
-        mask = 0
-        for i, c in enumerate(distinct):
-            if bits >> i & 1:
-                mask |= c
-        points = [y for y in range(m) if mask >> y & 1]
-        locally_cyclic = all(
-            any(reach[z] >> y1 & 1 and reach[z] >> y2 & 1 for z in points)
-            for y1 in points
-            for y2 in points
-        )
-        if locally_cyclic and not transitive_mask(mask):
-            cond3 = False
-            break
-    return [
-        check(
-            "left-dense-equivalences",
-            cond1 == cond2 == cond3,
-            f"{cond1},{cond2},{cond3}",
-        ),
-    ]
 
 
 @dataclass(frozen=True)

@@ -101,10 +101,10 @@ class WellDefinednessViolation(WorkbenchError):
 
 
 class CarrierTooLarge(WorkbenchError):
-    def __init__(self, size, bound, what="isomorphism search"):
+    def __init__(self, size, bound):
         self.size = size
         self.bound = bound
-        super().__init__(f"{what} limited to {bound} points, got {size}")
+        super().__init__(f"isomorphism search limited to {bound} points, got {size}")
 
 
 class BadSubsemigroup(WorkbenchError):

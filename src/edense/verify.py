@@ -12,14 +12,15 @@ from itertools import combinations, product
 
 from . import acts, closures, core, cosets, construction, crypto
 from .core import FiniteSemigroup
-from .report import Finding
+from .errors import WorkbenchError
+from .report import Finding, check
 
 SUITE_NAMES = ("core", "closures", "acts", "cosets", "construction", "crypto")
 
 
 def finding(name: str, witness) -> Finding:
     """The finding of a check that returned ``witness``: it passes on None."""
-    return Finding(name, witness is None, None if witness is None else str(witness))
+    return check(name, witness is None, witness)
 
 
 def _tag(S: FiniteSemigroup) -> str:
@@ -1049,13 +1050,38 @@ def _stabilizer_closed_violations(systems):
 
 
 def _key_space_violations(systems):
+    """The decrypt-key space theorem, part by part, for every key s and
+    point x: K(s, x) is closed upward in the natural order and contains
+    the closure of the triple product S_x W(s) S_sx; with a band of
+    idempotents the H-closure of that product is K; in an inverse
+    semigroup K is the closure of S_x s^-1; in a group K = S_x s^-1 with
+    |K| = |S_x|.  The witness names the first part that fails."""
     for name, sys in systems:
-        for s in sys.semigroup.elements:
-            keyed = sys.with_key(s)
-            for x in sys.act.points:
-                for f in crypto.verify_key_space_theorem(keyed, x):
-                    if not f.passed:
-                        return f"{name}: {f.name} fails ({f.witness})"
+        S, act = sys.semigroup, sys.act
+        band = core.classify_idempotents(S).is_band
+        inverse = core.is_inverse_semigroup(S)
+        group = core.is_group(S)
+        for s in S.elements:
+            W_s = core.weak_inverses(S, s)
+            if inverse:
+                (s_inv,) = core.inverse_sets(S, s).V
+            for x in act.points:
+                K = crypto.decrypt_key_space(sys, x, s)
+                S_x = acts.stabilizer(act, x)
+                triple = core.set_mul(S, S_x, W_s, acts.stabilizer(act, act.act(s, x)))
+                if closures.omega_m(S, K) != K:
+                    part = "key-space-m-closed"
+                elif not closures.omega_m(S, triple) <= K:
+                    part = "key-space-contains-closed-triple"
+                elif band and closures.omega_h(S, triple) != K:
+                    part = "key-space-equals-h-closed-triple"
+                elif inverse and closures.omega_h(S, core.set_mul(S, S_x, {s_inv})) != K:
+                    part = "key-space-inverse-form"
+                elif group and not (core.set_mul(S, S_x, {s_inv}) == K and len(K) == len(S_x)):
+                    part = "key-space-group-form"
+                else:
+                    continue
+                return f"{name}: {part} fails (s={s} x={x})"
 
 
 def _left_ideal_violations():
@@ -1106,14 +1132,58 @@ def _biact_roundtrip_violations():
 
 
 def _left_dense_violations(systems):
+    """Pointwise decryptability in its three equivalent forms on a total
+    act of at most 16 points: left dense stabilizers; every orbit
+    transitive with x in its own image; every locally cyclic subact
+    transitive with x in its own image."""
     for name, sys in systems:
-        if sys.act.carrier > 16:
+        m = sys.act.carrier
+        if m > 16:
             continue
         if not crypto.stabilizers_left_dense(sys.act):
             return f"{name}: stabilizers not left dense"
-        for f in crypto.left_dense_equivalences(sys.act):
-            if not f.passed:
-                return f"{name}: {f.name} ({f.witness})"
+        # reach[x] is the bitmask of {s*x : s in S}
+        reach = [0] * m
+        for row in sys.act.table:
+            for x, y in enumerate(row):
+                reach[x] |= 1 << y
+
+        def transitive(mask):
+            return all(mask & ~reach[y] == 0 for y in range(m) if mask >> y & 1)
+
+        cond2 = all(reach[x] >> x & 1 and transitive(reach[x]) for x in range(m))
+
+        # subacts of a total act are exactly the unions of forward closures,
+        # so scanning unions of the distinct reach-closures covers them all
+        def closure(x):
+            mask = 1 << x
+            while True:
+                grown = mask
+                for y in range(m):
+                    if mask >> y & 1:
+                        grown |= reach[y]
+                if grown == mask:
+                    return mask
+                mask = grown
+
+        distinct = sorted({closure(x) for x in range(m)})
+        cond3 = all(reach[x] >> x & 1 for x in range(m))
+        for bits in range(1, 1 << len(distinct)):
+            mask = 0
+            for i, c in enumerate(distinct):
+                if bits >> i & 1:
+                    mask |= c
+            points = [y for y in range(m) if mask >> y & 1]
+            locally_cyclic = all(
+                any(reach[z] >> y1 & 1 and reach[z] >> y2 & 1 for z in points)
+                for y1 in points
+                for y2 in points
+            )
+            if locally_cyclic and not transitive(mask):
+                cond3 = False
+                break
+        if not (cond2 and cond3):
+            return f"{name}: left-dense-equivalences (True,{cond2},{cond3})"
 
 
 def _classification_violations(systems):
@@ -1174,6 +1244,21 @@ def suites_for_table(S: FiniteSemigroup, names=SUITE_NAMES) -> list[Finding]:
         out += suite_acts(S)
     if "cosets" in names:
         out += suite_cosets(S)
+    return out
+
+
+def table_findings(S: FiniteSemigroup, names=SUITE_NAMES) -> list[Finding]:
+    """What ``edense verify TABLE`` reports: the per-table suites and, with
+    the crypto suite, the key-space theorem on the canonical system of S,
+    or the info finding ``crypto-skipped`` when S has none."""
+    out = suites_for_table(S, names)
+    if "crypto" in names:
+        try:
+            sys = crypto.locally_free_system(S, min(S.elements))
+        except WorkbenchError as exc:
+            out.append(Finding("crypto-skipped", True, str(exc)))
+        else:
+            out.append(finding("crypto.key-space-theorem", _key_space_violations([(S.name, sys)])))
     return out
 
 

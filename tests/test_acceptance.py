@@ -265,19 +265,9 @@ def test_criterion_08_constructions():
 @_stamp(9, "decrypt-key-space theorem across the cancellative corpus")
 def test_criterion_09_key_space_theorem():
     systems = verify._system_corpus()
-    part4_seen = 0
-    for name, sys_ in systems:
-        S = sys_.semigroup
-        for s in S.elements:
-            keyed = sys_.with_key(s)
-            for x in sys_.act.points:
-                findings = crypto.verify_key_space_theorem(keyed, x)
-                for f in findings:
-                    assert f.passed, f"{name}: {f.line()}"
-                if core.is_inverse_semigroup(S):
-                    assert any("inverse-form" in f.name for f in findings)
-                    part4_seen += 1
-    assert part4_seen > 0
+    assert verify._key_space_violations(systems) is None
+    # the inverse-semigroup form (part 4) applies to some of the systems
+    assert any(core.is_inverse_semigroup(sys_.semigroup) for _, sys_ in systems)
     # group specialisation on the 6-cycle group
     S = fx("Z6")
     rows, _ = acts.left_mult_total(S)

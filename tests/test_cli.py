@@ -176,6 +176,24 @@ def test_crypto_demo_not_prime(capsys):
     assert "NotPrime" in out
 
 
+def test_crypto_demo_prime_zero(capsys):
+    finding = _single_failure(capsys, "crypto-demo", "--prime", "0")
+    assert finding == {
+        "name": "NotPrime", "pass": False, "witness": "0 is not a prime in the supported range"
+    }
+
+
+def test_build_cu_adjoin_band_zero(capsys, tmp_path):
+    grp = tmp_path / "z3.tbl"
+    grp.write_text(core.format_cayley_table(fx("Z3")))
+    finding = _single_failure(capsys, "build-cu", "--group", str(grp), "--adjoin-band", "0")
+    assert finding == {
+        "name": "UnsupportedBand",
+        "pass": False,
+        "witness": "adjoined band of size 0 not supported (need k >= 2)",
+    }
+
+
 def test_verify_table(capsys, z3e_file):
     code, out = run(capsys, "verify", z3e_file, "--suite", "cosets")
     assert code == 0
@@ -210,13 +228,14 @@ def test_verify_table_crypto_suite(capsys, z3e_file):
 
 def test_verify_table_reports_a_failing_key_space_part_once(capsys, monkeypatch, z3e_file):
     from edense import crypto
-    from edense.report import Finding
 
-    monkeypatch.setattr(
-        crypto,
-        "verify_key_space_theorem",
-        lambda sys, x: [Finding("key-space-m-closed", False, f"x={x}")],
-    )
+    real = crypto.decrypt_key_space
+
+    def without_largest_key(sys, x, key=None):
+        K = real(sys, x, key)
+        return K - {max(K)}
+
+    monkeypatch.setattr(crypto, "decrypt_key_space", without_largest_key)
     code, out = run(capsys, "verify", z3e_file, "--suite", "crypto", "--json")
     assert code == 1
     named = [f for f in json.loads(out)["findings"] if f["name"] == "crypto.key-space-theorem"]
@@ -224,7 +243,26 @@ def test_verify_table_reports_a_failing_key_space_part_once(capsys, monkeypatch,
         {
             "name": "crypto.key-space-theorem",
             "pass": False,
-            "witness": "z3e: key-space-m-closed fails (x=0)",
+            "witness": "z3e: key-space-contains-closed-triple fails (s=0 x=0)",
+        }
+    ]
+
+
+def test_verify_table_without_a_cryptosystem_skips_crypto(capsys, tmp_path):
+    # the idempotents of the left-zero band are no semilattice, so the table
+    # has no canonical system: an info finding, and the command still passes
+    path = tmp_path / "LZ2.tbl"
+    path.write_text(core.format_cayley_table(fx("LZ2")))
+    code, out = run(capsys, "verify", str(path), "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["ok"] is True
+    named = [f for f in payload["findings"] if f["name"].startswith("crypto")]
+    assert named == [
+        {
+            "name": "crypto-skipped",
+            "pass": True,
+            "witness": "idempotents do not form a semilattice (witness (0, 1))",
         }
     ]
 

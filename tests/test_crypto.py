@@ -8,7 +8,6 @@ import pytest
 
 from edense import acts, closures, construction, core, crypto, verify
 from edense.errors import (
-    CarrierTooLarge,
     CompositionViolation,
     NotAssociativeAction,
     NotCancellative,
@@ -93,14 +92,13 @@ def test_modexp_not_free_at_plus_minus_one():
 
 
 def test_key_space_theorem_reports():
-    sys_ = band_system()
-    for x in sys_.act.points:
-        assert all(f.passed for f in crypto.verify_key_space_theorem(sys_, x))
+    # the theorem is checked by verify; the group form applies on Z6
+    assert verify._key_space_violations([("Z3E", band_system())]) is None
     S = fx("Z6")
     rows, _ = acts.left_mult_total(S)
     gsys = crypto.build_cryptosystem(S, rows, 2)
-    findings = crypto.verify_key_space_theorem(gsys, 0)
-    assert any(f.name == "key-space-group-form" and f.passed for f in findings)
+    assert core.is_group(S)
+    assert verify._key_space_violations([("Z6", gsys)]) is None
 
 
 def test_locally_free_key_space():
@@ -206,13 +204,6 @@ def test_stabilizers_left_dense():
     rows, labels = acts.left_mult_total(S)
     raw = acts.PartialAct(S, tuple(tuple(r) for r in rows))
     assert not crypto.stabilizers_left_dense(raw)
-
-
-def test_left_dense_equivalences_refuse_large_carriers():
-    S = fx("Z2")
-    big = acts.validate_act(S, [list(range(17)), list(range(17))])
-    with pytest.raises(CarrierTooLarge, match="equivalence scan limited to 16 points, got 17"):
-        crypto.left_dense_equivalences(big)
 
 
 def test_minimum_idempotent():

@@ -225,6 +225,44 @@ def _flipped_decomposition(monkeypatch):
     return verify._classification_violations(verify._system_corpus())
 
 
+def _wrong_key_space(monkeypatch):
+    real = crypto.decrypt_key_space
+
+    def without_largest_key(sys, x, key=None):
+        K = real(sys, x, key)
+        return K - {max(K)}
+
+    monkeypatch.setattr(crypto, "decrypt_key_space", without_largest_key)
+    return verify._key_space_violations(verify._system_corpus())
+
+
+def _wrong_inverse(monkeypatch):
+    # each element its own inverse: only the inverse and group forms read it
+    real = core.inverse_sets
+    monkeypatch.setattr(
+        core, "inverse_sets", lambda S, s: dataclasses.replace(real(S, s), V=frozenset({s}))
+    )
+    return verify._key_space_violations(verify._system_corpus())
+
+
+def _every_key_decrypts(monkeypatch):
+    # K = S is closed and holds every triple, so only the band form can fail
+    monkeypatch.setattr(
+        crypto, "decrypt_key_space", lambda sys, x, key=None: frozenset(sys.semigroup.elements)
+    )
+    return verify._key_space_violations(verify._system_corpus())
+
+
+def _left_dense_claimed_for_a_non_cancellative_act(monkeypatch):
+    # on CHAIN3 every point is in its own image, but the subact {0, 1} is
+    # locally cyclic and not transitive
+    S = fx("CHAIN3")
+    rows, _ = acts.left_mult_total(S)
+    raw = acts.PartialAct(S, tuple(tuple(r) for r in rows))
+    monkeypatch.setattr(crypto, "stabilizers_left_dense", lambda act: True)
+    return verify._left_dense_violations([("CHAIN3", crypto.Cryptosystem(S, raw, 0))])
+
+
 WRONG_RESULTS = {
     "acts.order-ideal-forms": (_wrong_order_ideal, "e=0: [e] != W(e)"),
     "cosets.conjugacy-consistency": (
@@ -242,6 +280,22 @@ WRONG_RESULTS = {
     "crypto.classification-theorem": (
         _flipped_decomposition,
         "Z3: locally-free=True but copies-of-the-base-orbit=False",
+    ),
+    "crypto.key-space-theorem": (
+        _wrong_key_space,
+        "Z3: key-space-contains-closed-triple fails (s=0 x=0)",
+    ),
+    "crypto.key-space-theorem/band-form": (
+        _every_key_decrypts,
+        "Z3: key-space-equals-h-closed-triple fails (s=0 x=0)",
+    ),
+    "crypto.key-space-theorem/inverse-form": (
+        _wrong_inverse,
+        "Z3: key-space-inverse-form fails (s=1 x=0)",
+    ),
+    "crypto.left-dense-equivalences": (
+        _left_dense_claimed_for_a_non_cancellative_act,
+        "CHAIN3: left-dense-equivalences (True,False,False)",
     ),
 }
 
@@ -274,6 +328,24 @@ def test_findings_fail_on_a_wrong_library_result_under_optimize():
     )
     assert done.returncode == 0, done.stdout + done.stderr
     assert f"{len(WRONG_RESULTS)} passed" in done.stdout
+
+
+def test_key_space_check_names_the_first_failing_part(monkeypatch):
+    # B2's key spaces without their largest key are no longer closed upward
+    _wrong_key_space(monkeypatch)
+    (b2,) = [(name, sys_) for name, sys_ in verify._system_corpus() if name == "B2"]
+    assert verify._key_space_violations([b2]) == "B2: key-space-m-closed fails (s=0 x=0)"
+
+
+@pytest.mark.parametrize("m", [16, 17])
+def test_left_dense_check_skips_carriers_above_16(monkeypatch, m):
+    S = fx("Z2")
+    sys_ = crypto.Cryptosystem(S, acts.validate_act(S, [list(range(m))] * 2), 0)
+    scanned = []
+    real = crypto.stabilizers_left_dense
+    monkeypatch.setattr(crypto, "stabilizers_left_dense", lambda act: scanned.append(act) or real(act))
+    assert verify._left_dense_violations([(f"Z2 on {m} points", sys_)]) is None
+    assert len(scanned) == (m <= 16)
 
 
 def test_fixtures_match_extension_fails_on_a_wrong_extension(monkeypatch):
@@ -334,3 +406,20 @@ def test_no_handler_in_the_package_catches_assertion_error():
             caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
             names = {getattr(t, "id", getattr(t, "attr", None)) for t in caught}
             assert "AssertionError" not in names, f"{path.name}:{node.lineno}"
+
+
+def test_only_the_checking_modules_build_findings():
+    # the library returns data: only verify, cli and report build findings
+    # (the package root re-exports the report types as public names)
+    allowed = {"verify.py", "cli.py", "report.py", "__init__.py"}
+    for path in sorted((ROOT / "src" / "edense").glob("*.py")):
+        if path.name in allowed:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                modules = [a.name for a in node.names]
+                if isinstance(node, ast.ImportFrom) and node.module:
+                    modules = [node.module]
+                assert not any(m.split(".")[-1] == "report" for m in modules), where
+            assert getattr(node, "id", getattr(node, "attr", None)) != "Finding", where
