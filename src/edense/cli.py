@@ -67,10 +67,10 @@ def cmd_analyze(args) -> int:
 
 
 def _act_from_args(S, args):
-    if args.act_file:
+    if args.act_file is not None:
         return acts.parse_act(_read(args.act_file), S), f"file:{args.act_file}"
     carrier = None
-    if args.carrier:
+    if args.carrier is not None:
         carrier = sorted(closures.parse_subset(args.carrier))
     if args.munn:
         return acts.munn_act(S), "munn"
@@ -125,8 +125,8 @@ def cmd_cosets(args) -> int:
 
 def cmd_build_cu(args) -> int:
     G = _load_table(args.group)
-    if args.category:
-        C, action, _, _ = construction.parse_category(_read(args.category), G)
+    if args.category is not None:
+        C, action = construction.parse_category(_read(args.category), G)
         source = f"category:{args.category}"
     elif args.adjoin_band is not None:
         C, action = construction.adjoin_band_category(G, args.adjoin_band)
@@ -279,11 +279,7 @@ def main(argv=None) -> int:
     except WorkbenchError as exc:
         report = Report(args.command)
         report.add(Finding(type(exc).__name__, False, str(exc)))
-        if getattr(args, "json", False):
-            print(report.to_json())
-        else:
-            print(report.render())
-        return 1
+        return _emit(report, getattr(args, "json", False))
 
 
 if __name__ == "__main__":

@@ -505,6 +505,7 @@ def parse_category(text: str, G: FiniteSemigroup):
     lines, ``compose:`` with ``p q r`` lines (p then q equals r), and
     ``action:`` with ``g obj u v`` / ``g mor p q`` lines.  ``#`` comments.
     Every object and every morphism needs an action line for every g.
+    Returns ``(C, action)``.
     """
 
     def ints(lineno, toks, expected):
@@ -578,5 +579,5 @@ def parse_category(text: str, G: FiniteSemigroup):
 
     on_objects = rows(obj_action, "obj", n_objects)
     on_morphisms = rows(mor_action, "mor", len(morphisms))
-    action, transitive, free = validate_group_action(C, G, on_objects, on_morphisms)
-    return C, action, transitive, free
+    action, _, _ = validate_group_action(C, G, on_objects, on_morphisms)
+    return C, action

@@ -20,12 +20,6 @@ class Finding:
         return f"[{mark}] {self.name}{tail}"
 
 
-def check(name: str, passed: bool, witness=None) -> Finding:
-    if passed:
-        return Finding(name, True)
-    return Finding(name, False, None if witness is None else str(witness))
-
-
 @dataclass
 class Report:
     """Outcome of one CLI command: echo, findings, derived exit status."""

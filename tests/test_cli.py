@@ -374,6 +374,23 @@ def test_missing_table_file(capsys, tmp_path):
     }
 
 
+@pytest.mark.parametrize("option", ["--act-file", "--category"])
+def test_empty_file_option_is_an_unreadable_file(capsys, z6_file, option):
+    # an empty file name is a file that cannot be read, not an absent option
+    command = ["act", z6_file] if option == "--act-file" else ["build-cu", "--group", z6_file]
+    finding = _single_failure(capsys, *command, option, "")
+    assert finding["name"] == "UnreadableFile"
+    assert finding["witness"].startswith("cannot read : ")
+
+
+def test_empty_carrier_is_the_empty_carrier(capsys, z3e_file):
+    _, blank = run(capsys, "act", z3e_file, "--carrier", " ", "--json")
+    code, empty = run(capsys, "act", z3e_file, "--carrier", "", "--json")
+    assert code == 0
+    assert empty == blank
+    assert {"name": "act-valid", "pass": True, "witness": "0 points"} in json.loads(empty)["findings"]
+
+
 def test_parser_is_built_once_per_process(capsys, monkeypatch, z3e_file):
     run(capsys, "analyze", z3e_file)
     built = []

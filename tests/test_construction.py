@@ -209,8 +209,8 @@ action:
 
 def test_parse_category_file():
     G = fx("Z2")
-    C, action, transitive, free = construction.parse_category(DERIVED_Z2_FILE, G)
-    assert transitive and free
+    C, action = construction.parse_category(DERIVED_Z2_FILE, G)
+    assert action.transitive and action.free
     cu = construction.c_u_monoid(C, action, 0)
     assert core.find_semigroup_isomorphism(cu.semigroup, G) is not None
 

@@ -2,18 +2,13 @@
 
 import json
 
-from edense.report import Finding, Report, check
+from edense.report import Finding, Report
 from edense.verify import finding
 
 
 def test_finding_lines():
     assert Finding("x", True).line() == "[PASS] x"
     assert Finding("x", False, "bad").line() == "[FAIL] x  [bad]"
-
-
-def test_check_helper_keeps_witness_only_on_failure():
-    assert check("a", True, witness="ignored").witness is None
-    assert check("a", False, witness=(1, 2)).witness == "(1, 2)"
 
 
 def test_finding_from_violation_stream():

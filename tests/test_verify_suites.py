@@ -14,6 +14,7 @@ import pytest
 
 from edense import acts, closures, construction, core, cosets, crypto, verify
 from edense.errors import OrderTooLarge
+from edense.report import Finding
 
 from conftest import fx
 
@@ -30,6 +31,36 @@ def test_small_order_sweep():
     (f,) = verify.small_order_sweep()
     assert f.passed, f.witness
     assert f.witness == "122 tables checked"
+
+
+def test_small_tables_are_enumerated_once_per_run(monkeypatch):
+    # the enumeration-count check and the small-order sweep read one pass
+    # over each order
+    calls = []
+    real = construction.enumerate_semigroups
+    monkeypatch.setattr(construction, "enumerate_semigroups", lambda n: calls.append(n) or real(n))
+    verify._small_tables.cache_clear()
+    verify.corpus_findings()
+    assert calls == [1, 2, 3]
+
+
+def chain(n):
+    return core.build_semigroup([[min(i, j) for j in range(n)] for i in range(n)])
+
+
+@pytest.mark.parametrize(
+    "S, reason",
+    [
+        (chain(13), "order beyond the desk-scale bound"),
+        (fx("LZ2"), "idempotents not a semilattice"),
+    ],
+    ids=["chain13", "LZ2"],
+)
+def test_gate_skips_with_its_reason(S, reason):
+    t = verify._tag(S)
+    assert verify.suite_acts(S) == [Finding(f"acts.skipped{t}", True, reason)]
+    assert verify.suite_cosets(S) == [Finding(f"cosets.skipped{t}", True, reason)]
+    assert verify._lemma_subsemigroups(S) == ()
 
 
 def test_construction_suite():
@@ -60,10 +91,8 @@ def test_weak_inverse_conjugation_needs_mutual_inverse():
 
 
 def test_e_dense_subsemigroups_refuses_large_orders():
-    n = closures.SUBSET_SCAN_BOUND + 1
-    chain = core.build_semigroup([[min(i, j) for j in range(n)] for i in range(n)])
     with pytest.raises(OrderTooLarge, match="subset scan limited to order 16, got 17"):
-        closures.e_dense_subsemigroups(chain)
+        closures.e_dense_subsemigroups(chain(closures.SUBSET_SCAN_BOUND + 1))
 
 
 def ref_idempotent_closed_lemma_violations(S):
