@@ -96,6 +96,7 @@ from .crypto import (
     classify_locally_free_cryptosystem,
     decrypt_key_space,
     elgamal,
+    key_space_sizes,
     locally_free_key_space,
     locally_free_system,
     massey_omura,

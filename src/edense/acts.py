@@ -52,7 +52,8 @@ class PartialAct:
 
     def act(self, s: int, x: int) -> int:
         v = self.table[s][x]
-        assert v is not None
+        if v is None:
+            raise PreconditionFailed("defined", f"{s}*{x} is undefined")
         return v
 
     def element_domain(self, s: int) -> frozenset[int]:

@@ -169,13 +169,7 @@ def cmd_crypto_demo(args) -> int:
     sys_, label = _demo_system(args, rng)
     S = sys_.semigroup
     report = Report(f"crypto-demo {label} protocol={args.protocol} seed={args.seed}")
-    sizes = sorted(
-        {
-            len(crypto.decrypt_key_space(sys_, x, s))
-            for s in S.elements
-            for x in sys_.act.points
-        }
-    )
+    sizes = sorted(crypto.key_space_sizes(sys_))
     report.info("key-space-sizes", " ".join(map(str, sizes)))
     keys = [s for s in S.elements if crypto.uniform_decrypt_keys(sys_, s)]
     x = rng.choice(range(sys_.carrier))

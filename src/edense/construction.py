@@ -287,12 +287,12 @@ def build_category(n_objects, morphisms, compose_map, labels=None) -> FiniteCate
 
 
 def validate_group_action(C: FiniteCategory, G: FiniteSemigroup, on_objects, on_morphisms):
-    """Check the action axioms exhaustively; return (action, transitive, free).
+    """Check the action axioms exhaustively and return the action.
 
-    The action records C, and ``c_u_monoid`` trusts its flags for C alone.
+    The action records C and whether it is transitive and free, and
+    ``c_u_monoid`` trusts its flags for C alone.
     """
-    action = GroupCategoryAction(G, on_objects, on_morphisms, C)
-    return action, action.transitive, action.free
+    return GroupCategoryAction(G, on_objects, on_morphisms, C)
 
 
 def _check_group_action(C: FiniteCategory, G: FiniteSemigroup, on_objects, on_morphisms):
@@ -464,7 +464,7 @@ def _translation_category(G: FiniteSemigroup, k: int):
         [index[(G.mul(g, u), G.prod(g, s, inv[g]), f)] for u, s, f in morphs]
         for g in G.elements
     ]
-    action, _, _ = validate_group_action(C, G, on_objects, on_morphisms)
+    action = validate_group_action(C, G, on_objects, on_morphisms)
     _require_free_transitive(action)
     for u, g in product(G.elements, repeat=2):
         gu = action.obj(g, u)
@@ -579,5 +579,5 @@ def parse_category(text: str, G: FiniteSemigroup):
 
     on_objects = rows(obj_action, "obj", n_objects)
     on_morphisms = rows(mor_action, "mor", len(morphisms))
-    action, _, _ = validate_group_action(C, G, on_objects, on_morphisms)
+    action = validate_group_action(C, G, on_objects, on_morphisms)
     return C, action

@@ -141,6 +141,19 @@ def decrypt_key_space(sys: Cryptosystem, x: int, key: int | None = None) -> froz
     return frozenset(t for t, u in enumerate(table.columns[s]) if fixing >> u & 1)
 
 
+def key_space_sizes(sys: Cryptosystem) -> frozenset[int]:
+    """The sizes |K(s, x)| over every key s and every point x.
+
+    A point enters K(s, x) only through its stabilizer mask, so column s
+    is counted once per distinct mask, and no key space is built.
+    """
+    table = sys.key_table
+    masks = set(table.stabilizers)
+    return frozenset(
+        sum(fixing >> u & 1 for u in col) for col in table.columns for fixing in masks
+    )
+
+
 def uniform_decrypt_keys(sys: Cryptosystem, key: int | None = None) -> frozenset[int]:
     """Decrypt keys valid for every point: the intersection of K(s, x) over x."""
     return sys.key_table.uniform[sys.cipher_key if key is None else key]
@@ -306,7 +319,7 @@ class ModExpSystem:
         return self.exponents.index(n)
 
     def point_of(self, x: int) -> int:
-        return self.units.index(x)
+        return x - 1  # the units are 1..p-1
 
     def unit_value(self, point: int) -> int:
         return self.units[point]
@@ -356,9 +369,8 @@ def modexp_system(p: int) -> ModExpSystem:
         table, labels=[str(n) for n in exponents], name=f"U_{modulus}"
     )
     units = tuple(range(1, p)) if p > 2 else (1,)
-    rows = tuple(
-        tuple(units.index(pow(x, n, p)) for x in units) for n in exponents
-    )
+    # unit u is point u - 1
+    rows = tuple(tuple(pow(x, n, p) - 1 for x in units) for n in exponents)
     non_free = tuple(
         x
         for i, x in enumerate(units)

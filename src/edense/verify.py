@@ -268,12 +268,11 @@ def _closure_law_violations(S):
 
 def _closure_monotone_violations(S):
     fam = _subset_family(S)
-    for A, B in product(fam, repeat=2):
-        if A <= B and not closures.omega_m(S, A) <= closures.omega_m(S, B):
+    closed = [closures.omega_m(S, A) for A in fam]
+    for (A, Am), (B, Bm) in product(zip(fam, closed), repeat=2):
+        if A <= B and not Am <= Bm:
             return f"monotone fails at {sorted(A)} <= {sorted(B)}"
-        if A <= closures.omega_m(S, B) and not (
-            closures.omega_m(S, A) <= closures.omega_m(S, B)
-        ):
+        if A <= Bm and not Am <= Bm:
             return f"A <= Bm but Am !<= Bm at {sorted(A)}, {sorted(B)}"
 
 

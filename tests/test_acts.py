@@ -1,6 +1,11 @@
 """Partial-act validation and the restricted-multiplication and
 idempotent-conjugation actions, with orbit/stabilizer/grading structure."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from edense import acts, closures, core
@@ -239,3 +244,34 @@ def test_disjoint_union_rejects_acts_over_different_semigroups():
 def test_act_isomorphism_rejects_acts_over_different_semigroups():
     with pytest.raises(PreconditionFailed, match="different semigroups"):
         acts.find_act_isomorphism(*one_point_acts())
+
+
+UNDEFINED_ENTRY = """
+from edense import acts, construction
+from edense.errors import PreconditionFailed
+wp = acts.wagner_preston(construction.fixture("B2"))
+try:
+    wp.act(1, 1)
+except PreconditionFailed as exc:
+    print(exc)
+"""
+
+
+def test_act_on_an_undefined_entry_raises_with_and_without_optimize():
+    # an assert would return None under python -O, which strips it
+    wp = acts.wagner_preston(fx("B2"))
+    assert not wp.defined(1, 1)
+    with pytest.raises(PreconditionFailed, match=r"defined 1\*1 is undefined"):
+        wp.act(1, 1)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", UNDEFINED_ENTRY],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "precondition failed: defined 1*1 is undefined\n"

@@ -78,10 +78,8 @@ def test_group_action_validation_flags():
     # trivial action of Z2 on the one-object category: valid but not free
     on_objects = [[0], [0]]
     on_morphisms = [[0, 1], [0, 1]]
-    action, transitive, free = construction.validate_group_action(
-        C, Z2, on_objects, on_morphisms
-    )
-    assert transitive and not free
+    action = construction.validate_group_action(C, Z2, on_objects, on_morphisms)
+    assert action.transitive and not action.free
 
 
 @pytest.mark.parametrize("name", ["Z2", "Z3", "Z6"])
@@ -97,7 +95,7 @@ def test_pair_monoid_preconditions():
     Z2 = fx("Z2")
     on_objects = [[0], [0]]
     on_morphisms = [[0, 1], [0, 1]]
-    action, _, _ = construction.validate_group_action(C, Z2, on_objects, on_morphisms)
+    action = construction.validate_group_action(C, Z2, on_objects, on_morphisms)
     with pytest.raises(PreconditionFailed):
         construction.c_u_monoid(C, action, 0)
 
@@ -323,7 +321,7 @@ def _category_outcome(n_objects, morphisms, compose_map):
 
 def _action_outcome(C, G, on_objects, on_morphisms):
     new = _outcome(construction.validate_group_action, C, G, on_objects, on_morphisms)
-    return ("ok", new[1][1:]) if new[0] == "ok" else new
+    return ("ok", (new[1].transitive, new[1].free)) if new[0] == "ok" else new
 
 
 def _built():
@@ -454,11 +452,11 @@ def test_action_flags_match_loops():
     cases.append((C, fx("Z2"), *_trivial_action(C, fx("Z2"))))
     flags = set()
     for C, G, on_objects, on_morphisms in cases:
-        action, transitive, free = construction.validate_group_action(C, G, on_objects, on_morphisms)
-        assert (action.transitive, action.free) == (transitive, free)
-        assert (transitive, free) == _loop_validate_group_action(C, G, on_objects, on_morphisms)
+        action = construction.validate_group_action(C, G, on_objects, on_morphisms)
+        flags_of_action = (action.transitive, action.free)
+        assert flags_of_action == _loop_validate_group_action(C, G, on_objects, on_morphisms)
         assert action.category is C
-        flags.add((transitive, free))
+        flags.add(flags_of_action)
     assert flags == {(True, True), (True, False), (False, False)}
 
 

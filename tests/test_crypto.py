@@ -1,12 +1,15 @@
 """Cryptosystems over cancellative acts: key spaces, protocol round
 trips on the modular-exponentiation oracle, and the orbit classification."""
 
+import json
+import math
 import random
 from itertools import product
 
 import pytest
 
 from edense import acts, closures, construction, core, crypto, verify
+from edense.cli import main
 from edense.errors import (
     CompositionViolation,
     NotAssociativeAction,
@@ -300,6 +303,7 @@ REFERENCE_SYSTEMS = reference_systems()
 @pytest.mark.parametrize("name,sys_", REFERENCE_SYSTEMS, ids=[n for n, _ in REFERENCE_SYSTEMS])
 def test_key_table_matches_act_scans(name, sys_):
     S = sys_.semigroup
+    sizes = set()
     for s in S.elements:
         keyed = sys_.with_key(s)
         assert keyed.key_table is sys_.key_table
@@ -307,9 +311,11 @@ def test_key_table_matches_act_scans(name, sys_):
             expected = reference_key_space(sys_, x, s)
             assert crypto.decrypt_key_space(sys_, x, s) == expected
             assert crypto.decrypt_key_space(keyed, x) == expected
+            sizes.add(len(expected))
         expected = reference_uniform_keys(sys_, s)
         assert crypto.uniform_decrypt_keys(sys_, s) == expected
         assert crypto.uniform_decrypt_keys(keyed) == expected
+    assert crypto.key_space_sizes(sys_) == sizes
     commutative = all(S.mul(a, b) == S.mul(b, a) for a in S.elements for b in S.elements)
     assert sys_.key_table.commutative == commutative
     assert crypto.stabilizers_left_dense(sys_.act) == reference_pointwise_decryptable(sys_.act)
@@ -326,6 +332,44 @@ def test_key_table_empty_carrier():
     sys_ = crypto.build_cryptosystem(S, [[] for _ in S.elements], 0)
     for s in S.elements:
         assert crypto.uniform_decrypt_keys(sys_, s) == reference_uniform_keys(sys_, s) == set()
+    assert crypto.key_space_sizes(sys_) == set()
+
+
+# --- modexp systems and key-space sizes against arithmetic --------------------
+
+
+def oracle_key_space_sizes(p):
+    """{phi(p-1)/phi(d) : d | p-1}: K(n, x) is a coset of Stab(x), whose
+    size is phi(p-1)/phi(ord x), and every divisor d of p-1 is the order
+    of some unit."""
+
+    def phi(m):
+        return sum(1 for k in range(1, m + 1) if math.gcd(k, m) == 1)
+
+    m = p - 1
+    return {phi(m) // phi(d) for d in range(1, m + 1) if m % d == 0}
+
+
+PRIMES_TO_257 = [p for p in range(2, 258) if all(p % d for d in range(2, p))]
+
+
+def test_modexp_systems_match_arithmetic_for_every_prime():
+    assert len(PRIMES_TO_257) == 55
+    for p in PRIMES_TO_257:
+        ms = crypto.modexp_system(p)
+        units = list(range(1, p))
+        assert [ms.point_of(u) for u in units] == list(range(len(units))), f"p={p}"
+        for n, row in zip(ms.exponents, ms.rows):
+            assert [ms.unit_value(y) for y in row] == [pow(u, n, p) for u in units], f"p={p}"
+        sizes = crypto.key_space_sizes(ms.system(ms.exponents[-1]))
+        assert sizes == oracle_key_space_sizes(p), f"p={p}"
+
+
+def test_crypto_demo_reports_the_arithmetic_key_space_sizes(capsys):
+    assert main(["crypto-demo", "--prime", "241", "--json"]) == 0
+    witness = {f["name"]: f["witness"] for f in json.loads(capsys.readouterr().out)["findings"]}
+    expected = " ".join(map(str, sorted(oracle_key_space_sizes(241))))
+    assert witness["key-space-sizes"] == expected == "1 2 4 8 16 32 64"
 
 
 def test_pointwise_decryptable_non_cancellative_matches_scan():

@@ -159,6 +159,62 @@ def test_idempotent_closed_lemma_keeps_its_first_witness(monkeypatch, closure):
     assert {w.split(" at ")[0] for w in witnesses} == failing_parts
 
 
+def ref_closure_monotone_violations(S):
+    # the monotonicity loop with omega_m called inside the loop over pairs
+    fam = verify._subset_family(S)
+    for A, B in product(fam, repeat=2):
+        if A <= B and not closures.omega_m(S, A) <= closures.omega_m(S, B):
+            return f"monotone fails at {sorted(A)} <= {sorted(B)}"
+        if A <= closures.omega_m(S, B) and not (
+            closures.omega_m(S, A) <= closures.omega_m(S, B)
+        ):
+            return f"A <= Bm but Am !<= Bm at {sorted(A)}, {sorted(B)}"
+
+
+def _with_least_missing(S, A):
+    missing = [s for s in S.elements if s not in A]
+    return frozenset(A) | frozenset(missing[:1])
+
+
+# stand-ins for omega_m: the complement reverses inclusion, so the monotone
+# part fails; adding the least missing element keeps inclusion but is not
+# idempotent, so only the "A <= Bm" part fails
+M_CLOSURES = {
+    "omega_m": (None, set()),
+    "complement": (lambda S, A: frozenset(S.elements) - frozenset(A), {"monotone fails"}),
+    "adds-least-missing": (_with_least_missing, {"A <= Bm but Am !<= Bm"}),
+}
+
+
+@pytest.mark.parametrize("closure", M_CLOSURES)
+def test_monotonicity_check_keeps_its_first_witness(monkeypatch, closure):
+    stand_in, failing_parts = M_CLOSURES[closure]
+    if stand_in is not None:
+        monkeypatch.setattr(closures, "omega_m", stand_in)
+    tables = (
+        [S for n in (1, 2, 3) for S in construction.enumerate_semigroups(n)]
+        + [fx(name) for name in construction.FIXTURE_NAMES]
+        + [z_k_e(k) for k in range(1, 7)]
+    )
+    assert len(tables) == 122 + len(construction.FIXTURE_NAMES) + 6
+    witnesses = []
+    for S in tables:
+        got = verify._closure_monotone_violations(S)
+        assert got == ref_closure_monotone_violations(S), S
+        if got is not None:
+            witnesses.append(got)
+    assert {w.split(" at ")[0] for w in witnesses} == failing_parts
+
+
+def test_monotonicity_check_closes_each_subset_once(monkeypatch):
+    calls = []
+    real = closures.omega_m
+    monkeypatch.setattr(closures, "omega_m", lambda S, A: calls.append(A) or real(S, A))
+    S = fx("Z6E")
+    assert verify._closure_monotone_violations(S) is None
+    assert len(calls) == len(verify._subset_family(S)) == 39
+
+
 def count_subset_scans(monkeypatch):
     # the power-set scan is the one caller of closures.combinations, and it
     # starts each scan with the singletons
