@@ -92,10 +92,12 @@ class GradingObstruction:
 def validate_act(S: FiniteSemigroup, rows, point_labels=None) -> PartialAct:
     """Check the act axioms exhaustively and return the act.
 
-    The composition law is checked in both directions for all (s, t, x)
-    triples: (st)x is defined exactly when s(tx) is, and then they agree.
-    The action must be cancellative and reflexive (some weak inverse of s
-    acts on every defined sx).
+    The composition law is checked in both directions: (st)x is defined
+    exactly when s(tx) is, and then they agree.  s ranges over the greedy
+    generators of S and t, x over everything, which still finds the first
+    failing (s, t, x) of a full scan (see ``_composition_witness``).  The
+    action must be cancellative and reflexive (some weak inverse of s acts
+    on every defined sx).
 
     Each law is checked a whole row at a time; a failing row is rescanned
     point by point only to name its first witness.
@@ -146,7 +148,12 @@ def _composition_witness(S: FiniteSemigroup, table, right=False):
     or None.
 
     With ``right``, ``table[s][x]`` is x*s and x(st) is compared with
-    (xs)t.  A failing row is rescanned only to name its first point.
+    (xs)t.  s ranges over the greedy generators of S, t and x over
+    everything.  That is exhaustive: the s for which the law holds are
+    closed under products, ((ab)t)x = (a(bt))x = a((bt)x) = a(b(tx)) =
+    (ab)(tx) (and the mirror image on the right), so the least failing s
+    is a generator.  A failing row is rescanned only to name its first
+    point.
     """
     m = len(table[0]) if table else 0
     if not m:
@@ -154,7 +161,7 @@ def _composition_witness(S: FiniteSemigroup, table, right=False):
     # slot m stands for "undefined", and every element keeps it there
     full = [tuple(m if v is None else v for v in row) + (m,) for row in table]
     then = [itemgetter(*row) for row in full]
-    for s, t in product(S.elements, repeat=2):
+    for s, t in product(S.structure.generators, S.elements):
         inner, outer = (s, t) if right else (t, s)
         row = full[S.mul(s, t)]
         if then[inner](full[outer]) != row:

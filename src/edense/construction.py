@@ -225,8 +225,13 @@ def build_category(n_objects, morphisms, compose_map, labels=None) -> FiniteCate
 
     ``morphisms`` is a sequence of (source, target) pairs, ``compose_map``
     maps composable pairs (p, q) to p-then-q.  Identities are detected,
-    one per object.  Associativity is checked a row at a time: for each
-    composable (p, q), over the morphisms r leaving the target of q.
+    one per object.  Associativity (pq)r = p(qr) is checked with p over the
+    greedy generators of the morphisms under composition, and for each
+    such p a row at a time: for each q leaving the target of p, over the
+    morphisms r leaving the target of q.  That is still exhaustive: the p
+    for which the law holds are closed under composition, ((ab)q)r =
+    a(b(qr)) = (ab)(qr), so the least failing p is a generator and the
+    scan names the first failing triple of a full scan.
     """
     _check_range(morphisms, n_objects)
     source = tuple(src for src, _ in morphisms)
@@ -253,16 +258,21 @@ def build_category(n_objects, morphisms, compose_map, labels=None) -> FiniteCate
     then_of = [then[v] for v in target]
     # after[q] picks the entries of a row at the composites q.r
     after = [_picker(then_of[q](row)) for q, row in enumerate(compose)]
-    for p, row_p in enumerate(compose):
+    arriving = _leaving(n_objects, target)
+    generators = core.greedy_generators(
+        m,
+        lambda x, inside: [compose[x][q] for q in leaving[target[x]] if q in inside]
+        + [compose[q][x] for q in arriving[source[x]] if q in inside],
+    )
+    for p in generators:
         # (pq)r against p(qr), for each q after p over the r after q
-        out = leaving[target[p]]
+        row_p, out = compose[p], leaving[target[p]]
         if [then_of[q](compose[row_p[q]]) for q in out] != [after[q](row_p) for q in out]:
             for q in out:
                 for r in leaving[target[q]]:
                     if compose[row_p[q]][r] != row_p[compose[q][r]]:
                         raise NonAssociative(p, q, r, where="composition")
     identities = []
-    arriving = _leaving(n_objects, target)
     for u in range(n_objects):
         unit = None
         for e in leaving[u]:
@@ -289,6 +299,14 @@ def build_category(n_objects, morphisms, compose_map, labels=None) -> FiniteCate
 def validate_group_action(C: FiniteCategory, G: FiniteSemigroup, on_objects, on_morphisms):
     """Check the action axioms exhaustively and return the action.
 
+    Each law is checked with g over the greedy generators of G and every
+    other argument in full: the action law (gh)u = g(hu) over all h, then
+    hom-sets, functoriality and identities for each g.  That is still
+    exhaustive: the g for which a law holds are closed under products
+    (given the action law, (ab)p = a(bp), so ab keeps hom-sets,
+    composites and identities when a and b do), so the least failing g is
+    a generator, with the witness of a full scan.
+
     The action records C and whether it is transitive and free, and
     ``c_u_monoid`` trusts its flags for C alone.
     """
@@ -296,9 +314,9 @@ def validate_group_action(C: FiniteCategory, G: FiniteSemigroup, on_objects, on_
 
 
 def _check_group_action(C: FiniteCategory, G: FiniteSemigroup, on_objects, on_morphisms):
-    """The action axioms, each law compared a whole row at a time; a
-    failing row is rescanned only to name its first witness.  Returns
-    (transitive, free)."""
+    """The action axioms, each law compared a whole row at a time, with g
+    over the generators of G; a failing row is rescanned only to name its
+    first witness.  Returns (transitive, free)."""
     if not core.is_group(G):
         raise NotGroup()
     n, m = C.n_objects, C.n_morphisms
@@ -317,7 +335,8 @@ def _check_group_action(C: FiniteCategory, G: FiniteSemigroup, on_objects, on_mo
             raise ActionAxiomViolation("identity must fix morphisms", p)
     obj_then = [_picker(row) for row in on_objects]
     mor_then = [_picker(row) for row in on_morphisms]
-    for g, h in product(G.elements, repeat=2):
+    gens = G.structure.generators
+    for g, h in product(gens, G.elements):
         gh = G.mul(g, h)
         if obj_then[h](on_objects[g]) != on_objects[gh]:
             for u in range(n):
@@ -332,7 +351,7 @@ def _check_group_action(C: FiniteCategory, G: FiniteSemigroup, on_objects, on_mo
     then = [_picker(out) for out in C.leaving]
     # the composites p.q over the q leaving the target of p, as a picker
     composite = [_picker(then[C.target[p]](row)) for p, row in enumerate(C.compose)]
-    for g in G.elements:
+    for g in gens:
         objs, mors = on_objects[g], on_morphisms[g]
         if mor_then[g](C.source) != of_source(objs) or mor_then[g](C.target) != of_target(objs):
             for p in range(m):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import compress, product
 from operator import and_, eq
 
@@ -208,7 +208,15 @@ class BiactTable:
 
 
 def build_biact(S: FiniteSemigroup, left_rows, right_rows) -> BiactTable:
-    """Check both actions and their compatibility, a whole row at a time."""
+    """Check both actions and their compatibility, a whole row at a time.
+
+    Every law is scanned with s over the greedy generators of S and the
+    other arguments in full.  That is exhaustive: once both composition
+    laws hold, the s with (sx)t = s(xt) for all x, t are closed under
+    products, ((ab)x)t = a(b(xt)) = (ab)(xt), so the least failing s is a
+    generator, as it is for the composition laws themselves (see
+    ``acts._composition_witness``).
+    """
     left = tuple(tuple(r) for r in left_rows)
     right = tuple(tuple(r) for r in right_rows)
     m = len(left[0])
@@ -219,7 +227,7 @@ def build_biact(S: FiniteSemigroup, left_rows, right_rows) -> BiactTable:
     for s in S.elements:
         if len(set(left[s])) != m or len(set(by_element[s])) != m:
             raise NotCancellative(s, -1, -1)
-    for s, t in product(S.elements, repeat=2):
+    for s, t in product(S.structure.generators, S.elements):
         # (sx)t against s(xt)
         after, before = left[s], by_element[t]
         if [before[v] for v in after] != [after[v] for v in before]:
@@ -324,12 +332,14 @@ class ModExpSystem:
     def unit_value(self, point: int) -> int:
         return self.units[point]
 
+    @cached_property
+    def _unkeyed(self) -> Cryptosystem:
+        # the act is validated once; every keyed system shares its key table
+        return build_cryptosystem(self.semigroup, self.rows, 0, [str(u) for u in self.units])
+
     def system(self, n: int) -> Cryptosystem:
         """Cryptosystem keyed by the exponent value n."""
-        labels = [str(u) for u in self.units]
-        return build_cryptosystem(
-            self.semigroup, self.rows, self.element_of(n), labels
-        )
+        return self._unkeyed.with_key(self.element_of(n))
 
 
 def _is_prime(p: int) -> bool:
@@ -364,7 +374,8 @@ def modexp_system(p: int) -> ModExpSystem:
         r = (a * b) % modulus
         return r if r else modulus
 
-    table = [[exponents.index(emul(a, b)) for b in exponents] for a in exponents]
+    position = {n: i for i, n in enumerate(exponents)}
+    table = [[position[emul(a, b)] for b in exponents] for a in exponents]
     S = core.build_semigroup(
         table, labels=[str(n) for n in exponents], name=f"U_{modulus}"
     )

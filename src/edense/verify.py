@@ -1061,14 +1061,15 @@ def _key_space_violations(systems):
         band = core.classify_idempotents(S).is_band
         inverse = core.is_inverse_semigroup(S)
         group = core.is_group(S)
+        stabilizers = [acts.stabilizer(act, x) for x in act.points]
         for s in S.elements:
             W_s = core.weak_inverses(S, s)
             if inverse:
                 (s_inv,) = core.inverse_sets(S, s).V
             for x in act.points:
                 K = crypto.decrypt_key_space(sys, x, s)
-                S_x = acts.stabilizer(act, x)
-                triple = core.set_mul(S, S_x, W_s, acts.stabilizer(act, act.act(s, x)))
+                S_x = stabilizers[x]
+                triple = core.set_mul(S, S_x, W_s, stabilizers[act.act(s, x)])
                 if closures.omega_m(S, K) != K:
                     part = "key-space-m-closed"
                 elif not closures.omega_m(S, triple) <= K:

@@ -22,7 +22,7 @@ from edense.errors import (
     WorkbenchError,
 )
 
-from conftest import fx
+from conftest import cyclic_table, fx, product_table, twist_outside
 
 
 def one_object_z2_category():
@@ -437,6 +437,104 @@ def test_validate_group_action_witnesses_match_triple_loops():
         "gp must lie in hom(gu, gv)",
         "g(p+q) != gp+gq",
     }
+
+
+def _larger_built():
+    """The derived and adjoin-band categories of Z6 and Z2 x Z4 with their
+    actions, where the greedy generators are a small part of the group."""
+    for name, table in (
+        ("Z6", cyclic_table(6)),
+        ("Z2xZ4", product_table(cyclic_table(2), cyclic_table(4))),
+    ):
+        G = core.build_semigroup(table, name=name)
+        assert len(G.structure.generators) < G.n // 2
+        yield (G, *construction.derived_category(G))
+        yield (G, *construction.adjoin_band_category(G, 2))
+
+
+def test_category_and_action_witnesses_match_loops_over_few_generators():
+    seen = set()
+    for G, C, action in _larger_built():
+        morphisms = list(zip(C.source, C.target))
+        compose_map = {
+            (p, q): r for p, row in enumerate(C.compose) for q, r in enumerate(row) if r is not None
+        }
+        rng = random.Random(f"larger compose {G.name} {C.n_morphisms}")
+        for cm in _compose_corruptions(morphisms, compose_map, rng, 12):
+            old = _outcome(_loop_build_category, C.n_objects, morphisms, cm)
+            assert _category_outcome(C.n_objects, morphisms, cm) == old
+            seen.add(old[0])
+        rng = random.Random(f"larger action {G.name} {C.n_morphisms}")
+        cases = [*_action_corruptions(C, action, rng, 30), *_law_keeping_actions(G, C, action)]
+        if C.n_morphisms == 2 * G.n**2:
+            # the elements of odd id also swap the flags 0 and e: g -> g mod 2
+            # is a homomorphism onto Z2 for both groups, so the action law
+            # and hom-sets hold and functoriality fails
+            swapped = [[p ^ g % 2 for p in row] for g, row in enumerate(action.on_morphisms)]
+            cases.append((action.on_objects, swapped))
+        for on_objects, on_morphisms in cases:
+            old = _outcome(_loop_validate_group_action, C, G, on_objects, on_morphisms)
+            assert _action_outcome(C, G, on_objects, on_morphisms) == old
+            seen.add(old[2].split(": ", 1)[1].split(" (witness")[0] if old[0] != "ok" else old)
+    assert {
+        NonAssociative,
+        "(gh)u != g(hu)",
+        "(gh)p != g(hp)",
+        "gp must lie in hom(gu, gv)",
+        "g(p+q) != gp+gq",
+    } <= seen
+
+
+def _category_closure(C, gens):
+    closed = set(gens)
+    while True:
+        more = closed | {
+            C.compose[p][q] for p in closed for q in closed if C.target[p] == C.source[q]
+        }
+        if more == closed:
+            return closed
+        closed = more
+
+
+def test_category_generators_are_greedy(monkeypatch):
+    found = []
+    real = core.greedy_generators
+    monkeypatch.setattr(core, "greedy_generators", lambda *a: found.append(real(*a)) or found[-1])
+    for _, C, _ in (*_built(), *_larger_built()):
+        morphisms = list(zip(C.source, C.target))
+        compose_map = {
+            (p, q): r for p, row in enumerate(C.compose) for q, r in enumerate(row) if r is not None
+        }
+        found.clear()
+        construction.build_category(C.n_objects, morphisms, compose_map)
+        (gens,) = found
+        assert _category_closure(C, gens) == set(range(C.n_morphisms))
+        for i, g in enumerate(gens):
+            assert g not in _category_closure(C, gens[:i])
+
+
+def test_category_and_action_scans_reach_the_last_generator():
+    # a monoid table whose rows outside <gens[:-1]> are twisted is a
+    # one-object category failing associativity first at gens[-1]; the
+    # same twist of an action's rows fails the action law first there
+    G = core.build_semigroup(product_table(cyclic_table(2), cyclic_table(4)), name="Z2xZ4")
+    gens = G.structure.generators
+    table, _ = twist_outside(G.table, gens, G.table)
+    morphisms = [(0, 0)] * G.n
+    compose_map = {(p, q): r for p, row in enumerate(table) for q, r in enumerate(row)}
+    old = _outcome(_loop_build_category, 1, morphisms, compose_map)
+    assert old[0] is NonAssociative and old[1][0] == gens[-1]
+    assert _category_outcome(1, morphisms, compose_map) == old
+    C, action = construction.adjoin_band_category(G, 2)
+    twisted_objects, _ = twist_outside(G.table, gens, action.on_objects)
+    twisted_morphisms, _ = twist_outside(G.table, gens, action.on_morphisms)
+    for rows, law in (
+        ((twisted_objects, action.on_morphisms), "(gh)u != g(hu)"),
+        ((action.on_objects, twisted_morphisms), "(gh)p != g(hp)"),
+    ):
+        old = _outcome(_loop_validate_group_action, C, G, *rows)
+        assert law in old[2] and old[1][0] == gens[-1]
+        assert _action_outcome(C, G, *rows) == old
 
 
 def _trivial_action(C, G):

@@ -1,11 +1,12 @@
 """Element-level invariants, checked against values computed by direct
 table scans (frozen below) and against the documented fixture corpus."""
 
+import random
 from itertools import product
 
 import pytest
 
-from edense import core
+from edense import construction, core
 from edense.errors import (
     BadIdentityHint,
     NonAssociative,
@@ -14,7 +15,7 @@ from edense.errors import (
     PreconditionFailed,
 )
 
-from conftest import fx
+from conftest import closure, cyclic_table, fx, product_table, relabelled, twist_outside
 
 CHAIN3_TABLE = [[0, 0, 0], [0, 1, 1], [0, 1, 2]]
 
@@ -72,6 +73,77 @@ def test_build_witness_matches_triple_loop_on_every_table(n):
         counts[witness is None] += 1
     # associative tables of order 1, 2, 3: OEIS A023814
     assert counts[True] == {1: 1, 2: 8, 3: 113}[n]
+
+
+# --- greedy generators --------------------------------------------------------
+#
+# build_semigroup scans associativity with i over the greedy generators
+# only; ``closure`` in conftest closes a set under the product by brute force.
+
+
+def test_generators_generate_and_none_is_redundant():
+    tables = [S.table for n in (1, 2, 3) for S in construction.enumerate_semigroups(n)]
+    assert len(tables) == 122
+    tables += [S.table for S in construction.corpus()]
+    for table in tables:
+        gens = core.Structure(table).generators
+        assert list(gens) == sorted(set(gens)), table
+        assert closure(table, gens) == set(range(len(table))), table
+        for i, g in enumerate(gens):
+            # greedy: no generator is a product of the smaller ones
+            assert g not in closure(table, gens[:i]), table
+
+
+def _z_ke(k):
+    G = core.build_semigroup(cyclic_table(k))
+    return [list(row) for row in construction.adjoined_band_semigroup(G).table]
+
+
+def _larger_tables():
+    """Tables whose greedy generators are a small part of the elements."""
+    rng = random.Random("larger tables")
+    z2xz4 = product_table(cyclic_table(2), cyclic_table(4))
+    yield "Z4E", _z_ke(4)
+    yield "Z6E", _z_ke(6)
+    yield "Z8E", _z_ke(8)
+    yield "Z8 relabelled", relabelled(cyclic_table(8), rng.sample(range(8), 8))
+    yield "Z2xZ4 relabelled", relabelled(z2xz4, rng.sample(range(8), 8))
+
+
+@pytest.mark.parametrize("name,rows", list(_larger_tables()), ids=[n for n, _ in _larger_tables()])
+def test_build_witness_matches_triple_loop_on_corrupted_rows(name, rows):
+    S = core.build_semigroup(rows)
+    gens = S.structure.generators
+    assert vars(S.structure)["generators"] == gens  # left warm by the scan
+    assert len(gens) < S.n // 2
+    rng = random.Random(name)
+    corrupted_rows = set()
+    for _ in range(40):
+        bad = [list(row) for row in rows]
+        i, j = rng.randrange(S.n), rng.randrange(S.n)
+        bad[i][j] = rng.choice([v for v in S.elements if v != rows[i][j]])
+        corrupted_rows.add(i)
+        witness = _triple_loop_witness(bad)
+        if witness is None:
+            assert core.build_semigroup(bad).table == tuple(map(tuple, bad))
+            continue
+        with pytest.raises(NonAssociative) as exc:
+            core.build_semigroup(bad)
+        assert exc.value.witness == witness, (name, i, j)
+        assert str(exc.value) == str(NonAssociative(*witness))
+    assert corrupted_rows - set(gens), "no row of a non-generator was corrupted"
+
+
+@pytest.mark.parametrize("name", ["Z4E", "Z6E", "Z8E", "Z2xZ4 relabelled"])
+def test_build_scans_the_last_generator(name):
+    rows = dict(_larger_tables())[name]
+    gens = core.build_semigroup(rows).structure.generators
+    bad, _ = twist_outside(rows, gens, rows)
+    witness = _triple_loop_witness(bad)
+    assert witness[0] == gens[-1]
+    with pytest.raises(NonAssociative) as exc:
+        core.build_semigroup(bad)
+    assert exc.value.witness == witness
 
 
 def test_build_rejects_wrong_label_count():

@@ -23,7 +23,7 @@ from edense.errors import (
     WorkbenchError,
 )
 
-from conftest import SEMILATTICE_FIXTURES, fx
+from conftest import SEMILATTICE_FIXTURES, closure, fx, twist_outside
 
 
 def band_system(name="Z3E", key=1):
@@ -606,6 +606,119 @@ def test_build_biact_witnesses_match_triple_loops(name, S, rows):
         assert outcome(crypto.build_biact, S, left, right_bad) == expected(error), (name, seed)
         seen.add(type(error))
     assert NotAssociativeAction in seen
+
+
+# --- the scans over generators, where the generators are few ------------------
+#
+# Every composition and compatibility scan takes its first factor from the
+# greedy generators of S only.  On U_(p-1) acting on the units mod p they
+# are a small part of S, so corrupting a row outside them, or inside, must
+# still give the witness of the full per-triple loops.
+
+MODEXP_PRIMES = (17, 41, 97)
+
+
+def modexp_corruptions(p, seeds):
+    """(rows, bad rows, corrupted row) for one-entry corruptions of the act
+    rows of U_(p-1); the rows corrupted include rows of non-generators."""
+    ms = crypto.modexp_system(p)
+    rows = [list(r) for r in ms.rows]
+    gens = ms.semigroup.structure.generators
+    assert len(gens) < ms.semigroup.n // 2
+    out = []
+    for seed in range(seeds):
+        bad = corrupted(rows, random.Random(f"modexp-{p}:{seed}"))
+        s = next(s for s, (a, b) in enumerate(zip(rows, bad)) if a != b)
+        out.append((bad, s))
+    assert {s for _, s in out} - set(gens), "no row of a non-generator was corrupted"
+    return ms.semigroup, rows, out
+
+
+@pytest.mark.parametrize("p", MODEXP_PRIMES)
+def test_act_validators_match_triple_loops_over_few_generators(p):
+    S, rows, cases = modexp_corruptions(p, 12)
+    assert outcome(acts.validate_act, S, rows) is None
+    errors = set()
+    for bad, s in cases:
+        error = reference_build_error(S, bad)
+        assert outcome(crypto.build_cryptosystem, S, bad, 0) == expected(error), (p, s)
+        assert outcome(acts.validate_act, S, bad) == expected(
+            reference_validate_error(S, bad)
+        ), (p, s)
+        errors.add(type(error))
+    assert NotAssociativeAction in errors
+
+
+@pytest.mark.parametrize("p", MODEXP_PRIMES)
+def test_build_biact_matches_triple_loops_over_few_generators(p):
+    S, rows, cases = modexp_corruptions(p, 12)
+    right = biact_rows("modexp", S, rows)
+    for k, (bad, s) in enumerate(cases):
+        # the corruption on the left, on the right (by transposing), or both
+        left = bad if k % 3 != 1 else rows
+        right_bad = biact_rows("modexp", S, bad) if k % 3 != 0 else right
+        error = reference_biact_error(S, left, right_bad)
+        assert outcome(crypto.build_biact, S, left, right_bad) == expected(error), (p, k)
+
+
+@pytest.mark.parametrize("p", MODEXP_PRIMES)
+def test_act_scans_reach_the_last_generator(p):
+    # rows outside <gens[:-1]> twisted: the composition law fails first at
+    # gens[-1]; and S acting on itself with the right action conjugated by
+    # a map that commutes with <gens[:-1]> only: compatibility fails there
+    ms = crypto.modexp_system(p)
+    S, rows = ms.semigroup, [list(r) for r in ms.rows]
+    gens = S.structure.generators
+    bad, c = twist_outside(S.table, gens, rows)
+    error = reference_build_error(S, bad)
+    assert isinstance(error, NotAssociativeAction) and error.witness[0] == gens[-1]
+    assert outcome(crypto.build_cryptosystem, S, bad, 0) == expected(error)
+    assert outcome(acts.validate_act, S, bad) == expected(reference_validate_error(S, bad))
+    assert outcome(crypto.build_biact, S, bad, biact_rows("modexp", S, rows)) == expected(error)
+    H = closure(S.table, gens[:-1])
+    c_inv = next(d for d in S.elements if S.mul(c, d) == S.identity)
+    pi = [x if x in H else S.mul(x, c) for x in S.elements]
+    pi_inv = [x if x in H else S.mul(x, c_inv) for x in S.elements]
+    left = [list(row) for row in S.table]
+    right = [[pi_inv[S.mul(pi[x], t)] for t in S.elements] for x in S.elements]
+    error = reference_biact_error(S, left, right)
+    assert isinstance(error, NotAssociativeAction) and error.witness[0] == gens[-1]
+    assert outcome(crypto.build_biact, S, left, right) == expected(error)
+
+
+def test_composition_scan_multiplies_generators_only(monkeypatch):
+    ms = crypto.modexp_system(241)
+    gens = ms.semigroup.structure.generators
+    products = []
+    real = core.FiniteSemigroup.mul
+    monkeypatch.setattr(
+        core.FiniteSemigroup, "mul", lambda S, a, b: products.append(a) or real(S, a, b)
+    )
+    acts.validate_act(ms.semigroup, ms.rows)
+    assert ms.semigroup.n == 64 and len(gens) < 8
+    assert 0 < len(products) <= len(gens) * 64
+    assert set(products) <= set(gens)
+
+
+def test_modexp_systems_share_one_validation(monkeypatch):
+    ms = crypto.modexp_system(41)
+    calls = []
+    real = acts.validate_act
+    monkeypatch.setattr(acts, "validate_act", lambda *a: calls.append(a) or real(*a))
+    first, last = ms.system(3), ms.system(ms.exponents[-1])
+    assert len(calls) == 1
+    assert first.key_table is last.key_table
+    for n, sys_ in ((3, first), (ms.exponents[-1], last)):
+        direct = crypto.build_cryptosystem(
+            ms.semigroup, ms.rows, ms.element_of(n), [str(u) for u in ms.units]
+        )
+        assert sys_ == direct
+        assert sys_.cipher_key == ms.element_of(n)
+        assert sys_.act.table == ms.rows
+        assert sys_.act.point_labels == direct.act.point_labels
+        assert sys_.key_table == direct.key_table
+        for x in sys_.act.points:
+            assert crypto.decrypt_key_space(sys_, x) == crypto.decrypt_key_space(direct, x)
 
 
 def test_build_biact_later_checks_match_triple_loop():

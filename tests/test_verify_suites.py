@@ -16,7 +16,7 @@ from edense import acts, closures, construction, core, cosets, crypto, verify
 from edense.errors import OrderTooLarge
 from edense.report import Finding
 
-from conftest import fx
+from conftest import cyclic_table, fx
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -213,6 +213,17 @@ def test_monotonicity_check_closes_each_subset_once(monkeypatch):
     S = fx("Z6E")
     assert verify._closure_monotone_violations(S) is None
     assert len(calls) == len(verify._subset_family(S)) == 39
+
+
+def test_key_space_check_finds_each_stabilizer_once(monkeypatch):
+    Z16 = core.build_semigroup(cyclic_table(16), name="Z16")
+    sys_ = crypto.locally_free_system(construction.adjoined_band_semigroup(Z16), 1)
+    calls = []
+    real = acts.stabilizer
+    monkeypatch.setattr(acts, "stabilizer", lambda act, x: calls.append(x) or real(act, x))
+    assert verify._key_space_violations([("Z16E", sys_)]) is None
+    assert sys_.carrier == 16
+    assert len(calls) <= sys_.carrier
 
 
 def count_subset_scans(monkeypatch):
