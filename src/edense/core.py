@@ -100,10 +100,7 @@ class Structure:
     def generators(self) -> tuple[int, ...]:
         """The greedy generating set of the table, in id order (see
         ``greedy_generators``)."""
-        t = self.table
-        return greedy_generators(
-            len(t), lambda x, inside: [t[x][y] for y in inside] + [t[y][x] for y in inside]
-        )
+        return _table_generators(self.table)
 
     @cached_property
     def idempotents(self) -> frozenset[int]:
@@ -185,6 +182,12 @@ def greedy_generators(n: int, products) -> tuple[int, ...]:
     return tuple(gens)
 
 
+def _table_generators(t) -> tuple[int, ...]:
+    return greedy_generators(
+        len(t), lambda x, inside: [t[x][y] for y in inside] + [t[y][x] for y in inside]
+    )
+
+
 def _find_identity(table) -> int | None:
     n = len(table)
     for e in range(n):
@@ -216,9 +219,9 @@ def build_semigroup(rows, identity_hint=None, labels=None, name="") -> FiniteSem
     exhaustive: the i for which the law holds are closed under products,
     ((ab)j)k = a(b(jk)) = (ab)(jk), so the least failing i is a generator
     and the scan names the first failing triple of a full n^3 scan.  A
-    failing row is rescanned only to name that triple.  The generators are
-    left in ``S.structure.generators``.  A two-sided identity is detected
-    automatically; ``identity_hint`` is only checked against it.
+    failing row is rescanned only to name that triple.  A two-sided
+    identity is detected automatically; ``identity_hint`` is only checked
+    against it.
     """
     table = tuple(tuple(row) for row in rows)
     n = len(table)
@@ -230,9 +233,8 @@ def build_semigroup(rows, identity_hint=None, labels=None, name="") -> FiniteSem
         for j, v in enumerate(row):
             if not (0 <= v < n):
                 raise OutOfRangeEntry(i, j, v)
-    structure = Structure(table)
     then = [_picker(row) for row in table]
-    for i in structure.generators:
+    for i in _table_generators(table):
         row = table[i]
         # row i*j times k is table[i*j]; i times row j is row j through row i
         if [table[ij] for ij in row] != [get(row) for get in then]:
@@ -246,10 +248,7 @@ def build_semigroup(rows, identity_hint=None, labels=None, name="") -> FiniteSem
         labels = tuple(labels)
         if len(labels) != n:
             raise PreconditionFailed("labels", f"{len(labels)} labels for order {n}")
-    S = FiniteSemigroup(table, identity, labels, name)
-    # S keeps the record the scan used, its generators already computed
-    S.__dict__["structure"] = structure
-    return S
+    return FiniteSemigroup(table, identity, labels, name)
 
 
 def parse_cayley_table(text: str, name="") -> FiniteSemigroup:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import compress, product
 from operator import and_, eq
 
@@ -332,14 +332,12 @@ class ModExpSystem:
     def unit_value(self, point: int) -> int:
         return self.units[point]
 
-    @cached_property
-    def _unkeyed(self) -> Cryptosystem:
-        # the act is validated once; every keyed system shares its key table
-        return build_cryptosystem(self.semigroup, self.rows, 0, [str(u) for u in self.units])
-
     def system(self, n: int) -> Cryptosystem:
         """Cryptosystem keyed by the exponent value n."""
-        return self._unkeyed.with_key(self.element_of(n))
+        labels = [str(u) for u in self.units]
+        return build_cryptosystem(
+            self.semigroup, self.rows, self.element_of(n), labels
+        )
 
 
 def _is_prime(p: int) -> bool:

@@ -114,7 +114,6 @@ def _larger_tables():
 def test_build_witness_matches_triple_loop_on_corrupted_rows(name, rows):
     S = core.build_semigroup(rows)
     gens = S.structure.generators
-    assert vars(S.structure)["generators"] == gens  # left warm by the scan
     assert len(gens) < S.n // 2
     rng = random.Random(name)
     corrupted_rows = set()
