@@ -16,7 +16,6 @@ from operator import itemgetter
 from . import closures, core
 from .core import FiniteSemigroup
 from .errors import (
-    CarrierTooLarge,
     CompositionViolation,
     NotAssociativeAction,
     NotCancellative,
@@ -27,9 +26,6 @@ from .errors import (
     PreconditionFailed,
     WellDefinednessViolation,
 )
-
-ISOMORPHISM_POINT_BOUND = 12
-
 
 @dataclass(frozen=True)
 class PartialAct:
@@ -354,72 +350,66 @@ def disjoint_union(*acts: PartialAct) -> PartialAct:
 
 
 def is_s_map(src: PartialAct, dst: PartialAct, mapping) -> bool:
-    """Whether mapping satisfies: x in D_s iff f(x) in D_s, and f(sx) = s f(x)."""
+    """Whether mapping satisfies: x in D_s iff f(x) in D_s, and f(sx) = s f(x).
+
+    ``mapping`` is a list indexed by the points of src, or a dict on a set
+    of points that the action keeps, such as an orbit.
+    """
     S = src.semigroup
-    for s in S.elements:
-        for x in src.points:
-            if src.defined(s, x) != dst.defined(s, mapping[x]):
+    pairs = mapping.items() if isinstance(mapping, dict) else enumerate(mapping)
+    for x, y in pairs:
+        for s in S.elements:
+            if src.defined(s, x) != dst.defined(s, y):
                 return False
-            if src.defined(s, x) and mapping[src.act(s, x)] != dst.act(s, mapping[x]):
+            if src.defined(s, x) and mapping[src.act(s, x)] != dst.act(s, y):
                 return False
     return True
 
 
-def _point_signature(act: PartialAct, x: int):
-    return (
-        tuple(act.defined(s, x) for s in act.semigroup.elements),
-        stabilizer(act, x),
-        len(orbit(act, x)),
-    )
+def forced_map(src: PartialAct, x0: int, dst: PartialAct, y0: int):
+    """The map of the orbit of x0 that sends x0 to y0, as a dict, or None.
+
+    An act map that sends x0 to y0 must send s*x0 to s*y0, so it is forced
+    on the orbit of x0.  None when that is not a function, or when some s
+    acts on one of x0, y0 and not on the other.  Otherwise, in validated
+    acts, the composition law makes it an act map of the orbit onto the
+    orbit of y0.
+    """
+    image = {x0: y0}
+    for s in src.semigroup.elements:
+        x, y = src.table[s][x0], dst.table[s][y0]
+        if (x is None) != (y is None):
+            return None
+        if x is not None and image.setdefault(x, y) != y:
+            return None
+    return image
 
 
 def find_act_isomorphism(act1: PartialAct, act2: PartialAct):
-    """A bijection satisfying the act-map law both ways, or None.
+    """A bijection satisfying the act-map law both ways, as a dict, or None.
 
-    Plain backtracking pruned by per-point definedness and stabilizer
-    signatures; carriers beyond ``ISOMORPHISM_POINT_BOUND`` are refused.
+    The orbits of a validated act partition its points.  The orbit of each
+    least point x0 of act1 goes to the orbit of the first unused y0 of act2
+    whose forced map is one-to-one, an isomorphism of the two orbits (their
+    tables, relabelled in the order s*x0 and s*y0 first reach each point,
+    are equal).  Isomorphism of orbits is an equivalence, so the first such
+    y0 never blocks a later orbit.  No carrier bound: each orbit tries at
+    most m targets of n lookups each.
     """
     _require_same_semigroup(act1.semigroup, act2)
     if act1.carrier != act2.carrier:
         return None
-    if act1.carrier > ISOMORPHISM_POINT_BOUND:
-        raise CarrierTooLarge(act1.carrier, ISOMORPHISM_POINT_BOUND)
-    sig1 = [_point_signature(act1, x) for x in act1.points]
-    sig2 = [_point_signature(act2, x) for x in act2.points]
-    if sorted(sig1) != sorted(sig2):
-        return None
-    m = act1.carrier
-    image = [-1] * m
-    used = [False] * m
-    S = act1.semigroup
-
-    def consistent(x, y):
-        for s in S.elements:
-            if act1.defined(s, x):
-                sx, sy = act1.act(s, x), act2.act(s, y)
-                if image[sx] >= 0 and image[sx] != sy:
-                    return False
-                if sx == x and sy != y:
-                    return False
-        return True
-
-    def search(x):
-        if x == m:
-            return is_s_map(act1, act2, image)
-        for y in range(m):
-            if used[y] or sig2[y] != sig1[x] or not consistent(x, y):
-                continue
-            image[x] = y
-            used[y] = True
-            if search(x + 1):
-                return True
-            image[x] = -1
-            used[y] = False
-        return False
-
-    if search(0):
-        return {x: image[x] for x in act1.points}
-    return None
+    image = {}
+    for O in orbits(act1):
+        used = set(image.values())
+        for y0 in act2.points:
+            f = None if y0 in used else forced_map(act1, min(O), act2, y0)
+            if f is not None and len(set(f.values())) == len(f):
+                image.update(f)
+                break
+        else:
+            return None
+    return image if is_s_map(act1, act2, image) else None
 
 
 def parse_act(text: str, S: FiniteSemigroup) -> PartialAct:

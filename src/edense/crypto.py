@@ -430,9 +430,7 @@ def classify_locally_free_cryptosystem(S: FiniteSemigroup, act: acts.PartialAct)
     all_iso = True
     for O in acts.orbits(act):
         piece = acts.subact(act, sorted(O))
-        iso = None
-        if piece.carrier == base_act.carrier:
-            iso = acts.find_act_isomorphism(piece, base_act)
+        iso = acts.find_act_isomorphism(piece, base_act)
         results.append((tuple(sorted(O)), iso is not None))
         all_iso = all_iso and iso is not None
     E = core.idempotents(S)

@@ -101,10 +101,12 @@ class WellDefinednessViolation(WorkbenchError):
 
 
 class CarrierTooLarge(WorkbenchError):
+    """``core.find_semigroup_isomorphism`` refuses orders above its bound."""
+
     def __init__(self, size, bound):
         self.size = size
         self.bound = bound
-        super().__init__(f"isomorphism search limited to {bound} points, got {size}")
+        super().__init__(f"semigroup isomorphism search limited to order {bound}, got {size}")
 
 
 class BadSubsemigroup(WorkbenchError):

@@ -2,15 +2,16 @@
 idempotent-conjugation actions, with orbit/stabilizer/grading structure."""
 
 import os
+import random
 import subprocess
 import sys
+from itertools import combinations_with_replacement, permutations
 from pathlib import Path
 
 import pytest
 
-from edense import acts, closures, core
+from edense import acts, closures, construction, core
 from edense.errors import (
-    CarrierTooLarge,
     CompositionViolation,
     NotCancellative,
     NotIdempotent,
@@ -20,7 +21,7 @@ from edense.errors import (
     PreconditionFailed,
 )
 
-from conftest import SEMILATTICE_FIXTURES, fx
+from conftest import SEMILATTICE_FIXTURES, cyclic_table, fx
 
 
 def eg_act(name="Z3E"):
@@ -187,12 +188,100 @@ def test_orbit_act_matches_coset_act():
     assert acts.find_act_isomorphism(orbit_act, space.act) is not None
 
 
-def test_act_isomorphism_carrier_gate():
-    S = fx("Z2")
-    rows = [[x for x in range(13)], [x for x in range(13)]]
-    big = acts.validate_act(S, rows)
-    with pytest.raises(CarrierTooLarge):
-        acts.find_act_isomorphism(big, big)
+def relabelled_act(act, perm):
+    """The isomorphic act in which point x is called perm[x]."""
+    rows = [[None] * act.carrier for _ in act.table]
+    for s, row in enumerate(act.table):
+        for x, v in enumerate(row):
+            rows[s][perm[x]] = None if v is None else perm[v]
+    return acts.validate_act(act.semigroup, rows)
+
+
+def assert_isomorphism(act1, act2, iso):
+    assert sorted(iso) == list(act1.points)
+    assert sorted(iso.values()) == list(act2.points)
+    assert acts.is_s_map(act1, act2, iso)
+    assert acts.is_s_map(act2, act1, {y: x for x, y in iso.items()})
+
+
+def brute_force_isomorphic(act1, act2):
+    """Whether some bijection of the points carries act1's table onto
+    act2's, trying every one."""
+    if act1.carrier != act2.carrier:
+        return False
+    return any(
+        all(
+            row2[perm[x]] == (None if v is None else perm[v])
+            for row1, row2 in zip(act1.table, act2.table)
+            for x, v in enumerate(row1)
+        )
+        for perm in permutations(act1.points)
+    )
+
+
+ORACLE_CARRIER = 6
+
+
+def oracle_acts(S, rng):
+    """The Wagner-Preston and Munn acts of S and their orbits, the
+    disjoint unions of two of them, and a shuffled relabelling of each:
+    those of at most ``ORACLE_CARRIER`` points, one per table."""
+    wp, munn = acts.wagner_preston(S), acts.munn_act(S)
+    pieces = [wp, munn] + [
+        acts.subact(a, sorted(O)) for a in (wp, munn) for O in acts.orbits(a)
+    ]
+    pieces += [
+        acts.disjoint_union(a, b)
+        for a, b in combinations_with_replacement(pieces, 2)
+        if a.carrier + b.carrier <= ORACLE_CARRIER
+    ]
+    pieces += [relabelled_act(a, rng.sample(list(a.points), a.carrier)) for a in pieces]
+    return list({a.table: a for a in pieces if a.carrier <= ORACLE_CARRIER}.values())
+
+
+def oracle_tables():
+    small = [S for n in (1, 2, 3) for S in construction.enumerate_semigroups(n)]
+    return [
+        S for S in small if core.classify_idempotents(S).is_semilattice
+    ] + [fx(name) for name in SEMILATTICE_FIXTURES]
+
+
+def test_act_isomorphism_agrees_with_every_bijection():
+    rng = random.Random(0)
+    found = missed = 0
+    for S in oracle_tables():
+        pool = oracle_acts(S, rng)
+        for act1 in pool:
+            for act2 in pool:
+                if act1.carrier != act2.carrier:
+                    assert acts.find_act_isomorphism(act1, act2) is None
+                    continue
+                iso = acts.find_act_isomorphism(act1, act2)
+                assert (iso is not None) == brute_force_isomorphic(act1, act2), (S, act1, act2)
+                if iso is None:
+                    missed += 1
+                else:
+                    assert_isomorphism(act1, act2, iso)
+                    found += 1
+    # both answers occur, so the oracle is not vacuous
+    assert found and missed
+
+
+def z16e_wagner_preston():
+    Z16 = core.build_semigroup(cyclic_table(16))
+    return acts.wagner_preston(construction.adjoined_band_semigroup(Z16))
+
+
+def test_act_isomorphism_has_no_carrier_bound():
+    wp = z16e_wagner_preston()
+    assert wp.carrier == 32
+    pieces = [acts.subact(wp, sorted(O)) for O in acts.orbits(wp)]
+    assert [p.carrier for p in pieces] == [16, 16]
+    shuffled = relabelled_act(wp, random.Random(1).sample(range(32), 32))
+    for act1, act2 in [(p, p) for p in pieces] + [(wp, shuffled)]:
+        iso = acts.find_act_isomorphism(act1, act2)
+        assert iso is not None
+        assert_isomorphism(act1, act2, iso)
 
 
 def test_order_ideal_examples():

@@ -1,5 +1,5 @@
 """Fuzzing the table, subset, act and category parsers through the
-command line.
+command line, and act isomorphism on relabelled acts.
 
 Whatever a table file, a ``--subsemigroup`` argument, an act file or a
 category file holds, a command must end in a JSON findings report with
@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 from edense import acts, core
 from edense.cli import main
 
-from conftest import fx
+from conftest import SEMILATTICE_FIXTURES, fx
+from test_acts import relabelled_act
 from test_construction import DERIVED_Z2_FILE
 
 # digits, separators, the format's words, and characters that Python
@@ -132,3 +133,30 @@ def test_any_category_file_gives_a_report(text):
         group_path.write_text(core.format_cayley_table(fx("Z2")), encoding="utf-8")
         category_path.write_text(text, encoding="utf-8")
         run_json("build-cu", f"--group={group_path}", f"--category={category_path}")
+
+
+@st.composite
+def validated_acts(draw):
+    """A disjoint union of one to three of the Wagner-Preston and Munn
+    acts of a semilattice fixture and their orbits, validated."""
+    S = fx(draw(st.sampled_from(SEMILATTICE_FIXTURES)))
+    wp, munn = acts.wagner_preston(S), acts.munn_act(S)
+    pieces = [wp, munn] + [acts.subact(a, sorted(O)) for a in (wp, munn) for O in acts.orbits(a)]
+    union = acts.disjoint_union(*draw(st.lists(st.sampled_from(pieces), min_size=1, max_size=3)))
+    return acts.validate_act(S, union.table)
+
+
+@st.composite
+def relabelled_pairs(draw):
+    act = draw(validated_acts())
+    return act, relabelled_act(act, draw(st.permutations(range(act.carrier))))
+
+
+@FUZZ
+@given(pair=relabelled_pairs())
+def test_an_act_is_isomorphic_to_any_relabelling(pair):
+    act, relabelled = pair
+    iso = acts.find_act_isomorphism(act, relabelled)
+    assert iso is not None
+    assert sorted(iso.values()) == list(relabelled.points)
+    assert acts.is_s_map(act, relabelled, iso)

@@ -5,10 +5,12 @@ we had to repair is pinned by its counterexample."""
 import ast
 import dataclasses
 import os
+import random
 import subprocess
 import sys
 from itertools import product
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -133,6 +135,124 @@ def lemma_tables():
         + [fx(name) for name in construction.FIXTURE_NAMES]
         + [z_k_e(k) for k in range(1, 7)]
     )
+
+
+def ref_mitsch_order_violations(S):
+    """The natural-order check with one ``core.mitsch_leq`` call per pair
+    and per triple."""
+    els = S.elements
+    for a in els:
+        if not core.mitsch_leq(S, a, a):
+            return f"not reflexive at {a}"
+    for a, b in product(els, repeat=2):
+        if a != b and core.mitsch_leq(S, a, b) and core.mitsch_leq(S, b, a):
+            return f"not antisymmetric at ({a}, {b})"
+    for a, b, c in product(els, repeat=3):
+        if (
+            core.mitsch_leq(S, a, b)
+            and core.mitsch_leq(S, b, c)
+            and not core.mitsch_leq(S, a, c)
+        ):
+            return f"not transitive at ({a}, {b}, {c})"
+
+
+def test_mitsch_order_check_keeps_its_first_witness():
+    # the real order of each table, and copies with one pair flipped in or
+    # out, so that every kind of witness is compared
+    rng = random.Random(0)
+    kinds = set()
+    for S in lemma_tables():
+        down = S.structure.natural_down
+        orders = [down]
+        for _ in range(3):
+            a, b = rng.choice(S.elements), rng.choice(S.elements)
+            orders.append(down[:b] + (down[b] ^ {a},) + down[b + 1:])
+        for order in orders:
+            T = SimpleNamespace(elements=S.elements, structure=SimpleNamespace(natural_down=order))
+            got = verify._mitsch_order_violations(T)
+            assert got == ref_mitsch_order_violations(T), (S, order)
+            kinds.add(got and got.split(" at ")[0])
+    assert kinds == {None, "not reflexive", "not antisymmetric", "not transitive"}
+
+
+PRODUCT_SCAN_CAP = 200000
+
+
+def ref_act_map_exists(act, dst):
+    """Whether some act map sends act to dst, trying all dst.carrier **
+    act.carrier maps."""
+    return any(
+        acts.is_s_map(act, dst, list(candidate))
+        for candidate in product(dst.points, repeat=act.carrier)
+    )
+
+
+def ref_graded_equivalence_converse(act, munn):
+    """The converse of the graded-equivalence check as a product scan,
+    run only up to ``PRODUCT_SCAN_CAP`` maps."""
+    if munn.carrier ** act.carrier <= PRODUCT_SCAN_CAP and ref_act_map_exists(act, munn):
+        return "ungraded act admits an act map to the idempotent act"
+
+
+def suite_acts_collection(S):
+    """The idempotent act of S and the acts ``verify.suite_acts`` checks."""
+    wp, munn = acts.wagner_preston(S), acts.munn_act(S)
+    return munn, [wp, munn] + [acts.subact(wp, sorted(O)) for O in acts.orbits(wp)]
+
+
+def is_graded(act):
+    return isinstance(acts.grading(act), acts.Grading)
+
+
+def test_graded_equivalence_converse_agrees_with_the_product_scan():
+    ungraded = graded = 0
+    for S in lemma_tables():
+        if verify._skip_reason(S):
+            continue
+        munn, collection = suite_acts_collection(S)
+        for act in collection:
+            if is_graded(act):
+                # the scan stops at the first map; keep the graded acts
+                # whose scan is short
+                if munn.carrier ** act.carrier <= 4096:
+                    assert verify._act_map_exists(act, munn) and ref_act_map_exists(act, munn)
+                    graded += 1
+                continue
+            assert munn.carrier ** act.carrier <= PRODUCT_SCAN_CAP
+            got = verify._graded_equivalence_violations(act, munn)
+            assert got == ref_graded_equivalence_converse(act, munn), (S, act)
+            assert verify._act_map_exists(act, munn) is ref_act_map_exists(act, munn) is False
+            ungraded += 1
+    assert ungraded == 93 and graded
+
+
+def test_graded_equivalence_converse_runs_above_the_product_scan_cap():
+    # three copies of the graded Wagner-Preston act of CHAIN3 and three
+    # points no element acts on: 3**12 maps to the idempotent act
+    S = fx("CHAIN3")
+    wp, munn = acts.wagner_preston(S), acts.munn_act(S)
+    dead = acts.validate_act(S, [[None] * 3 for _ in S.elements])
+    ungraded = acts.disjoint_union(wp, wp, wp, dead)
+    assert not is_graded(ungraded)
+    assert munn.carrier ** ungraded.carrier > PRODUCT_SCAN_CAP
+    assert ref_graded_equivalence_converse(ungraded, munn) is None  # scans nothing
+    assert not verify._act_map_exists(ungraded, munn)
+    assert verify._graded_equivalence_violations(ungraded, munn) is None
+    # the graded orbits alone do map, and the per-orbit search sees it
+    assert verify._act_map_exists(acts.disjoint_union(wp, wp, wp, wp), munn)
+
+
+def test_coset_findings_fail_without_act_isomorphisms(monkeypatch):
+    monkeypatch.setattr(acts, "find_act_isomorphism", lambda act1, act2: None)
+    failed = {f.name: f.witness for f in verify.suite_cosets(fx("Z3E")) if not f.passed}
+    assert failed == {
+        "cosets.conjugacy-consistency[Z3E]": (
+            "H=[0], K=[0]: conjugacy witness search and act isomorphism disagree"
+        ),
+        "cosets.orbit-stabilizer[Z3E]": (
+            "orbit of 0 not isomorphic to the coset act of its stabilizer"
+        ),
+    }
 
 
 # stand-ins for omega_h under which the lemma fails, so that witnesses are
