@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import random
 import sys
 from pathlib import Path
@@ -32,12 +33,20 @@ def _load_table(path: str) -> core.FiniteSemigroup:
 
 
 def _emit(report: Report, as_json: bool, extra_text: list[str] | None = None) -> int:
-    if as_json:
-        print(report.to_json())
-    else:
-        print(report.render())
-        for block in extra_text or []:
-            print(block)
+    try:
+        if as_json:
+            print(report.to_json())
+        else:
+            print(report.render())
+            for block in extra_text or []:
+                print(block)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (``| head``): point stdout at
+        # devnull so the flush at exit cannot fail again, as the note on
+        # SIGPIPE in the ``signal`` docs advises
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return report.exit_status
 
 
@@ -69,11 +78,9 @@ def cmd_analyze(args) -> int:
 def _act_from_args(S, args):
     if args.act_file is not None:
         return acts.parse_act(_read(args.act_file), S), f"file:{args.act_file}"
-    carrier = None
-    if args.carrier is not None:
-        carrier = sorted(closures.parse_subset(args.carrier))
     if args.munn:
         return acts.munn_act(S), "munn"
+    carrier = None if args.carrier is None else sorted(closures.parse_subset(args.carrier))
     rows, labels = acts.left_mult_total(S, carrier)
     return acts.wagner_preston(S, rows, labels), "wagner-preston"
 
@@ -152,21 +159,16 @@ def cmd_build_cu(args) -> int:
     return _emit(report, args.json, [core.format_cayley_table(S).rstrip()])
 
 
-def _demo_system(args, rng):
+def _demo_system(args):
     if args.prime is not None:
-        ms = crypto.modexp_system(args.prime)
-        key = rng.choice(ms.exponents)
-        sys_ = ms.system(key)
-        return sys_, f"modexp p={args.prime}"
+        return crypto.modexp_system(args.prime).system(), f"modexp p={args.prime}"
     S = construction.fixture(args.fixture)
-    sys_ = crypto.locally_free_system(S, 0)
-    keys = [s for s in S.elements if crypto.uniform_decrypt_keys(sys_, s)]
-    return sys_.with_key(rng.choice(keys)), f"fixture {args.fixture}"
+    return crypto.locally_free_system(S), f"fixture {args.fixture}"
 
 
 def cmd_crypto_demo(args) -> int:
     rng = random.Random(args.seed)
-    sys_, label = _demo_system(args, rng)
+    sys_, label = _demo_system(args)
     S = sys_.semigroup
     report = Report(f"crypto-demo {label} protocol={args.protocol} seed={args.seed}")
     sizes = sorted(crypto.key_space_sizes(sys_))
@@ -268,6 +270,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "verify" and not args.corpus and not args.table:
         parser.error("verify needs a table file or --corpus")
+    if args.command == "verify" and args.corpus and args.table is not None:
+        parser.error("verify takes a table file or --corpus, not both")
+    if args.command == "act" and args.carrier is not None and (args.munn or args.act_file is not None):
+        parser.error("--carrier applies only to the Wagner-Preston act")
     try:
         return args.func(args)
     except WorkbenchError as exc:

@@ -10,8 +10,8 @@ exhaustive scans, and hardness is illustrative only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import reduce
+from dataclasses import dataclass
+from functools import cached_property, reduce
 from itertools import compress, product
 from operator import and_, eq
 
@@ -65,30 +65,25 @@ class DecryptKeyTable:
 
 @dataclass(frozen=True)
 class Cryptosystem:
-    """A total cancellative act together with a cipher key.
+    """A total cancellative act; keys are elements of the semigroup, passed
+    to each query.
 
-    The decrypt-key table is built on construction and shared by every
-    system that ``with_key`` derives from this one.
+    The decrypt-key table is built on first use, once per system.
     """
 
     semigroup: FiniteSemigroup
     act: acts.PartialAct  # total: every entry defined
-    cipher_key: int
-    key_table: DecryptKeyTable | None = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        if self.key_table is None:
-            object.__setattr__(self, "key_table", DecryptKeyTable.of(self.semigroup, self.act))
 
     @property
     def carrier(self) -> int:
         return self.act.carrier
 
-    def with_key(self, key: int) -> "Cryptosystem":
-        return Cryptosystem(self.semigroup, self.act, key, self.key_table)
+    @cached_property
+    def key_table(self) -> DecryptKeyTable:
+        return DecryptKeyTable.of(self.semigroup, self.act)
 
 
-def build_cryptosystem(S: FiniteSemigroup, rows, cipher_key, point_labels=None) -> Cryptosystem:
+def build_cryptosystem(S: FiniteSemigroup, rows, point_labels=None) -> Cryptosystem:
     """Validate totality, associativity and cancellativity of the action.
 
     A total cancellative act over an E-dense semigroup automatically
@@ -102,9 +97,7 @@ def build_cryptosystem(S: FiniteSemigroup, rows, cipher_key, point_labels=None) 
         act = acts.validate_act(S, rows, point_labels)
     except CompositionViolation as exc:
         raise NotAssociativeAction(*exc.witness) from None
-    if not 0 <= cipher_key < S.n:
-        raise PreconditionFailed("cipher_key", f"{cipher_key} is not an element of order {S.n}")
-    return Cryptosystem(S, act, cipher_key)
+    return Cryptosystem(S, act)
 
 
 def _require_total(rows) -> None:
@@ -113,13 +106,13 @@ def _require_total(rows) -> None:
             raise PreconditionFailed("total_action", f"{s}*{row.index(None)} is undefined")
 
 
-def locally_free_system(S: FiniteSemigroup, cipher_key: int) -> Cryptosystem:
+def locally_free_system(S: FiniteSemigroup) -> Cryptosystem:
     """The canonical system of S: left multiplication on the orbit of the
     minimum idempotent (a left ideal carrying a locally free act)."""
     f = minimum_idempotent(S)
     carrier = sorted({S.mul(t, f) for t in S.elements} | {f})
     rows, labels = acts.left_mult_total(S, carrier)
-    return build_cryptosystem(S, rows, cipher_key, labels)
+    return build_cryptosystem(S, rows, labels)
 
 
 def minimum_idempotent(S: FiniteSemigroup) -> int:
@@ -133,12 +126,11 @@ def minimum_idempotent(S: FiniteSemigroup) -> int:
     return minima[0]
 
 
-def decrypt_key_space(sys: Cryptosystem, x: int, key: int | None = None) -> frozenset[int]:
-    """K(s, x): all t such that t*s fixes x."""
-    s = sys.cipher_key if key is None else key
+def decrypt_key_space(sys: Cryptosystem, x: int, key: int) -> frozenset[int]:
+    """K(key, x): all t such that t*key fixes x."""
     table = sys.key_table
     fixing = table.stabilizers[x]
-    return frozenset(t for t, u in enumerate(table.columns[s]) if fixing >> u & 1)
+    return frozenset(t for t, u in enumerate(table.columns[key]) if fixing >> u & 1)
 
 
 def key_space_sizes(sys: Cryptosystem) -> frozenset[int]:
@@ -154,9 +146,9 @@ def key_space_sizes(sys: Cryptosystem) -> frozenset[int]:
     )
 
 
-def uniform_decrypt_keys(sys: Cryptosystem, key: int | None = None) -> frozenset[int]:
+def uniform_decrypt_keys(sys: Cryptosystem, key: int) -> frozenset[int]:
     """Decrypt keys valid for every point: the intersection of K(s, x) over x."""
-    return sys.key_table.uniform[sys.cipher_key if key is None else key]
+    return sys.key_table.uniform[key]
 
 
 def _uniform_key(sys: Cryptosystem, key: int) -> int:
@@ -166,7 +158,7 @@ def _uniform_key(sys: Cryptosystem, key: int) -> int:
     return min(keys)
 
 
-def locally_free_key_space(sys: Cryptosystem, x: int) -> frozenset[int]:
+def locally_free_key_space(sys: Cryptosystem, x: int, key: int) -> frozenset[int]:
     """K(s, x) in the locally free E-unitary case, where it collapses to
     the closure of the weak inverses of s (equivalently, to L(s)); both
     forms are checked by the finding ``crypto.unitary-key-spaces``."""
@@ -179,7 +171,7 @@ def locally_free_key_space(sys: Cryptosystem, x: int) -> frozenset[int]:
     for y in sys.act.points:
         if acts.stabilizer(sys.act, y) != e_closure:
             raise PreconditionFailed("locally_free", f"point {y}")
-    return decrypt_key_space(sys, x)
+    return decrypt_key_space(sys, x, key)
 
 
 @dataclass(frozen=True)
@@ -324,6 +316,9 @@ class ModExpSystem:
     non_free_units: tuple[int, ...]
 
     def element_of(self, n: int) -> int:
+        """The element of S that is the exponent n, the key of x -> x^n."""
+        if n not in self.exponents:
+            raise PreconditionFailed("exponent", f"{n} is not a unit mod {self.p - 1}")
         return self.exponents.index(n)
 
     def point_of(self, x: int) -> int:
@@ -332,12 +327,10 @@ class ModExpSystem:
     def unit_value(self, point: int) -> int:
         return self.units[point]
 
-    def system(self, n: int) -> Cryptosystem:
-        """Cryptosystem keyed by the exponent value n."""
-        labels = [str(u) for u in self.units]
-        return build_cryptosystem(
-            self.semigroup, self.rows, self.element_of(n), labels
-        )
+    def system(self) -> Cryptosystem:
+        """The cryptosystem of this cipher; the key of exponent n is
+        ``element_of(n)``."""
+        return build_cryptosystem(self.semigroup, self.rows, [str(u) for u in self.units])
 
 
 def _is_prime(p: int) -> bool:

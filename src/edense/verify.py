@@ -1005,11 +1005,9 @@ def suite_construction() -> list[Finding]:
 def _system_corpus():
     systems = []
     for name in ("Z3", "Z6", "B2", "Z3E", "Z6E", "CHAIN3"):
-        S = construction.fixture(name)
-        systems.append((name, crypto.locally_free_system(S, cipher_key=min(S.elements))))
+        systems.append((name, crypto.locally_free_system(construction.fixture(name))))
     for p in (5, 7, 11, 13):
-        ms = crypto.modexp_system(p)
-        systems.append((f"modexp-{p}", ms.system(ms.exponents[-1])))
+        systems.append((f"modexp-{p}", crypto.modexp_system(p).system()))
     return systems
 
 
@@ -1130,7 +1128,7 @@ def _biact_roundtrip_violations():
     rows, _ = acts.left_mult_total(S)
     right = [[S.mul(x, s) for s in S.elements] for x in range(S.n)]
     biact = crypto.build_biact(S, rows, right)
-    sys = crypto.build_cryptosystem(S, rows, 0)
+    sys = crypto.build_cryptosystem(S, rows)
     for x in sys.act.points:
         for s, t in product(S.elements, repeat=2):
             if not crypto.massey_omura(sys, x, s, t, biact=biact).ok:
@@ -1208,12 +1206,11 @@ def _classification_violations(systems):
 def _unitary_key_space_violations():
     for name in ("Z3E", "Z6E"):
         S = construction.fixture(name)
-        sys = crypto.locally_free_system(S, 1)
+        sys = crypto.locally_free_system(S)
         for s in S.elements:
-            keyed = sys.with_key(s)
             expected = closures.omega_h(S, core.weak_inverses(S, s))
             for x in sys.act.points:
-                K = crypto.locally_free_key_space(keyed, x)
+                K = crypto.locally_free_key_space(sys, x, s)
                 if K != expected or len(K) != len(expected):
                     return f"{name}: key space differs from closed weak inverses at s={s}"
                 if K != core.left_pre_inverses(S, s):
@@ -1260,7 +1257,7 @@ def table_findings(S: FiniteSemigroup, names=SUITE_NAMES) -> list[Finding]:
     out = suites_for_table(S, names)
     if "crypto" in names:
         try:
-            sys = crypto.locally_free_system(S, min(S.elements))
+            sys = crypto.locally_free_system(S)
         except WorkbenchError as exc:
             out.append(Finding("crypto-skipped", True, str(exc)))
         else:

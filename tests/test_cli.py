@@ -2,13 +2,19 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from edense import core
 from edense.cli import main
 
-from conftest import fx
+from conftest import cyclic_table, fx
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.fixture()
@@ -231,7 +237,7 @@ def test_verify_table_reports_a_failing_key_space_part_once(capsys, monkeypatch,
 
     real = crypto.decrypt_key_space
 
-    def without_largest_key(sys, x, key=None):
+    def without_largest_key(sys, x, key):
         K = real(sys, x, key)
         return K - {max(K)}
 
@@ -426,3 +432,58 @@ def test_options_do_not_leak_between_calls(capsys, z3e_file):
     assert json.loads(out)["command"] == "crypto-demo modexp p=7 protocol=elgamal seed=0"
     _, out = run(capsys, "crypto-demo", "--prime", "7", "--json")
     assert json.loads(out)["command"] == "crypto-demo modexp p=7 protocol=mo seed=0"
+
+
+CARRIER_ONLY_WP = "--carrier applies only to the Wagner-Preston act"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["act", "{table}", "--munn", "--carrier", "0"], CARRIER_ONLY_WP),
+        (["act", "{table}", "--act-file", "F", "--carrier", "0"], CARRIER_ONLY_WP),
+        (["verify", "{table}", "--corpus"], "verify takes a table file or --corpus, not both"),
+    ],
+    ids=["munn-carrier", "act-file-carrier", "verify-table-corpus"],
+)
+def test_ignored_options_are_refused(capsys, z3e_file, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(table=z3e_file) for a in argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def _edense(argv, stdout):
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
+    env.pop("PYTHONUNBUFFERED", None)  # stdout block-buffered, as on a plain shell
+    return subprocess.Popen(
+        [sys.executable, "-m", "edense", *argv], stdout=stdout, stderr=subprocess.PIPE, env=env
+    )
+
+
+def test_stdout_closed_after_one_line_exits_quietly(tmp_path):
+    # the act of Z200 prints about 160 kB, more than a pipe holds, so the
+    # command is still writing when the reader closes the pipe
+    table = tmp_path / "z200.tbl"
+    table.write_text(core.format_cayley_table(core.build_semigroup(cyclic_table(200))))
+    proc = _edense(["act", str(table)], subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 1
+    assert first == f"# act {table} (wagner-preston)\n".encode()
+    assert err == b""
+
+
+def test_stdout_closed_before_a_short_report_exits_quietly():
+    # a report shorter than the stdout buffer fails only when it is flushed
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    proc = _edense(["crypto-demo", "--prime", "7"], write_end)
+    os.close(write_end)
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 1
+    assert err == b""

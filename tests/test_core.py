@@ -9,6 +9,7 @@ import pytest
 from edense import construction, core
 from edense.errors import (
     BadIdentityHint,
+    CarrierTooLarge,
     NonAssociative,
     OutOfRangeEntry,
     ParseError,
@@ -282,3 +283,14 @@ def test_semigroup_isomorphism_search():
     assert all(T.mul(iso[a], iso[b]) == iso[Z6.mul(a, b)] for a in range(6) for b in range(6))
     assert core.find_semigroup_isomorphism(fx("Z2"), fx("LZ2")) is None
     assert core.find_semigroup_isomorphism(fx("Z6"), fx("Z3E")) is None
+
+
+def test_semigroup_isomorphism_order_bound():
+    assert core.ISOMORPHISM_ORDER_BOUND == 16
+    Z17 = core.build_semigroup(cyclic_table(17))
+    with pytest.raises(CarrierTooLarge, match="limited to order 16, got 17"):
+        core.find_semigroup_isomorphism(Z17, core.build_semigroup(cyclic_table(17)))
+    # unequal orders are compared before the bound
+    Z16 = core.build_semigroup(cyclic_table(16))
+    assert core.find_semigroup_isomorphism(Z17, Z16) is None
+    assert core.find_semigroup_isomorphism(Z16, Z17) is None

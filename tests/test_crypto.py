@@ -26,8 +26,8 @@ from edense.errors import (
 from conftest import SEMILATTICE_FIXTURES, closure, fx, twist_outside
 
 
-def band_system(name="Z3E", key=1):
-    return crypto.locally_free_system(fx(name), key)
+def band_system(name="Z3E"):
+    return crypto.locally_free_system(fx(name))
 
 
 def test_build_band_extension_system():
@@ -40,7 +40,7 @@ def test_build_rejects_non_cancellative():
     S = fx("N2")
     rows, _ = acts.left_mult_total(S)
     with pytest.raises(NotCancellative):
-        crypto.build_cryptosystem(S, rows, 0)
+        crypto.build_cryptosystem(S, rows)
 
 
 def test_modexp_system_shapes():
@@ -72,17 +72,25 @@ def test_decrypt_key_space_band_extension():
 
 def test_decrypt_key_space_modexp_primitive_root():
     ms = crypto.modexp_system(7)
-    sys_ = ms.system(5)
+    sys_ = ms.system()
     x = ms.point_of(3)  # 3 generates the units mod 7
-    assert crypto.decrypt_key_space(sys_, x) == {ms.element_of(5)}
+    assert crypto.decrypt_key_space(sys_, x, ms.element_of(5)) == {ms.element_of(5)}
 
 
 def test_decrypt_key_space_group_free_action():
     S = fx("Z6")
     rows, _ = acts.left_mult_total(S)
-    sys_ = crypto.build_cryptosystem(S, rows, 2)
+    sys_ = crypto.build_cryptosystem(S, rows)
     for x in sys_.act.points:
-        assert crypto.decrypt_key_space(sys_, x) == {4}
+        assert crypto.decrypt_key_space(sys_, x, 2) == {4}
+
+
+def test_modexp_element_of_names_only_unit_exponents():
+    ms = crypto.modexp_system(7)
+    assert [ms.element_of(n) for n in (1, 5)] == [0, 1]
+    for n in (0, 2, 3, 6, 7):
+        with pytest.raises(PreconditionFailed, match=f"exponent {n} is not a unit mod 6"):
+            ms.element_of(n)
 
 
 def test_modexp_not_free_at_plus_minus_one():
@@ -99,7 +107,7 @@ def test_key_space_theorem_reports():
     assert verify._key_space_violations([("Z3E", band_system())]) is None
     S = fx("Z6")
     rows, _ = acts.left_mult_total(S)
-    gsys = crypto.build_cryptosystem(S, rows, 2)
+    gsys = crypto.build_cryptosystem(S, rows)
     assert core.is_group(S)
     assert verify._key_space_violations([("Z6", gsys)]) is None
 
@@ -108,30 +116,28 @@ def test_locally_free_key_space():
     sys_ = band_system()
     S = sys_.semigroup
     for s in S.elements:
-        keyed = sys_.with_key(s)
         expected = closures.omega_h(S, core.weak_inverses(S, s))
-        for x in keyed.act.points:
-            assert crypto.locally_free_key_space(keyed, x) == expected
-    assert crypto.locally_free_key_space(sys_, 0) == {2, 5}
+        for x in sys_.act.points:
+            assert crypto.locally_free_key_space(sys_, x, s) == expected
+    assert crypto.locally_free_key_space(sys_, 0, 1) == {2, 5}
 
 
 def test_locally_free_key_space_z6e_sizes():
-    sys_ = crypto.locally_free_system(fx("Z6E"), 1)
+    sys_ = crypto.locally_free_system(fx("Z6E"))
     for s in sys_.semigroup.elements:
-        keyed = sys_.with_key(s)
-        assert len(crypto.locally_free_key_space(keyed, 0)) == 2
+        assert len(crypto.locally_free_key_space(sys_, 0, s)) == 2
 
 
 def test_locally_free_key_space_preconditions():
     S = fx("B2")
-    sys_ = crypto.locally_free_system(S, 0)
+    sys_ = crypto.locally_free_system(S)
     with pytest.raises(PreconditionFailed):
-        crypto.locally_free_key_space(sys_, 0)
+        crypto.locally_free_key_space(sys_, 0, 0)
 
 
 def test_massey_omura_modexp_11():
     ms = crypto.modexp_system(11)
-    sys_ = ms.system(3)
+    sys_ = ms.system()
     t = crypto.massey_omura(sys_, ms.point_of(2), ms.element_of(3), ms.element_of(9))
     values = [ms.unit_value(v) for _, _, v in t.entries]
     assert values == [8, 7, 6, 2]
@@ -140,7 +146,7 @@ def test_massey_omura_modexp_11():
 
 def test_massey_omura_identity_keys_echo():
     ms = crypto.modexp_system(11)
-    sys_ = ms.system(1)
+    sys_ = ms.system()
     one = ms.element_of(1)
     x = ms.point_of(7)
     t = crypto.massey_omura(sys_, x, one, one)
@@ -156,7 +162,7 @@ def test_massey_omura_band_extension():
 
 def test_elgamal_modexp_11():
     ms = crypto.modexp_system(11)
-    sys_ = ms.system(3)
+    sys_ = ms.system()
     t = crypto.elgamal(
         sys_, ms.point_of(2), ms.element_of(3), ms.element_of(7), ms.element_of(9)
     )
@@ -165,7 +171,7 @@ def test_elgamal_modexp_11():
 
 
 def test_elgamal_identity_keys():
-    sys_ = band_system(key=0)
+    sys_ = band_system()
     x = 2
     t = crypto.elgamal(sys_, x, 0, 0, 0)
     assert t.ok
@@ -182,7 +188,7 @@ def test_transcript_rendering():
 
 def test_massey_omura_needs_commutativity_or_biact():
     S = fx("B2")
-    sys_ = crypto.locally_free_system(S, 0)
+    sys_ = crypto.locally_free_system(S)
     with pytest.raises(PreconditionFailed):
         crypto.massey_omura(sys_, 0, 3, 4)
 
@@ -192,7 +198,7 @@ def test_biact_variant_roundtrip():
     left, _ = acts.left_mult_total(S)
     right = [[S.mul(x, s) for s in S.elements] for x in range(S.n)]
     biact = crypto.build_biact(S, left, right)
-    sys_ = crypto.build_cryptosystem(S, left, 0)
+    sys_ = crypto.build_cryptosystem(S, left)
     for x in range(6):
         t = crypto.massey_omura(sys_, x, 2, 5, biact=biact)
         assert t.ok
@@ -201,7 +207,7 @@ def test_biact_variant_roundtrip():
 def test_stabilizers_left_dense():
     assert crypto.stabilizers_left_dense(band_system().act)
     ms = crypto.modexp_system(7)
-    assert crypto.stabilizers_left_dense(ms.system(5).act)
+    assert crypto.stabilizers_left_dense(ms.system().act)
     # a total act that is not cancellative fails pointwise decryptability
     S = fx("N2")
     rows, labels = acts.left_mult_total(S)
@@ -239,7 +245,7 @@ def test_classification_modexp_7_honest():
     # the units mod 7 split into orbits {1}, {6}, {2,4}, {3,5}; only the
     # two-point orbits match the base, so no disjoint-union decomposition
     ms = crypto.modexp_system(7)
-    rep = crypto.classify_locally_free_cryptosystem(ms.semigroup, ms.system(5).act)
+    rep = crypto.classify_locally_free_cryptosystem(ms.semigroup, ms.system().act)
     assert not rep.locally_free
     assert not rep.is_disjoint_union_of_base
     orbit_units = sorted(
@@ -255,7 +261,7 @@ def test_classification_modexp_7_honest():
 
 def test_discrete_log_candidates():
     ms = crypto.modexp_system(11)
-    sys_ = ms.system(3)
+    sys_ = ms.system()
     x, y = ms.point_of(2), ms.point_of(8)
     cands = crypto.discrete_log_candidates(sys_, x, y)
     assert ms.element_of(3) in cands
@@ -293,7 +299,7 @@ def reference_systems():
     systems = verify._system_corpus()
     for p in (17, 19, 23):
         ms = crypto.modexp_system(p)
-        systems.append((f"modexp-{p}", ms.system(ms.exponents[-1])))
+        systems.append((f"modexp-{p}", ms.system()))
     return systems
 
 
@@ -305,16 +311,12 @@ def test_key_table_matches_act_scans(name, sys_):
     S = sys_.semigroup
     sizes = set()
     for s in S.elements:
-        keyed = sys_.with_key(s)
-        assert keyed.key_table is sys_.key_table
         for x in sys_.act.points:
             expected = reference_key_space(sys_, x, s)
             assert crypto.decrypt_key_space(sys_, x, s) == expected
-            assert crypto.decrypt_key_space(keyed, x) == expected
             sizes.add(len(expected))
         expected = reference_uniform_keys(sys_, s)
         assert crypto.uniform_decrypt_keys(sys_, s) == expected
-        assert crypto.uniform_decrypt_keys(keyed) == expected
     assert crypto.key_space_sizes(sys_) == sizes
     commutative = all(S.mul(a, b) == S.mul(b, a) for a in S.elements for b in S.elements)
     assert sys_.key_table.commutative == commutative
@@ -327,9 +329,23 @@ def test_reference_systems_include_a_non_commutative_one():
     assert systems["Z6E"].key_table.commutative
 
 
+def test_key_table_is_built_once_per_system(monkeypatch):
+    built = []
+    real = crypto.DecryptKeyTable.of
+    monkeypatch.setattr(crypto.DecryptKeyTable, "of", lambda S, act: built.append(act) or real(S, act))
+    sys_ = band_system()
+    assert built == []
+    for s in sys_.semigroup.elements:
+        for x in sys_.act.points:
+            crypto.decrypt_key_space(sys_, x, s)
+        crypto.uniform_decrypt_keys(sys_, s)
+    assert crypto.massey_omura(sys_, 0, 1, 2).ok
+    assert built == [sys_.act]
+
+
 def test_key_table_empty_carrier():
     S = fx("Z3")
-    sys_ = crypto.build_cryptosystem(S, [[] for _ in S.elements], 0)
+    sys_ = crypto.build_cryptosystem(S, [[] for _ in S.elements])
     for s in S.elements:
         assert crypto.uniform_decrypt_keys(sys_, s) == reference_uniform_keys(sys_, s) == set()
     assert crypto.key_space_sizes(sys_) == set()
@@ -361,7 +377,7 @@ def test_modexp_systems_match_arithmetic_for_every_prime():
         assert [ms.point_of(u) for u in units] == list(range(len(units))), f"p={p}"
         for n, row in zip(ms.exponents, ms.rows):
             assert [ms.unit_value(y) for y in row] == [pow(u, n, p) for u in units], f"p={p}"
-        sizes = crypto.key_space_sizes(ms.system(ms.exponents[-1]))
+        sizes = crypto.key_space_sizes(ms.system())
         assert sizes == oracle_key_space_sizes(p), f"p={p}"
 
 
@@ -471,12 +487,12 @@ SEEDS = range(8)
 
 @pytest.mark.parametrize("name,S,rows", TOTAL_ACTS, ids=[n for n, _, _ in TOTAL_ACTS])
 def test_build_cryptosystem_witnesses_match_triple_loops(name, S, rows):
-    assert outcome(crypto.build_cryptosystem, S, rows, 0) == expected(
+    assert outcome(crypto.build_cryptosystem, S, rows) == expected(
         reference_build_error(S, rows)
     )
     for seed in SEEDS:
         bad = corrupted(rows, random.Random(f"{name}:{seed}"))
-        assert outcome(crypto.build_cryptosystem, S, bad, 0) == expected(
+        assert outcome(crypto.build_cryptosystem, S, bad) == expected(
             reference_build_error(S, bad)
         ), (name, seed)
 
@@ -523,13 +539,11 @@ def test_build_cryptosystem_rejects_bad_input_without_asserts():
     partial = [list(r) for r in rows]
     partial[1][2] = None
     with pytest.raises(PreconditionFailed, match="total_action 1\\*2 is undefined"):
-        crypto.build_cryptosystem(S, partial, 0)
-    with pytest.raises(PreconditionFailed, match="cipher_key"):
-        crypto.build_cryptosystem(S, rows, 3)
+        crypto.build_cryptosystem(S, partial)
     out_of_range = [list(r) for r in rows]
     out_of_range[2][0] = 3
     with pytest.raises(OutOfRangeEntry, match="entry \\[2\\]\\[0\\] = 3"):
-        crypto.build_cryptosystem(S, out_of_range, 0)
+        crypto.build_cryptosystem(S, out_of_range)
 
 
 # --- the shared composition scan against the per-triple loops -------------------
@@ -641,7 +655,7 @@ def test_act_validators_match_triple_loops_over_few_generators(p):
     errors = set()
     for bad, s in cases:
         error = reference_build_error(S, bad)
-        assert outcome(crypto.build_cryptosystem, S, bad, 0) == expected(error), (p, s)
+        assert outcome(crypto.build_cryptosystem, S, bad) == expected(error), (p, s)
         assert outcome(acts.validate_act, S, bad) == expected(
             reference_validate_error(S, bad)
         ), (p, s)
@@ -672,7 +686,7 @@ def test_act_scans_reach_the_last_generator(p):
     bad, c = twist_outside(S.table, gens, rows)
     error = reference_build_error(S, bad)
     assert isinstance(error, NotAssociativeAction) and error.witness[0] == gens[-1]
-    assert outcome(crypto.build_cryptosystem, S, bad, 0) == expected(error)
+    assert outcome(crypto.build_cryptosystem, S, bad) == expected(error)
     assert outcome(acts.validate_act, S, bad) == expected(reference_validate_error(S, bad))
     assert outcome(crypto.build_biact, S, bad, biact_rows("modexp", S, rows)) == expected(error)
     H = closure(S.table, gens[:-1])
@@ -702,18 +716,16 @@ def test_composition_scan_multiplies_generators_only(monkeypatch):
 
 def test_modexp_systems_match_direct_builds():
     ms = crypto.modexp_system(41)
+    sys_ = ms.system()
+    direct = crypto.build_cryptosystem(ms.semigroup, ms.rows, [str(u) for u in ms.units])
+    assert sys_ == direct
+    assert sys_.act.table == ms.rows
+    assert sys_.act.point_labels == direct.act.point_labels
+    assert sys_.key_table == direct.key_table
     for n in (3, ms.exponents[-1]):
-        sys_ = ms.system(n)
-        direct = crypto.build_cryptosystem(
-            ms.semigroup, ms.rows, ms.element_of(n), [str(u) for u in ms.units]
-        )
-        assert sys_ == direct
-        assert sys_.cipher_key == ms.element_of(n)
-        assert sys_.act.table == ms.rows
-        assert sys_.act.point_labels == direct.act.point_labels
-        assert sys_.key_table == direct.key_table
+        key = ms.element_of(n)
         for x in sys_.act.points:
-            assert crypto.decrypt_key_space(sys_, x) == crypto.decrypt_key_space(direct, x)
+            assert crypto.decrypt_key_space(sys_, x, key) == crypto.decrypt_key_space(direct, x, key)
 
 
 def test_build_biact_later_checks_match_triple_loop():

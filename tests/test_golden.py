@@ -1,12 +1,14 @@
-"""The behaviour fingerprints: ``verify --corpus --json`` and ``build-cu``
-over Z8 with an adjoined band must reproduce their checked-in golden files
-byte for byte, with and without ``python -O`` (which strips every
-``assert``)."""
+"""The behaviour fingerprints: ``verify --corpus --json``, ``build-cu``
+over Z8 with an adjoined band and two seeded ``crypto-demo`` runs must
+reproduce their checked-in golden files byte for byte, with and without
+``python -O`` (which strips every ``assert``)."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from edense.cli import main
 
@@ -16,6 +18,14 @@ GOLDEN = ROOT / "bench" / "golden" / "verify_corpus.json"
 # because the report's command line names it
 BUILD_CU = ["build-cu", "--group", "tests/golden/z8.tbl", "--adjoin-band", "2", "--json"]
 BUILD_CU_GOLDEN = ROOT / "tests" / "golden" / "build_cu_z8_band2.json"
+CRYPTO_DEMOS = {
+    "crypto_demo_p241_mo_seed1.json": [
+        "crypto-demo", "--prime", "241", "--protocol", "mo", "--seed", "1", "--json"
+    ],
+    "crypto_demo_z3e_elgamal_seed3.json": [
+        "crypto-demo", "--fixture", "Z3E", "--protocol", "elgamal", "--seed", "3", "--json"
+    ],
+}
 
 
 def _run_optimized(argv):
@@ -53,3 +63,14 @@ def test_build_cu_json_matches_golden(capsys, monkeypatch):
 
 def test_build_cu_json_matches_golden_under_optimize():
     assert _run_optimized(BUILD_CU) == BUILD_CU_GOLDEN.read_text()
+
+
+@pytest.mark.parametrize("golden", CRYPTO_DEMOS)
+def test_crypto_demo_json_matches_golden(capsys, golden):
+    assert main(CRYPTO_DEMOS[golden]) == 0
+    assert capsys.readouterr().out == (ROOT / "tests" / "golden" / golden).read_text()
+
+
+@pytest.mark.parametrize("golden", CRYPTO_DEMOS)
+def test_crypto_demo_json_matches_golden_under_optimize(golden):
+    assert _run_optimized(CRYPTO_DEMOS[golden]) == (ROOT / "tests" / "golden" / golden).read_text()

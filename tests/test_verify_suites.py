@@ -337,7 +337,7 @@ def test_monotonicity_check_closes_each_subset_once(monkeypatch):
 
 def test_key_space_check_finds_each_stabilizer_once(monkeypatch):
     Z16 = core.build_semigroup(cyclic_table(16), name="Z16")
-    sys_ = crypto.locally_free_system(construction.adjoined_band_semigroup(Z16), 1)
+    sys_ = crypto.locally_free_system(construction.adjoined_band_semigroup(Z16))
     calls = []
     real = acts.stabilizer
     monkeypatch.setattr(acts, "stabilizer", lambda act, x: calls.append(x) or real(act, x))
@@ -444,7 +444,7 @@ def _flipped_decomposition(monkeypatch):
 def _wrong_key_space(monkeypatch):
     real = crypto.decrypt_key_space
 
-    def without_largest_key(sys, x, key=None):
+    def without_largest_key(sys, x, key):
         K = real(sys, x, key)
         return K - {max(K)}
 
@@ -464,7 +464,7 @@ def _wrong_inverse(monkeypatch):
 def _every_key_decrypts(monkeypatch):
     # K = S is closed and holds every triple, so only the band form can fail
     monkeypatch.setattr(
-        crypto, "decrypt_key_space", lambda sys, x, key=None: frozenset(sys.semigroup.elements)
+        crypto, "decrypt_key_space", lambda sys, x, key: frozenset(sys.semigroup.elements)
     )
     return verify._key_space_violations(verify._system_corpus())
 
@@ -476,7 +476,7 @@ def _left_dense_claimed_for_a_non_cancellative_act(monkeypatch):
     rows, _ = acts.left_mult_total(S)
     raw = acts.PartialAct(S, tuple(tuple(r) for r in rows))
     monkeypatch.setattr(crypto, "stabilizers_left_dense", lambda act: True)
-    return verify._left_dense_violations([("CHAIN3", crypto.Cryptosystem(S, raw, 0))])
+    return verify._left_dense_violations([("CHAIN3", crypto.Cryptosystem(S, raw))])
 
 
 WRONG_RESULTS = {
@@ -556,7 +556,7 @@ def test_key_space_check_names_the_first_failing_part(monkeypatch):
 @pytest.mark.parametrize("m", [16, 17])
 def test_left_dense_check_skips_carriers_above_16(monkeypatch, m):
     S = fx("Z2")
-    sys_ = crypto.Cryptosystem(S, acts.validate_act(S, [list(range(m))] * 2), 0)
+    sys_ = crypto.Cryptosystem(S, acts.validate_act(S, [list(range(m))] * 2))
     scanned = []
     real = crypto.stabilizers_left_dense
     monkeypatch.setattr(crypto, "stabilizers_left_dense", lambda act: scanned.append(act) or real(act))
