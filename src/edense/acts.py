@@ -10,14 +10,11 @@ definedness structure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from operator import itemgetter
 
 from . import closures, core
 from .core import FiniteSemigroup
 from .errors import (
     CompositionViolation,
-    NotAssociativeAction,
     NotCancellative,
     NotIdempotent,
     NotReflexive,
@@ -91,7 +88,7 @@ def validate_act(S: FiniteSemigroup, rows, point_labels=None) -> PartialAct:
     The composition law is checked in both directions: (st)x is defined
     exactly when s(tx) is, and then they agree.  s ranges over the greedy
     generators of S and t, x over everything, which still finds the first
-    failing (s, t, x) of a full scan (see ``_composition_witness``).  The
+    failing (s, t, x) of a full scan (see ``core._composition_witness``).  The
     action must be cancellative and reflexive (some weak inverse of s acts
     on every defined sx).
 
@@ -110,7 +107,7 @@ def validate_act(S: FiniteSemigroup, rows, point_labels=None) -> PartialAct:
         for x, v in enumerate(row):
             if v is not None and not 0 <= v < m:
                 raise OutOfRangeEntry(s, x, v)
-    witness = _composition_witness(S, table)
+    witness = core._composition_witness(S, table)
     if witness:
         s, t, x = witness
         via = None if table[t][x] is None else table[s][table[t][x]]
@@ -139,41 +136,16 @@ def validate_act(S: FiniteSemigroup, rows, point_labels=None) -> PartialAct:
     return PartialAct(S, table, tuple(point_labels) if point_labels else None)
 
 
-def _composition_witness(S: FiniteSemigroup, table, right=False):
-    """The first (s, t, x) where (st)x and s(tx), defined or not, differ,
-    or None.
-
-    With ``right``, ``table[s][x]`` is x*s and x(st) is compared with
-    (xs)t.  s ranges over the greedy generators of S, t and x over
-    everything.  That is exhaustive: the s for which the law holds are
-    closed under products, ((ab)t)x = (a(bt))x = a((bt)x) = a(b(tx)) =
-    (ab)(tx) (and the mirror image on the right), so the least failing s
-    is a generator.  A failing row is rescanned only to name its first
-    point.
-    """
-    m = len(table[0]) if table else 0
-    if not m:
-        return None
-    # slot m stands for "undefined", and every element keeps it there
-    full = [tuple(m if v is None else v for v in row) + (m,) for row in table]
-    then = [itemgetter(*row) for row in full]
-    for s, t in product(S.structure.generators, S.elements):
-        inner, outer = (s, t) if right else (t, s)
-        row = full[S.mul(s, t)]
-        if then[inner](full[outer]) != row:
-            return next(
-                (s, t, x) for x in range(m) if full[outer][full[inner][x]] != row[x]
-            )
-    return None
-
-
 def left_mult_total(S: FiniteSemigroup, carrier=None):
     """Total action of S on itself, or on a left ideal, by multiplication.
 
-    Returns (rows, labels); ``carrier`` must be closed under left
-    multiplication.
+    Returns (rows, labels); ``carrier`` must be a set of element ids
+    closed under left multiplication.
     """
     ids = sorted(carrier) if carrier is not None else list(S.elements)
+    outside = [e for e in ids if e not in S.elements]
+    if outside:
+        raise PreconditionFailed("carrier", f"{outside[0]} is not an element id 0..{S.n - 1}")
     pos = {e: i for i, e in enumerate(ids)}
     for s in S.elements:
         for e in ids:
@@ -185,31 +157,28 @@ def left_mult_total(S: FiniteSemigroup, carrier=None):
     return rows, [S.label(e) for e in ids]
 
 
-def wagner_preston(S: FiniteSemigroup, total_rows=None, point_labels=None) -> PartialAct:
-    """Restrict a total action to the domains where some weak inverse
-    undoes the element: D_s = {x : x = s'sx for some s' in W(s)}.
+def wagner_preston(S: FiniteSemigroup, carrier=None) -> PartialAct:
+    """Restrict left multiplication, on S or on the left ideal ``carrier``,
+    to the domains where some weak inverse undoes the element:
+    D_s = {x : x = s'sx for some s' in W(s)}.
 
-    Defaults to S acting on itself by multiplication.  Needs a
-    semilattice of idempotents.
+    Left multiplication is a total act because S is associative, so only
+    the restricted table is validated.  Needs a semilattice of idempotents.
     """
+    rows, labels = left_mult_total(S, carrier)
     closures.require_semilattice(S)
-    if total_rows is None:
-        total_rows, point_labels = left_mult_total(S)
-    witness = _composition_witness(S, total_rows)
-    if witness:
-        raise NotAssociativeAction(*witness)
-    m = len(total_rows[0])
+    m = len(rows[0])
     table = []
     for s in S.elements:
         winv = core.weak_inverses(S, s)
         row = []
         for x in range(m):
-            if any(total_rows[S.mul(w, s)][x] == x for w in winv):
-                row.append(total_rows[s][x])
+            if any(rows[S.mul(w, s)][x] == x for w in winv):
+                row.append(rows[s][x])
             else:
                 row.append(None)
         table.append(row)
-    return validate_act(S, table, point_labels)
+    return validate_act(S, table, labels)
 
 
 def order_ideal(S: FiniteSemigroup, e: int) -> frozenset[int]:
@@ -274,10 +243,9 @@ def act_properties(act: PartialAct) -> ActProperties:
     S = act.semigroup
     E = core.idempotents(S)
     effective = all(act.point_domain(x) for x in act.points)
+    # every point reaches every point, itself included, under some s
     transitive = all(
-        any(act.defined(s, x) and act.act(s, x) == y for s in S.elements)
-        for x in act.points
-        for y in act.points
+        len({row[x] for row in act.table} - {None}) == act.carrier for x in act.points
     )
     indecomposable = len(orbits(act)) == 1
     locally_free = all(

@@ -80,9 +80,8 @@ def _act_from_args(S, args):
         return acts.parse_act(_read(args.act_file), S), f"file:{args.act_file}"
     if args.munn:
         return acts.munn_act(S), "munn"
-    carrier = None if args.carrier is None else sorted(closures.parse_subset(args.carrier))
-    rows, labels = acts.left_mult_total(S, carrier)
-    return acts.wagner_preston(S, rows, labels), "wagner-preston"
+    carrier = None if args.carrier is None else closures.parse_subset(args.carrier)
+    return acts.wagner_preston(S, carrier), "wagner-preston"
 
 
 def cmd_act(args) -> int:

@@ -7,9 +7,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
+from operator import itemgetter
 
 from . import core
-from .core import FiniteSemigroup, _picker, build_semigroup
+from .core import FiniteSemigroup, build_semigroup
 from .errors import (
     ActionAxiomViolation,
     BadComposability,
@@ -213,6 +214,20 @@ class GroupCategoryAction:
         return self.on_morphisms[g][p]
 
 
+def _picker(indices):
+    """The map from a row to the tuple of its entries at ``indices``.
+
+    ``itemgetter`` returns a bare entry for a single index and refuses
+    none, so those two cases are spelled out.
+    """
+    if len(indices) == 1:
+        (i,) = indices
+        return lambda row: (row[i],)
+    if not indices:
+        return lambda row: ()
+    return itemgetter(*indices)
+
+
 def _check_range(rows, bound: int) -> None:
     for i, row in enumerate(rows):
         for j, v in enumerate(row):
@@ -316,7 +331,9 @@ def validate_group_action(C: FiniteCategory, G: FiniteSemigroup, on_objects, on_
 def _check_group_action(C: FiniteCategory, G: FiniteSemigroup, on_objects, on_morphisms):
     """The action axioms, each law compared a whole row at a time, with g
     over the generators of G; a failing row is rescanned only to name its
-    first witness.  Returns (transitive, free)."""
+    first witness.  The action law is the composition law of G acting on
+    objects and on morphisms (``core._composition_witness``).  Returns
+    (transitive, free)."""
     if not core.is_group(G):
         raise NotGroup()
     n, m = C.n_objects, C.n_morphisms
@@ -333,27 +350,22 @@ def _check_group_action(C: FiniteCategory, G: FiniteSemigroup, on_objects, on_mo
     for p in range(m):
         if on_morphisms[one][p] != p:
             raise ActionAxiomViolation("identity must fix morphisms", p)
-    obj_then = [_picker(row) for row in on_objects]
-    mor_then = [_picker(row) for row in on_morphisms]
-    gens = G.structure.generators
-    for g, h in product(gens, G.elements):
-        gh = G.mul(g, h)
-        if obj_then[h](on_objects[g]) != on_objects[gh]:
-            for u in range(n):
-                if on_objects[g][on_objects[h][u]] != on_objects[gh][u]:
-                    raise ActionAxiomViolation("(gh)u != g(hu)", (g, h, u))
-        if mor_then[h](on_morphisms[g]) != on_morphisms[gh]:
-            for p in range(m):
-                if on_morphisms[g][on_morphisms[h][p]] != on_morphisms[gh][p]:
-                    raise ActionAxiomViolation("(gh)p != g(hp)", (g, h, p))
+    # the action law (gh)x = g(hx) on objects and on morphisms; the failure
+    # with the smaller (g, h) comes first, objects first on a tie
+    witnesses = [core._composition_witness(G, rows) for rows in (on_objects, on_morphisms)]
+    failing = [(w[:2], i) for i, w in enumerate(witnesses) if w]
+    if failing:
+        i = min(failing)[1]
+        raise ActionAxiomViolation(("(gh)u != g(hu)", "(gh)p != g(hp)")[i], witnesses[i])
     of_source, of_target = _picker(C.source), _picker(C.target)
     of_identity = _picker(C.identities)
     then = [_picker(out) for out in C.leaving]
     # the composites p.q over the q leaving the target of p, as a picker
     composite = [_picker(then[C.target[p]](row)) for p, row in enumerate(C.compose)]
-    for g in gens:
+    for g in G.structure.generators:
         objs, mors = on_objects[g], on_morphisms[g]
-        if mor_then[g](C.source) != of_source(objs) or mor_then[g](C.target) != of_target(objs):
+        mor_then = _picker(mors)
+        if mor_then(C.source) != of_source(objs) or mor_then(C.target) != of_target(objs):
             for p in range(m):
                 gp = mors[p]
                 if C.source[gp] != objs[C.source[p]] or C.target[gp] != objs[C.target[p]]:
@@ -365,7 +377,7 @@ def _check_group_action(C: FiniteCategory, G: FiniteSemigroup, on_objects, on_mo
                 for q in C.leaving[C.target[p]]:
                     if C.compose[gp][mors[q]] != mors[C.compose[p][q]]:
                         raise ActionAxiomViolation("g(p+q) != gp+gq", (g, p, q))
-        if of_identity(mors) != obj_then[g](C.identities):
+        if of_identity(mors) != _picker(objs)(C.identities):
             for u in range(n):
                 if mors[C.identities[u]] != C.identities[objs[u]]:
                     raise ActionAxiomViolation("g 0_u != 0_gu", (g, u))
@@ -452,20 +464,26 @@ def adjoin_band_category(G: FiniteSemigroup, k: int = 2):
     return _translation_category(G, k)
 
 
+def _morphism_id(n: int, k: int, u: int, s: int, f: int) -> int:
+    """The id of the morphism (u, s, f) of ``_translation_category`` over a
+    group of order n with k flags: its place in lexicographic order."""
+    return (u * n + s) * k + f
+
+
 def _translation_category(G: FiniteSemigroup, k: int):
     """Morphisms (u, s, f) : u -> su, with f one of k flags (flag 0 only
-    for the derived category), in lexicographic order."""
+    for the derived category), numbered by ``_morphism_id``."""
     n = G.n
-    morphs = [(u, s, f) for u in G.elements for s in G.elements for f in range(k)]
-    index = {m: i for i, m in enumerate(morphs)}
+    morphs = list(product(G.elements, G.elements, range(k)))
     pairs = [(u, G.mul(s, u)) for u, s, _ in morphs]
     compose_map = {}
     for i, (u, s, f1) in enumerate(morphs):
         su = G.mul(s, u)
         for t in G.elements:
+            ts = G.mul(t, s)
             for f2 in range(k):
-                j = index[(su, t, f2)]
-                compose_map[(i, j)] = index[(u, G.mul(t, s), _combine_flags(f1, f2))]
+                j = _morphism_id(n, k, su, t, f2)
+                compose_map[(i, j)] = _morphism_id(n, k, u, ts, _combine_flags(f1, f2))
 
     def mlabel(u, s, f):
         base = f"({G.label(u)},{G.label(s)},{G.label(G.mul(s, u))})"
@@ -477,10 +495,10 @@ def _translation_category(G: FiniteSemigroup, k: int):
     labels = [mlabel(*m) for m in morphs]
     C = build_category(n, pairs, compose_map, labels=labels)
 
-    inv = {g: next(h for h in G.elements if G.mul(g, h) == G.identity) for g in G.elements}
+    inv = [row.index(G.identity) for row in G.table]
     on_objects = [[G.mul(g, u) for u in G.elements] for g in G.elements]
     on_morphisms = [
-        [index[(G.mul(g, u), G.prod(g, s, inv[g]), f)] for u, s, f in morphs]
+        [_morphism_id(n, k, G.mul(g, u), G.prod(g, s, inv[g]), f) for u, s, f in morphs]
         for g in G.elements
     ]
     action = validate_group_action(C, G, on_objects, on_morphisms)
@@ -506,14 +524,12 @@ def adjoined_band_to_cu_map(G: FiniteSemigroup, k: int = 2, name=""):
     u = G.identity
     cu = c_u_monoid(C, action, u)
     pair_index = {pair: i for i, pair in enumerate(cu.pairs)}
-    # flag f, group part g  ->  (e_u^f + (u, g, gu), g); the morphism list of
-    # adjoin_band_category is (u, s, f) in lexicographic order
+    # flag f, group part g  ->  (e_u^f + (u, g, gu), g)
     mapping = {}
     n = G.n
     for f in range(k):
         for g in G.elements:
-            p = (u * n + g) * k + f
-            mapping[f * n + g] = pair_index[(p, g)]
+            mapping[f * n + g] = pair_index[(_morphism_id(n, k, u, g, f), g)]
     return S, cu, mapping
 
 

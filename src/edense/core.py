@@ -100,7 +100,10 @@ class Structure:
     def generators(self) -> tuple[int, ...]:
         """The greedy generating set of the table, in id order (see
         ``greedy_generators``)."""
-        return _table_generators(self.table)
+        t = self.table
+        return greedy_generators(
+            len(t), lambda x, inside: [t[x][y] for y in inside] + [t[y][x] for y in inside]
+        )
 
     @cached_property
     def idempotents(self) -> frozenset[int]:
@@ -182,12 +185,6 @@ def greedy_generators(n: int, products) -> tuple[int, ...]:
     return tuple(gens)
 
 
-def _table_generators(t) -> tuple[int, ...]:
-    return greedy_generators(
-        len(t), lambda x, inside: [t[x][y] for y in inside] + [t[y][x] for y in inside]
-    )
-
-
 def _find_identity(table) -> int | None:
     n = len(table)
     for e in range(n):
@@ -196,32 +193,15 @@ def _find_identity(table) -> int | None:
     return None
 
 
-def _picker(indices):
-    """The map from a row to the tuple of its entries at ``indices``.
-
-    ``itemgetter`` returns a bare entry for a single index and refuses
-    none, so those two cases are spelled out.
-    """
-    if len(indices) == 1:
-        (i,) = indices
-        return lambda row: (row[i],)
-    if not indices:
-        return lambda row: ()
-    return itemgetter(*indices)
-
-
 def build_semigroup(rows, identity_hint=None, labels=None, name="") -> FiniteSemigroup:
     """Validate a square table and return the semigroup it defines.
 
-    Associativity (ij)k = i(jk) is checked with i over the greedy
-    generators of the table and j, k over every element, a whole row at a
-    time: row (i*j) must equal row j mapped through row i.  That is still
-    exhaustive: the i for which the law holds are closed under products,
-    ((ab)j)k = a(b(jk)) = (ab)(jk), so the least failing i is a generator
-    and the scan names the first failing triple of a full n^3 scan.  A
-    failing row is rescanned only to name that triple.  A two-sided
-    identity is detected automatically; ``identity_hint`` is only checked
-    against it.
+    Associativity (ij)k = i(jk) is the composition law (st)x = s(tx) of
+    the table acting on itself by left multiplication, so it is checked by
+    ``_composition_witness``: i over the greedy generators of the table,
+    then j, k over every element, which names the first failing triple of
+    a full n^3 scan.  A two-sided identity is detected automatically;
+    ``identity_hint`` is only checked against it.
     """
     table = tuple(tuple(row) for row in rows)
     n = len(table)
@@ -233,22 +213,45 @@ def build_semigroup(rows, identity_hint=None, labels=None, name="") -> FiniteSem
         for j, v in enumerate(row):
             if not (0 <= v < n):
                 raise OutOfRangeEntry(i, j, v)
-    then = [_picker(row) for row in table]
-    for i in _table_generators(table):
-        row = table[i]
-        # row i*j times k is table[i*j]; i times row j is row j through row i
-        if [table[ij] for ij in row] != [get(row) for get in then]:
-            for j, k in product(range(n), repeat=2):
-                if table[row[j]][k] != row[table[j][k]]:
-                    raise NonAssociative(i, j, k)
     identity = _find_identity(table)
+    labels = None if labels is None else tuple(labels)
+    S = FiniteSemigroup(table, identity, labels, name)
+    witness = _composition_witness(S, table)
+    if witness:
+        raise NonAssociative(*witness)
     if identity_hint is not None and identity_hint != identity:
         raise BadIdentityHint(identity_hint)
-    if labels is not None:
-        labels = tuple(labels)
-        if len(labels) != n:
-            raise PreconditionFailed("labels", f"{len(labels)} labels for order {n}")
-    return FiniteSemigroup(table, identity, labels, name)
+    if labels is not None and len(labels) != n:
+        raise PreconditionFailed("labels", f"{len(labels)} labels for order {n}")
+    return S
+
+
+def _composition_witness(S: FiniteSemigroup, table, right=False):
+    """The first (s, t, x) where (st)x and s(tx), defined or not, differ,
+    or None.
+
+    With ``right``, ``table[s][x]`` is x*s and x(st) is compared with
+    (xs)t.  s ranges over the greedy generators of S, t and x over
+    everything.  That is exhaustive: the s for which the law holds are
+    closed under products, ((ab)t)x = (a(bt))x = a((bt)x) = a(b(tx)) =
+    (ab)(tx) (and the mirror image on the right), so the least failing s
+    is a generator.  A failing row is rescanned only to name its first
+    point.
+    """
+    m = len(table[0]) if table else 0
+    if not m:
+        return None
+    # slot m stands for "undefined", and every element keeps it there
+    full = [tuple(m if v is None else v for v in row) + (m,) for row in table]
+    then = [itemgetter(*row) for row in full]
+    for s, t in product(S.structure.generators, S.elements):
+        inner, outer = (s, t) if right else (t, s)
+        row = full[S.mul(s, t)]
+        if then[inner](full[outer]) != row:
+            return next(
+                (s, t, x) for x in range(m) if full[outer][full[inner][x]] != row[x]
+            )
+    return None
 
 
 def parse_cayley_table(text: str, name="") -> FiniteSemigroup:

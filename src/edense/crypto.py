@@ -207,13 +207,13 @@ def build_biact(S: FiniteSemigroup, left_rows, right_rows) -> BiactTable:
     laws hold, the s with (sx)t = s(xt) for all x, t are closed under
     products, ((ab)x)t = a(b(xt)) = (ab)(xt), so the least failing s is a
     generator, as it is for the composition laws themselves (see
-    ``acts._composition_witness``).
+    ``core._composition_witness``).
     """
     left = tuple(tuple(r) for r in left_rows)
     right = tuple(tuple(r) for r in right_rows)
     m = len(left[0])
     by_element = [tuple(row[s] for row in right) for s in S.elements]  # x*s, by s
-    witnesses = [acts._composition_witness(S, left), acts._composition_witness(S, by_element, True)]
+    witnesses = [core._composition_witness(S, left), core._composition_witness(S, by_element, True)]
     if any(witnesses):
         raise NotAssociativeAction(*min(w for w in witnesses if w))
     for s in S.elements:

@@ -27,8 +27,7 @@ from conftest import SEMILATTICE_FIXTURES, cyclic_table, fx
 def eg_act(name="Z3E"):
     S = fx(name)
     carrier = sorted(e for e in S.elements if e >= S.n // 2)
-    rows, labels = acts.left_mult_total(S, carrier)
-    return S, acts.wagner_preston(S, rows, labels)
+    return S, acts.wagner_preston(S, carrier)
 
 
 def test_wagner_preston_chain3_validates():
@@ -364,3 +363,51 @@ def test_act_on_an_undefined_entry_raises_with_and_without_optimize():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "precondition failed: defined 1*1 is undefined\n"
+
+
+def pairwise_transitive(act):
+    """Whether some s sends x to y, asked for every pair of points."""
+    return all(any(row[x] == y for row in act.table) for x in act.points for y in act.points)
+
+
+def test_transitive_agrees_with_the_pairwise_scan():
+    seen = set()
+    for S in oracle_tables():
+        wp, munn = acts.wagner_preston(S), acts.munn_act(S)
+        orbit_acts = [acts.subact(a, sorted(O)) for a in (wp, munn) for O in acts.orbits(a)]
+        for act in [wp, munn, *orbit_acts]:
+            expected = pairwise_transitive(act)
+            assert acts.act_properties(act).transitive is expected, (S.table, act.table)
+            seen.add(expected)
+    assert seen == {True, False}
+
+
+def test_left_mult_total_rejects_ids_outside_the_table():
+    S = fx("Z3E")
+    for carrier, bad in (([0, 9], 9), ([-1], -1), ([6], 6)):
+        with pytest.raises(PreconditionFailed, match=f"carrier {bad} is not an element id 0..5"):
+            acts.left_mult_total(S, carrier)
+        with pytest.raises(PreconditionFailed, match="carrier"):
+            acts.wagner_preston(S, carrier)
+
+
+def test_one_greedy_generator_scan_per_table(monkeypatch):
+    calls = []
+    real = core.greedy_generators
+    monkeypatch.setattr(core, "greedy_generators", lambda n, products: calls.append(n) or real(n, products))
+    S = core.build_semigroup(fx("Z3E").table)
+    wp = acts.wagner_preston(S)
+    acts.validate_act(S, wp.table)
+    acts.munn_act(S)
+    assert calls == [S.n]
+
+
+def test_wagner_preston_runs_one_composition_scan(monkeypatch):
+    S = core.build_semigroup(fx("Z6E").table)
+    scanned = []
+    real = core._composition_witness
+    monkeypatch.setattr(
+        core, "_composition_witness", lambda S, table, right=False: scanned.append(table) or real(S, table, right)
+    )
+    wp = acts.wagner_preston(S)
+    assert scanned == [wp.table]

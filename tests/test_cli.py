@@ -107,8 +107,7 @@ def test_act_file_roundtrip(capsys, tmp_path, z3e_file):
     from edense import acts
 
     S = fx("Z3E")
-    rows, labels = acts.left_mult_total(S, [3, 4, 5])
-    wp = acts.wagner_preston(S, rows, labels)
+    wp = acts.wagner_preston(S, [3, 4, 5])
     act_path = tmp_path / "eg.act"
     act_path.write_text(acts.format_act(wp))
     code, out = run(capsys, "act", z3e_file, "--act-file", str(act_path))
@@ -487,3 +486,16 @@ def test_stdout_closed_before_a_short_report_exits_quietly():
     err = proc.stderr.read()
     assert proc.wait(timeout=120) == 1
     assert err == b""
+
+
+@pytest.mark.parametrize("carrier,bad", [("0 9", 9), ("-1", -1)])
+def test_act_carrier_outside_the_table(capsys, z3e_file, carrier, bad):
+    code, out = run(capsys, "act", z3e_file, "--carrier", carrier, "--json")
+    assert code == 1
+    assert json.loads(out)["findings"] == [
+        {
+            "name": "PreconditionFailed",
+            "pass": False,
+            "witness": f"precondition failed: carrier {bad} is not an element id 0..5",
+        }
+    ]

@@ -2,6 +2,7 @@
 band-extension family, the enumerator and the fixture corpus."""
 
 import random
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -627,3 +628,46 @@ def test_c_u_monoid_rejects_object_out_of_range():
     for u in (2, 9, -1):
         with pytest.raises(PreconditionFailed, match=f"base_object {u} is not one of the 2"):
             construction.c_u_monoid(C, action, u)
+
+
+def _tuple_index_translation_category(G, k):
+    """The translation category of G with k flags and its conjugation
+    action, each morphism (u, s, f) numbered through a dict of the triples
+    in lexicographic order and each inverse found by search."""
+    morphs = [(u, s, f) for u in G.elements for s in G.elements for f in range(k)]
+    index = {m: i for i, m in enumerate(morphs)}
+    compose_map = {}
+    for i, (u, s, f1) in enumerate(morphs):
+        for t, f2 in product(G.elements, range(k)):
+            compose_map[(i, index[(G.mul(s, u), t, f2)])] = index[(u, G.mul(t, s), f2 or f1)]
+    C = construction.build_category(G.n, [(u, G.mul(s, u)) for u, s, _ in morphs], compose_map)
+    inv = {g: next(h for h in G.elements if G.mul(g, h) == G.identity) for g in G.elements}
+    on_objects = [[G.mul(g, u) for u in G.elements] for g in G.elements]
+    on_morphisms = [
+        [index[(G.mul(g, u), G.prod(g, s, inv[g]), f)] for u, s, f in morphs]
+        for g in G.elements
+    ]
+    return C, construction.validate_group_action(C, G, on_objects, on_morphisms)
+
+
+TRANSLATION_GROUPS = {
+    "Z2": cyclic_table(2),
+    "Z3": cyclic_table(3),
+    "Z6": cyclic_table(6),
+    "Z2xZ4": product_table(cyclic_table(2), cyclic_table(4)),
+}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("name", list(TRANSLATION_GROUPS))
+def test_translation_category_numbering_matches_a_tuple_index(name, k):
+    G = core.build_semigroup(TRANSLATION_GROUPS[name], name=name)
+    if k == 1:
+        C, action = construction.derived_category(G)
+    else:
+        C, action = construction.adjoin_band_category(G, k)
+    ref_C, ref_action = _tuple_index_translation_category(G, k)
+    assert replace(C, morphism_labels=None) == ref_C
+    assert C.morphism_labels is not None and len(C.morphism_labels) == C.n_morphisms
+    for attr in ("on_objects", "on_morphisms", "transitive", "free"):
+        assert getattr(action, attr) == getattr(ref_action, attr), attr

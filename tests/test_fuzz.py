@@ -1,9 +1,9 @@
 """Fuzzing the table, subset, act and category parsers through the
 command line, and act isomorphism on relabelled acts.
 
-Whatever a table file, a ``--subsemigroup`` argument, an act file or a
-category file holds, a command must end in a JSON findings report with
-exit status 0 or 1, and raise nothing.
+Whatever a table file, a ``--subsemigroup`` or ``--carrier`` argument,
+an act file or a category file holds, a command must end in a JSON
+findings report with exit status 0 or 1, and raise nothing.
 """
 
 import contextlib
@@ -106,6 +106,15 @@ def test_any_act_file_gives_a_report(pair):
         table_path.write_text(core.format_cayley_table(fx(name)), encoding="utf-8")
         act_path.write_text(text, encoding="utf-8")
         run_json("act", str(table_path), f"--act-file={act_path}")
+
+
+@FUZZ
+@given(name=ACT_TABLES, carrier=SUBSETS)
+def test_any_carrier_gives_a_report(name, carrier):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.tbl"
+        path.write_text(core.format_cayley_table(fx(name)), encoding="utf-8")
+        run_json("act", str(path), f"--carrier={carrier}")
 
 
 CATEGORY_LINES = DERIVED_Z2_FILE.strip().splitlines()
