@@ -475,6 +475,9 @@ def _translation_category(G: FiniteSemigroup, k: int):
     for the derived category), numbered by ``_morphism_id``."""
     n = G.n
     morphs = list(product(G.elements, G.elements, range(k)))
+    # one int object per id, shared by the composites and action entries
+    # that name it, rather than a new one per entry
+    ids = list(range(len(morphs)))
     pairs = [(u, G.mul(s, u)) for u, s, _ in morphs]
     compose_map = {}
     for i, (u, s, f1) in enumerate(morphs):
@@ -482,8 +485,8 @@ def _translation_category(G: FiniteSemigroup, k: int):
         for t in G.elements:
             ts = G.mul(t, s)
             for f2 in range(k):
-                j = _morphism_id(n, k, su, t, f2)
-                compose_map[(i, j)] = _morphism_id(n, k, u, ts, _combine_flags(f1, f2))
+                j = ids[_morphism_id(n, k, su, t, f2)]
+                compose_map[(i, j)] = ids[_morphism_id(n, k, u, ts, _combine_flags(f1, f2))]
 
     def mlabel(u, s, f):
         base = f"({G.label(u)},{G.label(s)},{G.label(G.mul(s, u))})"
@@ -498,7 +501,7 @@ def _translation_category(G: FiniteSemigroup, k: int):
     inv = [row.index(G.identity) for row in G.table]
     on_objects = [[G.mul(g, u) for u in G.elements] for g in G.elements]
     on_morphisms = [
-        [_morphism_id(n, k, G.mul(g, u), G.prod(g, s, inv[g]), f) for u, s, f in morphs]
+        [ids[_morphism_id(n, k, G.mul(g, u), G.prod(g, s, inv[g]), f)] for u, s, f in morphs]
         for g in G.elements
     ]
     action = validate_group_action(C, G, on_objects, on_morphisms)
