@@ -394,7 +394,9 @@ def test_left_mult_total_rejects_ids_outside_the_table():
 def test_one_greedy_generator_scan_per_table(monkeypatch):
     calls = []
     real = core.greedy_generators
-    monkeypatch.setattr(core, "greedy_generators", lambda n, products: calls.append(n) or real(n, products))
+    monkeypatch.setattr(
+        core, "greedy_generators", lambda n, products: calls.append(n) or real(n, products)
+    )
     S = core.build_semigroup(fx("Z3E").table)
     wp = acts.wagner_preston(S)
     acts.validate_act(S, wp.table)
@@ -406,8 +408,10 @@ def test_wagner_preston_runs_one_composition_scan(monkeypatch):
     S = core.build_semigroup(fx("Z6E").table)
     scanned = []
     real = core._composition_witness
-    monkeypatch.setattr(
-        core, "_composition_witness", lambda S, table, right=False: scanned.append(table) or real(S, table, right)
-    )
+    def counted(S, table, right=False):
+        scanned.append(table)
+        return real(S, table, right)
+
+    monkeypatch.setattr(core, "_composition_witness", counted)
     wp = acts.wagner_preston(S)
     assert scanned == [wp.table]

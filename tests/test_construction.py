@@ -532,10 +532,31 @@ def test_category_and_action_scans_reach_the_last_generator():
     for rows, law in (
         ((twisted_objects, action.on_morphisms), "(gh)u != g(hu)"),
         ((action.on_objects, twisted_morphisms), "(gh)p != g(hp)"),
+        # both laws first fail at the same (g, h): objects come first
+        ((twisted_objects, twisted_morphisms), "(gh)u != g(hu)"),
     ):
         old = _outcome(_loop_validate_group_action, C, G, *rows)
         assert law in old[2] and old[1][0] == gens[-1]
         assert _action_outcome(C, G, *rows) == old
+
+
+def test_action_law_names_the_first_failure_over_objects_and_morphisms():
+    # one entry of a non-identity object row and one of a morphism row
+    # changed at once, so both action laws can fail; the interleaved loop
+    # names the failure with the smaller (g, h)
+    laws = set()
+    for G, C, action in (*_built(), *_larger_built()):
+        rng = random.Random(f"both laws {G.name} {C.n_morphisms}")
+        moving = [g for g in G.elements if g != G.identity]
+        for _ in range(30):
+            on_objects = [list(row) for row in action.on_objects]
+            on_morphisms = [list(row) for row in action.on_morphisms]
+            for rows, width in ((on_objects, C.n_objects), (on_morphisms, C.n_morphisms)):
+                rows[rng.choice(moving)][rng.randrange(width)] = rng.randrange(width)
+            old = _outcome(_loop_validate_group_action, C, G, on_objects, on_morphisms)
+            assert _action_outcome(C, G, on_objects, on_morphisms) == old
+            laws.add(old[2].split(": ", 1)[1].split(" (witness")[0] if old[0] != "ok" else "ok")
+    assert {"(gh)u != g(hu)", "(gh)p != g(hp)"} <= laws
 
 
 def _trivial_action(C, G):
