@@ -16,14 +16,11 @@ from operator import itemgetter
 
 from .errors import (
     BadIdentityHint,
-    CarrierTooLarge,
     NonAssociative,
     OutOfRangeEntry,
     ParseError,
     PreconditionFailed,
 )
-
-ISOMORPHISM_ORDER_BOUND = 16
 
 
 @dataclass(frozen=True)
@@ -424,65 +421,54 @@ def _element_signature(S: FiniteSemigroup, x: int):
 
 
 def find_semigroup_isomorphism(S: FiniteSemigroup, T: FiniteSemigroup):
-    """A table isomorphism S -> T found by backtracking, or None.
+    """A table isomorphism S -> T, as a dict, or None.
 
-    Candidates are pruned by cyclic-structure signatures; fine for the
-    desk-scale orders this package works at.  Orders beyond
-    ``ISOMORPHISM_ORDER_BOUND`` are refused.
+    Only the images of the greedy generators of S are searched, each among
+    the unused elements of T with its signature.  After each choice the
+    partial map is closed under x = g*y for the generators g chosen so far,
+    with phi(x) = phi(g)*phi(y), and the branch dies as soon as such an
+    image is already used or disagrees with an earlier one.  A map that
+    reaches every element is then a bijection with phi(g*y) = phi(g)*phi(y)
+    for every generator g and every y.  The s satisfying that law for every
+    y are closed under products, so it holds for all s.  An isomorphism is
+    fixed by its generator images, so the search misses none.
     """
     if S.n != T.n:
         return None
-    if S.n > ISOMORPHISM_ORDER_BOUND:
-        raise CarrierTooLarge(S.n, ISOMORPHISM_ORDER_BOUND)
     sig_s = [_element_signature(S, x) for x in S.elements]
     sig_t = [_element_signature(T, x) for x in T.elements]
     if sorted(sig_s) != sorted(sig_t):
         return None
-    candidates = [
-        [y for y in T.elements if sig_t[y] == sig_s[x]] for x in S.elements
-    ]
-    n = S.n
-    image = [-1] * n
-    used = [False] * n
+    gens, s, t = S.structure.generators, S.table, T.table
 
-    def consistent(x, y):
-        for a in range(n):
-            if image[a] < 0:
-                continue
-            ab, ba = S.mul(a, x), S.mul(x, a)
-            if image[ab] >= 0 and T.mul(image[a], y) != image[ab]:
-                return False
-            if image[ab] < 0 and ab == x and T.mul(image[a], y) != y:
-                return False
-            if image[ba] >= 0 and T.mul(y, image[a]) != image[ba]:
-                return False
-            if image[ba] < 0 and ba == x and T.mul(y, image[a]) != y:
-                return False
-        xx = S.mul(x, x)
-        if image[xx] >= 0 and T.mul(y, y) != image[xx]:
-            return False
-        if xx == x and T.mul(y, y) != y:
-            return False
+    def closed(phi, used, chosen):
+        todo = list(phi)
+        while todo:
+            y = todo.pop()
+            for g in chosen:
+                x, image = s[g][y], t[phi[g]][phi[y]]
+                if x in phi:
+                    if phi[x] != image:
+                        return False
+                elif image in used:
+                    return False
+                else:
+                    phi[x] = image
+                    used.add(image)
+                    todo.append(x)
         return True
 
-    def search(x):
-        if x == n:
-            return all(
-                T.mul(image[a], image[b]) == image[S.mul(a, b)]
-                for a in range(n)
-                for b in range(n)
-            )
-        for y in candidates[x]:
-            if used[y] or not consistent(x, y):
-                continue
-            image[x] = y
-            used[y] = True
-            if search(x + 1):
-                return True
-            image[x] = -1
-            used[y] = False
-        return False
+    def extend(k, phi, used):
+        if len(phi) == S.n:
+            return {x: phi[x] for x in S.elements}
+        g = gens[k]
+        for c in T.elements:
+            if sig_t[c] == sig_s[g] and c not in used:
+                phi_c, used_c = {**phi, g: c}, used | {c}
+                if closed(phi_c, used_c, gens[: k + 1]):
+                    found = extend(k + 1, phi_c, used_c)
+                    if found is not None:
+                        return found
+        return None
 
-    if search(0):
-        return {x: image[x] for x in S.elements}
-    return None
+    return extend(0, {}, set())

@@ -100,15 +100,6 @@ class WellDefinednessViolation(WorkbenchError):
         super().__init__(f"action value depends on choice of weak inverse: {witness}")
 
 
-class CarrierTooLarge(WorkbenchError):
-    """``core.find_semigroup_isomorphism`` refuses orders above its bound."""
-
-    def __init__(self, size, bound):
-        self.size = size
-        self.bound = bound
-        super().__init__(f"semigroup isomorphism search limited to order {bound}, got {size}")
-
-
 class BadSubsemigroup(WorkbenchError):
     def __init__(self, reason, witness=None):
         self.reason = reason

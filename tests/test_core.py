@@ -2,14 +2,13 @@
 table scans (frozen below) and against the documented fixture corpus."""
 
 import random
-from itertools import product
+from itertools import combinations, permutations, product
 
 import pytest
 
 from edense import construction, core
 from edense.errors import (
     BadIdentityHint,
-    CarrierTooLarge,
     NonAssociative,
     OutOfRangeEntry,
     ParseError,
@@ -271,26 +270,115 @@ def test_parse_comments_and_identity_line():
     assert S.identity == 2
 
 
+def assert_isomorphism(S, T, iso):
+    """iso is a bijection S -> T that preserves all n^2 products."""
+    assert iso is not None
+    assert sorted(iso) == list(S.elements) and sorted(iso.values()) == list(T.elements)
+    assert all(T.mul(iso[a], iso[b]) == iso[S.mul(a, b)] for a in S.elements for b in S.elements)
+
+
+def z4_by_z4():
+    """Z4 x| Z4, (a, b)(c, d) = (a + (-1)^b c, b + d), with (a, b) numbered 4a + b."""
+    return [
+        [(a + (-1) ** b * c) % 4 * 4 + (b + d) % 4 for c in range(4) for d in range(4)]
+        for a in range(4)
+        for b in range(4)
+    ]
+
+
+def s3():
+    """The permutations of three points under composition, (pq)(x) = p(q(x))."""
+    perms = list(permutations(range(3)))
+    return [[perms.index(tuple(p[q[x]] for x in range(3))) for q in perms] for p in perms]
+
+
 def test_semigroup_isomorphism_search():
     Z6 = fx("Z6")
-    # relabelled copy of Z6
-    perm = [3, 1, 4, 0, 5, 2]
-    inv = {v: i for i, v in enumerate(perm)}
-    rows = [[perm[Z6.mul(inv[a], inv[b])] for b in range(6)] for a in range(6)]
-    T = core.build_semigroup(rows)
-    iso = core.find_semigroup_isomorphism(Z6, T)
-    assert iso is not None
-    assert all(T.mul(iso[a], iso[b]) == iso[Z6.mul(a, b)] for a in range(6) for b in range(6))
+    T = core.build_semigroup(relabelled(Z6.table, [3, 1, 4, 0, 5, 2]))
+    assert_isomorphism(Z6, T, core.find_semigroup_isomorphism(Z6, T))
     assert core.find_semigroup_isomorphism(fx("Z2"), fx("LZ2")) is None
     assert core.find_semigroup_isomorphism(fx("Z6"), fx("Z3E")) is None
+    # Z4 x Z4 and Z4 x| Z4 share every element signature; S3 has the order of Z6;
+    # Z4 x| Z4 and S3 are groups that are not abelian
+    Z4xZ4 = core.build_semigroup(product_table(cyclic_table(4), cyclic_table(4)))
+    Z4sdZ4, S3 = core.build_semigroup(z4_by_z4()), core.build_semigroup(s3())
+    signatures = [sorted(core._element_signature(S, x) for x in S.elements) for S in (Z4xZ4, Z4sdZ4)]
+    assert signatures[0] == signatures[1]
+    for G in (Z4sdZ4, S3):
+        assert G.table != tuple(zip(*G.table)) and core.is_group(G)
+    for A, B in [(Z4xZ4, Z4sdZ4), (S3, Z6)]:
+        assert core.find_semigroup_isomorphism(A, B) is None
+        assert core.find_semigroup_isomorphism(B, A) is None
 
 
-def test_semigroup_isomorphism_order_bound():
-    assert core.ISOMORPHISM_ORDER_BOUND == 16
-    Z17 = core.build_semigroup(cyclic_table(17))
-    with pytest.raises(CarrierTooLarge, match="limited to order 16, got 17"):
-        core.find_semigroup_isomorphism(Z17, core.build_semigroup(cyclic_table(17)))
-    # unequal orders are compared before the bound
+def test_semigroup_isomorphism_has_no_order_bound():
+    Z2 = cyclic_table(2)
+    Z2_6 = Z2
+    for _ in range(5):
+        Z2_6 = product_table(Z2_6, Z2)
     Z16 = core.build_semigroup(cyclic_table(16))
+    tables = {
+        "Z17": cyclic_table(17),
+        "Z32": cyclic_table(32),
+        "Z16E": construction.adjoined_band_semigroup(Z16).table,
+        "Z2^6": Z2_6,
+        "CHAIN16": [[min(i, j) for j in range(16)] for i in range(16)],
+        "LZ16": [[i] * 16 for i in range(16)],
+    }
+    assert [len(table) for table in tables.values()] == [17, 32, 32, 64, 16, 16]
+    rng = random.Random(16)
+    for table in tables.values():
+        S = core.build_semigroup(table)
+        T = core.build_semigroup(relabelled(table, rng.sample(range(S.n), S.n)))
+        assert_isomorphism(S, T, core.find_semigroup_isomorphism(S, T))
+    # unequal orders
+    Z17 = core.build_semigroup(cyclic_table(17))
     assert core.find_semigroup_isomorphism(Z17, Z16) is None
     assert core.find_semigroup_isomorphism(Z16, Z17) is None
+
+
+def labelled_tables(n):
+    """Every associative n x n table, filling the cells row by row and
+    backtracking as soon as a triple whose four products are all filled in
+    breaks (ab)c = a(bc)."""
+    t = [[None] * n for _ in range(n)]
+    cells = list(product(range(n), repeat=2))
+
+    def associative_so_far():
+        for a, b, c in product(range(n), repeat=3):
+            ab, bc = t[a][b], t[b][c]
+            if ab is not None and bc is not None:
+                left, right = t[ab][c], t[a][bc]
+                if left is not None and right is not None and left != right:
+                    return False
+        return True
+
+    def fill(k):
+        if k == len(cells):
+            yield tuple(map(tuple, t))
+            return
+        i, j = cells[k]
+        for v in range(n):
+            t[i][j] = v
+            if associative_so_far():
+                yield from fill(k + 1)
+        t[i][j] = None
+
+    return list(fill(0))
+
+
+@pytest.mark.parametrize("n, labelled, classes", [(1, 1, 1), (2, 8, 5), (3, 113, 24), (4, 3492, 188)])
+def test_semigroup_isomorphism_against_every_bijection(n, labelled, classes):
+    # OEIS A023814 (labelled tables) and A027851 (tables up to isomorphism);
+    # the class of a table is its least relabelling over all n! bijections
+    tables = labelled_tables(n)
+    least = {
+        t: min(tuple(map(tuple, relabelled(t, p))) for p in permutations(range(n))) for t in tables
+    }
+    reps = {r: core.build_semigroup(r) for r in sorted(set(least.values()))}
+    assert (len(tables), len(reps)) == (labelled, classes)
+    for t in tables:
+        S, R = core.build_semigroup(t), reps[least[t]]
+        assert_isomorphism(S, R, core.find_semigroup_isomorphism(S, R))
+    for A, B in combinations(reps.values(), 2):
+        assert core.find_semigroup_isomorphism(A, B) is None
