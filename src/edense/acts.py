@@ -4,12 +4,15 @@ stabilizers, gradings and act isomorphisms.
 
 An act stores an n x m table of point ids with ``None`` for undefined,
 so every domain query is a direct lookup and validation sees the whole
-definedness structure.
+definedness structure.  The point queries, the orbit partition, the
+properties and the grading read the act's derived data, which it computes
+once, on first use, and which die with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import closures, core
 from .core import FiniteSemigroup
@@ -26,7 +29,12 @@ from .errors import (
 
 @dataclass(frozen=True)
 class PartialAct:
-    """A validated partial act; ``table[s][x]`` is s*x or None."""
+    """A validated partial act; ``table[s][x]`` is s*x or None.
+
+    The derived data below are ``cached_property`` values kept in the
+    instance ``__dict__``: they do not enter ``==`` or ``hash``, and each is
+    immutable.  A query that raises stores nothing and raises again.
+    """
 
     semigroup: FiniteSemigroup
     table: tuple[tuple[int | None, ...], ...]
@@ -55,10 +63,69 @@ class PartialAct:
 
     def point_domain(self, x: int) -> frozenset[int]:
         """D^x: the elements acting on x."""
-        return frozenset(s for s in self.semigroup.elements if self.table[s][x] is not None)
+        return self.point_domains[x]
 
     def plabel(self, x: int) -> str:
         return self.point_labels[x] if self.point_labels else str(x)
+
+    @cached_property
+    def point_domains(self) -> tuple[frozenset[int], ...]:
+        """D^x of every point x, one column of the table each."""
+        return tuple(
+            frozenset(s for s, v in enumerate(col) if v is not None) for col in zip(*self.table)
+        )
+
+    @cached_property
+    def orbit_sets(self) -> tuple[frozenset[int], ...]:
+        """The orbit Sx together with x, of every point x."""
+        return tuple(frozenset({x, *col} - {None}) for x, col in enumerate(zip(*self.table)))
+
+    @cached_property
+    def stabilizers(self) -> tuple[frozenset[int], ...]:
+        """The elements fixing x, of every point x."""
+        return tuple(
+            frozenset(s for s, v in enumerate(col) if v == x)
+            for x, col in enumerate(zip(*self.table))
+        )
+
+    @cached_property
+    def orbit_partition(self) -> tuple[frozenset[int], ...]:
+        """The distinct orbits, ordered by their least points."""
+        return tuple(sorted(dict.fromkeys(self.orbit_sets), key=min))
+
+    @cached_property
+    def properties(self) -> ActProperties:
+        """See the module function ``act_properties``."""
+        S, m = self.semigroup, self.carrier
+        E = core.idempotents(S)
+        return ActProperties(
+            effective=all(self.point_domains),
+            # every point reaches every point, itself included, under some s
+            transitive=all(len(set(col) - {None}) == m for col in zip(*self.table)),
+            indecomposable=len(self.orbit_partition) == 1,
+            locally_free=all(
+                stab == closures.omega_h(S, E & dom)
+                for stab, dom in zip(self.stabilizers, self.point_domains)
+            ),
+        )
+
+    @cached_property
+    def grading(self) -> Grading | GradingObstruction:
+        """See the module function ``grading``."""
+        S = self.semigroup
+        closures.require_semilattice(S)
+        E = core.idempotents(S)
+        p = []
+        for x, (dom, stab) in enumerate(zip(self.point_domains, self.stabilizers)):
+            if not dom:
+                return GradingObstruction("non-effective point", x)
+            fixing = stab & E
+            minima = [e for e in fixing if all(core.h_leq(S, e, f) for f in fixing)]
+            if not minima:
+                return GradingObstruction("stabilizer without minimum idempotent", x)
+            assert len(minima) == 1
+            p.append(minima[0])
+        return Grading(tuple(p))
 
 
 @dataclass(frozen=True)
@@ -221,41 +288,22 @@ def munn_act(S: FiniteSemigroup) -> PartialAct:
 
 def orbit(act: PartialAct, x: int) -> frozenset[int]:
     """Sx = {sx : s acts on x} together with x itself."""
-    return frozenset(
-        act.act(s, x) for s in act.point_domain(x)
-    ) | {x}
+    return act.orbit_sets[x]
 
 
 def stabilizer(act: PartialAct, x: int) -> frozenset[int]:
-    return frozenset(
-        s for s in act.semigroup.elements if act.defined(s, x) and act.act(s, x) == x
-    )
+    return act.stabilizers[x]
 
 
 def orbits(act: PartialAct) -> list[frozenset[int]]:
-    seen = {}
-    for x in act.points:
-        seen.setdefault(orbit(act, x), []).append(x)
-    return sorted(seen.keys(), key=min)
+    return list(act.orbit_partition)
 
 
 def act_properties(act: PartialAct) -> ActProperties:
-    S = act.semigroup
-    E = core.idempotents(S)
-    effective = all(act.point_domain(x) for x in act.points)
-    # every point reaches every point, itself included, under some s
-    transitive = all(
-        len({row[x] for row in act.table} - {None}) == act.carrier for x in act.points
-    )
-    indecomposable = len(orbits(act)) == 1
-    locally_free = all(
-        stabilizer(act, x) == closures.omega_h(S, E & act.point_domain(x))
-        for x in act.points
-    )
-    return ActProperties(effective, transitive, indecomposable, locally_free)
+    return act.properties
 
 
-def grading(act: PartialAct):
+def grading(act: PartialAct) -> Grading | GradingObstruction:
     """The grading of the act, or the obstruction to one.
 
     The grading sends x to the minimum idempotent in its stabilizer; it
@@ -264,20 +312,7 @@ def grading(act: PartialAct):
     preimage of the order ideal of e (the domain formula of the finding
     ``acts.grading-laws``).
     """
-    S = act.semigroup
-    closures.require_semilattice(S)
-    E = core.idempotents(S)
-    p = []
-    for x in act.points:
-        if not act.point_domain(x):
-            return GradingObstruction("non-effective point", x)
-        fixing = stabilizer(act, x) & E
-        minima = [e for e in fixing if all(core.h_leq(S, e, f) for f in fixing)]
-        if not minima:
-            return GradingObstruction("stabilizer without minimum idempotent", x)
-        assert len(minima) == 1
-        p.append(minima[0])
-    return Grading(tuple(p))
+    return act.grading
 
 
 def subact(act: PartialAct, points) -> PartialAct:

@@ -238,8 +238,12 @@ def _composition_witness(S: FiniteSemigroup, table, right=False):
     m = len(table[0]) if table else 0
     if not m:
         return None
-    # slot m stands for "undefined", and every element keeps it there
-    full = [tuple(m if v is None else v for v in row) + (m,) for row in table]
+    # slot m stands for "undefined", and every element keeps it there; it
+    # also keeps each row two entries long, so itemgetter returns tuples
+    if any(None in row for row in table):
+        full = [tuple(m if v is None else v for v in row) + (m,) for row in table]
+    else:
+        full = [(*row, m) for row in table]
     then = [itemgetter(*row) for row in full]
     for s, t in product(S.structure.generators, S.elements):
         inner, outer = (s, t) if right else (t, s)

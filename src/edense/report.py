@@ -51,13 +51,22 @@ class Report:
         return "\n".join(lines)
 
     def to_json(self) -> str:
-        payload = {
-            "command": self.command,
-            "findings": [
-                {"name": f.name, "pass": f.passed}
-                | ({"witness": f.witness} if f.witness is not None else {})
-                for f in self.findings
-            ],
-            "ok": self.ok,
-        }
-        return json.dumps(payload, indent=2, sort_keys=False)
+        """The report as ``json.dumps(payload, indent=2)`` writes it: each
+        finding is name, pass (a bool) and, when it has one, witness.  The
+        fixed shape is written here and each string goes through
+        ``json.dumps``, which encodes it in C, where ``indent`` would take
+        the pure-Python encoder for the whole payload.
+        """
+        dumps = json.dumps
+        items = []
+        for f in self.findings:
+            passed = "true" if f.passed else "false"
+            item = f'    {{\n      "name": {dumps(f.name)},\n      "pass": {passed}'
+            if f.witness is not None:
+                item += f',\n      "witness": {dumps(f.witness)}'
+            items.append(item + "\n    }")
+        findings = "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+        return (
+            f'{{\n  "command": {dumps(self.command)},\n  "findings": {findings},\n'
+            f'  "ok": {"true" if self.ok else "false"}\n}}'
+        )

@@ -348,14 +348,11 @@ def _basic_lemma_violations(act):
             return f"part 1 at x={x}"
         for s in S.elements:
             for w in core.weak_inverses(S, s):
-                if act.defined(w, x) != act.defined(S.mul(s, w), x):
+                if (w in dom) != (S.mul(s, w) in dom):
                     return f"part 2 at x={x}, s={s}, s'={w}"
         for s in dom:
             y = act.act(s, x)
-            back = any(
-                act.defined(w, y) and act.act(w, y) == x
-                for w in core.weak_inverses(S, s)
-            )
+            back = any(act.table[w][y] == x for w in core.weak_inverses(S, s))
             if not back:
                 return f"part 3 at x={x}, s={s}"
         for s, t in product(dom, repeat=2):
@@ -373,19 +370,21 @@ def _basic_lemma_violations(act):
 
 
 def _orbit_partition_violations(act):
-    for x in act.points:
-        for y in act.points:
-            ox, oy = acts.orbit(act, x), acts.orbit(act, y)
-            if (y in ox) != (ox == oy):
-                return f"x={x}, y={y}"
+    orbs = [acts.orbit(act, x) for x in act.points]
+    for x, y in product(act.points, repeat=2):
+        if (y in orbs[x]) != (orbs[x] == orbs[y]):
+            return f"x={x}, y={y}"
 
 
 def _effective_orbit_violations(act):
+    # the first point of an orbit that some element acts on names it
+    checked = set()
     for x in act.points:
-        if not act.point_domain(x):
+        O = acts.orbit(act, x)
+        if not act.point_domain(x) or O in checked:
             continue
-        piece = acts.subact(act, sorted(acts.orbit(act, x)))
-        props = acts.act_properties(piece)
+        checked.add(O)
+        props = acts.act_properties(acts.subact(act, sorted(O)))
         if not (props.effective and props.transitive):
             return f"orbit of {x} not effective transitive"
     props = acts.act_properties(act)
@@ -524,24 +523,27 @@ def _grading_law_violations(act):
                     return f"s's = p(x) but ss' != p(sx) at s={s}, x={x}"
                 if act.defined(w, sx) and p[sx] != S.prod(s, p[x], w):
                     return f"p(sx) != s p(x) s' at s={s}, x={x}, s'={w}"
+    # the points graded into the order ideal of each idempotent; s's and ss'
+    # are idempotent for every weak inverse s'
+    ideals = {e: acts.order_ideal(S, e) for e in E}
+    graded_into = {e: frozenset(x for x in act.points if p[x] in ideals[e]) for e in E}
     for s in S.elements:
         dom = act.element_domain(s)
         union = frozenset()
         image_union = frozenset()
         for w in core.weak_inverses(S, s):
-            ideal = acts.order_ideal(S, S.mul(w, s))
-            union |= frozenset(x for x in act.points if p[x] in ideal)
-            ideal2 = acts.order_ideal(S, S.mul(s, w))
-            image_union |= frozenset(x for x in act.points if p[x] in ideal2)
+            union |= graded_into[S.mul(w, s)]
+            image_union |= graded_into[S.mul(s, w)]
         if dom != union:
             return f"domain formula fails at s={s}"
         if frozenset(act.act(s, x) for x in dom) != image_union:
             return f"image formula fails at s={s}"
 
 
-def _free_transitive_graded_violations(S, wp, collection):
+def _free_transitive_graded_violations(S, wp, pieces, collection):
+    # pieces holds the subact on each orbit of wp
     E = core.idempotents(S)
-    orbit_acts = {e: acts.subact(wp, sorted(acts.orbit(wp, e))) for e in E}
+    orbit_acts = {e: pieces[acts.orbit(wp, e)] for e in E}
     for e, oa in orbit_acts.items():
         props = acts.act_properties(oa)
         if not (props.locally_free and props.transitive):
@@ -601,23 +603,26 @@ def _stabilizers_closed_violations(act):
             return f"stabilizer of {x} not closed"
 
 
-def suite_acts(S: FiniteSemigroup) -> list[Finding]:
+def suite_acts(S: FiniteSemigroup, wp=None) -> list[Finding]:
+    """The act findings of S; ``wp`` is its Wagner-Preston act, built here
+    unless the caller passes it."""
     t = _tag(S)
     reason = _skip_reason(S)
     if reason:
         return [Finding(f"acts.skipped{t}", True, reason)]
-    wp = acts.wagner_preston(S)
+    if wp is None:
+        wp = acts.wagner_preston(S)
     munn = acts.munn_act(S)
+    pieces = {O: acts.subact(wp, sorted(O)) for O in acts.orbits(wp)}
     collection = [("wp-self", wp), ("munn", munn)]
-    for O in acts.orbits(wp):
-        collection.append((f"wp-orbit-{min(O)}", acts.subact(wp, sorted(O))))
+    collection += [(f"wp-orbit-{min(O)}", piece) for O, piece in pieces.items()]
     out = [
         Finding(f"acts.constructions-validate{t}", True, f"{len(collection)} acts"),
         finding(f"acts.wp-domain-forms{t}", _wp_domain_forms_violations(S, wp)),
         finding(f"acts.wp-idempotent-orbits{t}", _wp_idempotent_orbit_violations(S, wp)),
         finding(
             f"acts.free-transitive-graded-classification{t}",
-            _free_transitive_graded_violations(S, wp, collection),
+            _free_transitive_graded_violations(S, wp, pieces, collection),
         ),
         finding(f"acts.order-ideal-forms{t}", _order_ideal_violations(S)),
         finding(f"acts.munn-grading-is-identity{t}", _munn_grading_violations(S, munn)),
@@ -848,23 +853,27 @@ def _quotient_violations(S, H):
 
 
 def _orbit_stabilizer_violations(S, wp):
+    pieces = {}  # one subact per orbit
     for x in wp.points:
         if not wp.point_domain(x):
             continue
-        piece = acts.subact(wp, sorted(acts.orbit(wp, x)))
-        stab = acts.stabilizer(wp, x)
-        space = cosets.coset_space(S, stab)
-        if acts.find_act_isomorphism(piece, space.act) is None:
+        O = acts.orbit(wp, x)
+        if O not in pieces:
+            pieces[O] = acts.subact(wp, sorted(O))
+        space = cosets.coset_space(S, acts.stabilizer(wp, x))
+        if acts.find_act_isomorphism(pieces[O], space.act) is None:
             return f"orbit of {x} not isomorphic to the coset act of its stabilizer"
 
 
-def suite_cosets(S: FiniteSemigroup) -> list[Finding]:
+def suite_cosets(S: FiniteSemigroup, wp=None) -> list[Finding]:
+    """The coset findings of S; ``wp`` as in ``suite_acts``."""
     t = _tag(S)
     reason = _skip_reason(S)
     if reason:
         return [Finding(f"cosets.skipped{t}", True, reason)]
     bases = closures.closed_e_dense_subsemigroups(S)
-    wp = acts.wagner_preston(S)
+    if wp is None:
+        wp = acts.wagner_preston(S)
     out = [Finding(f"cosets.bases{t}", True, f"{len(bases)} closed E-dense subsemigroups")]
     for H in bases:
         ht = f"{t}[H={','.join(map(str, sorted(H)))}]"
@@ -1237,16 +1246,20 @@ def suite_crypto() -> list[Finding]:
 
 
 def suites_for_table(S: FiniteSemigroup, names=SUITE_NAMES) -> list[Finding]:
-    """Run the per-semigroup suites applicable to one table."""
+    """Run the per-semigroup suites applicable to one table; the act and
+    coset suites share one Wagner-Preston act."""
     out = []
     if "core" in names:
         out += suite_core(S)
     if "closures" in names:
         out += suite_closures(S)
+    wp = None
+    if "acts" in names and "cosets" in names and not _skip_reason(S):
+        wp = acts.wagner_preston(S)
     if "acts" in names:
-        out += suite_acts(S)
+        out += suite_acts(S, wp)
     if "cosets" in names:
-        out += suite_cosets(S)
+        out += suite_cosets(S, wp)
     return out
 
 

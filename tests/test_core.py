@@ -145,6 +145,47 @@ def test_build_scans_the_last_generator(name):
     assert exc.value.witness == witness
 
 
+# --- the composition scan on small and partial tables --------------------------
+#
+# Total tables skip the None-to-m copy; every row still gets the slot m, so
+# a one-point table still compares tuples, not bare ids.
+
+
+def _act_triple_loop_witness(S, rows):
+    """The first (s, t, x) where (st)x and s(tx), defined or not, differ."""
+    for s, t in product(S.elements, repeat=2):
+        for x in range(len(rows[0])):
+            tx = rows[t][x]
+            if rows[S.mul(s, t)][x] != (None if tx is None else rows[s][tx]):
+                return (s, t, x)
+    return None
+
+
+@pytest.mark.parametrize(
+    "S, rows, witness",
+    [
+        # order 1: on itself, and on two points by a swap that squares wrong
+        (core.build_semigroup([[0]]), [[0]], None),
+        (core.build_semigroup([[0]]), [[1, 0]], (0, 0, 0)),
+        # one point: total, then partial with one element acting nowhere
+        (core.build_semigroup(cyclic_table(2)), [[0], [0]], None),
+        (core.build_semigroup(cyclic_table(2)), [[0], [None]], (1, 1, 0)),
+        (core.build_semigroup(cyclic_table(2)), [[None], [0]], (0, 1, 0)),
+        # a partial act of CHAIN3, then with one entry changed or dropped
+        (fx("CHAIN3"), [[0, None, None], [0, 1, None], [0, 1, 2]], None),
+        (fx("CHAIN3"), [[0, None, None], [0, 1, None], [0, 0, 2]], (0, 2, 1)),
+        (fx("CHAIN3"), [[0, None, None], [0, 1, None], [0, None, 2]], (1, 2, 1)),
+        (fx("CHAIN3"), [[0, None, None], [None, 1, None], [0, 1, 2]], (0, 1, 0)),
+    ],
+    ids=["order1", "order1-2pt", "1pt-total", "1pt-partial", "1pt-partial-identity",
+         "partial", "partial-changed", "partial-dropped", "partial-dropped-2"],
+)
+def test_composition_witness_on_small_and_partial_tables(S, rows, witness):
+    assert core._composition_witness(S, rows) == witness
+    assert core._composition_witness(S, tuple(map(tuple, rows))) == witness
+    assert _act_triple_loop_witness(S, rows) == witness
+
+
 def test_build_rejects_wrong_label_count():
     with pytest.raises(PreconditionFailed) as exc:
         core.build_semigroup([[0, 1], [1, 0]], labels=("a",))

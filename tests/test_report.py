@@ -2,6 +2,9 @@
 
 import json
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from edense.report import Finding, Report
 from edense.verify import finding
 
@@ -38,3 +41,44 @@ def test_report_json_omits_null_witness():
     assert payload["ok"] is False
     assert "witness" not in payload["findings"][0]
     assert payload["findings"][1]["witness"] == "w"
+
+
+def reference_json(report):
+    """The report as the indenting encoder writes it."""
+    payload = {
+        "command": report.command,
+        "findings": [
+            {"name": f.name, "pass": f.passed}
+            | ({"witness": f.witness} if f.witness is not None else {})
+            for f in report.findings
+        ],
+        "ok": report.ok,
+    }
+    return json.dumps(payload, indent=2, sort_keys=False)
+
+
+# any code point, lone surrogates included, with the characters JSON escapes
+# (quotes, backslashes, control characters) and non-BMP ones drawn often
+TEXT = st.text(
+    alphabet=st.one_of(
+        st.characters(blacklist_categories=()),
+        st.sampled_from('"\\\x00\x1f\x7f\n\t\u2028\U0001f600\U00010000'),
+    )
+)
+FINDINGS = st.lists(
+    st.builds(Finding, TEXT, st.booleans(), st.one_of(st.none(), TEXT)), max_size=6
+)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(command=TEXT, findings=FINDINGS)
+def test_json_writer_matches_the_indenting_encoder(command, findings):
+    report = Report(command, findings)
+    assert report.to_json() == reference_json(report)
+
+
+def test_json_writer_edge_cases():
+    for findings in ([], [Finding("", True, "")], [Finding("x", False, None)]):
+        report = Report("", findings)
+        assert report.to_json() == reference_json(report)
+    assert Report("demo").to_json() == '{\n  "command": "demo",\n  "findings": [],\n  "ok": true\n}'

@@ -639,3 +639,24 @@ def test_only_the_checking_modules_build_findings():
                     modules = [node.module]
                 assert not any(m.split(".")[-1] == "report" for m in modules), where
             assert getattr(node, "id", getattr(node, "attr", None)) != "Finding", where
+
+
+def test_module_level_caches_are_the_three_known_ones():
+    # derived data live on the semigroup or act they belong to and die with
+    # it; no module-level cache keys on a table.  Every use of functools.cache
+    # or lru_cache in the package must be one of these decorators.
+    allowed = {"cli.build_parser", "construction.fixture", "verify._small_tables"}
+    found, decorators, uses = set(), set(), set()
+    for path in sorted((ROOT / "src" / "edense").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if getattr(node, "id", getattr(node, "attr", None)) in ("cache", "lru_cache"):
+                uses.add((path.name, node.lineno, node.col_offset))
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                if getattr(target, "id", getattr(target, "attr", None)) in ("cache", "lru_cache"):
+                    found.add(f"{path.stem}.{node.name}")
+                    decorators.add((path.name, target.lineno, target.col_offset))
+    assert found == allowed
+    assert uses == decorators
