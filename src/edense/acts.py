@@ -417,8 +417,9 @@ def find_act_isomorphism(act1: PartialAct, act2: PartialAct):
 
 def parse_act(text: str, S: FiniteSemigroup) -> PartialAct:
     """Partial-act text format: first line ``n m``, then n rows of m
-    entries, each a point id or ``-`` for undefined.  ``#`` starts a
-    comment; errors name the line of the file."""
+    entries, each a point id or ``-`` for undefined; with m = 0 the header
+    alone will do.  ``#`` starts a comment; errors name the line of the
+    file."""
     lines = [
         (lineno, ln.split("#", 1)[0].strip())
         for lineno, ln in enumerate(text.splitlines(), start=1)
@@ -433,6 +434,9 @@ def parse_act(text: str, S: FiniteSemigroup) -> PartialAct:
         raise ParseError(lineno, "expected 'n m' header") from None
     if n != S.n:
         raise ParseError(lineno, f"act has {n} rows but semigroup has order {S.n}")
+    if m == 0 and len(lines) == 1:
+        # the rows of an act on no points are blank, and so skipped above
+        lines += [(lineno, "")] * n
     if len(lines) != n + 1:
         raise ParseError(lines[-1][0], f"expected {n} rows, got {len(lines) - 1}")
     rows = []

@@ -239,38 +239,60 @@ def build_category(n_objects, morphisms, compose_map, labels=None) -> FiniteCate
     """Validate category data and return it.
 
     ``morphisms`` is a sequence of (source, target) pairs, ``compose_map``
-    maps composable pairs (p, q) to p-then-q.  Identities are detected,
-    one per object.  Associativity (pq)r = p(qr) is checked with p over the
-    greedy generators of the morphisms under composition, and for each
-    such p a row at a time: for each q leaving the target of p, over the
-    morphisms r leaving the target of q.  That is still exhaustive: the p
-    for which the law holds are closed under composition, ((ab)q)r =
-    a(b(qr)) = (ab)(qr), so the least failing p is a generator and the
-    scan names the first failing triple of a full scan.
+    maps composable pairs (p, q) to p-then-q.  Ids outside the objects or
+    the morphisms are refused here; the category axioms are checked on
+    the rows of the map by ``_category_from_rows``.
     """
     _check_range(morphisms, n_objects)
-    source = tuple(src for src, _ in morphisms)
-    target = tuple(dst for _, dst in morphisms)
-    m = len(source)
-    compose = [[None] * m for _ in range(m)]
+    m = len(morphisms)
+    rows = [[None] * m for _ in range(m)]
     for (p, q), r in compose_map.items():
         if not (0 <= p < m and 0 <= q < m and 0 <= r < m):
             raise OutOfRangeEntry(p, q, r)
-        if target[p] != source[q]:
-            raise BadComposability(p, q, "pair is not composable")
-        if source[r] != source[p] or target[r] != target[q]:
-            raise BadComposability(p, q, f"composite {r} has wrong endpoints")
-        compose[p][q] = r
+        rows[p][q] = r
+    source = tuple(src for src, _ in morphisms)
+    target = tuple(dst for _, dst in morphisms)
+    return _category_from_rows(n_objects, source, target, rows, labels)
+
+
+def _category_from_rows(n_objects, source, target, rows, labels) -> FiniteCategory:
+    """The category with composition rows[p][q] = p then q (None where
+    undefined), after checking every axiom a row at a time.
+
+    Row p must define exactly the q leaving the target of p, each with a
+    composite from the source of p to the target of q; a failing row is
+    rescanned to name its first bad q, an undefined composable pair last.
+    Identities are detected, one per object.  Associativity (pq)r = p(qr)
+    is checked with p over the greedy generators of the morphisms under
+    composition, and for each such p a row at a time: for each q leaving
+    the target of p, over the morphisms r leaving the target of q.  That
+    is still exhaustive: the p for which the law holds are closed under
+    composition, ((ab)q)r = a(b(qr)) = (ab)(qr), so the least failing p is
+    a generator and the scan names the first failing triple of a full scan.
+    """
+    compose = tuple(map(tuple, rows))
+    m = len(source)
     leaving = _leaving(n_objects, source)
-    # every defined pair is composable, so a row is complete exactly when
-    # it defines as many pairs as morphisms leave the target of its morphism
-    for p, row in enumerate(compose):
-        if m - row.count(None) != len(leaving[target[p]]):
-            q = next(q for q in leaving[target[p]] if row[q] is None)
-            raise BadComposability(p, q, "composable pair left undefined")
     # then[v] picks the entries of a row at the morphisms leaving v
     then = [_picker(out) for out in leaving]
     then_of = [then[v] for v in target]
+    # the targets of the morphisms leaving each object
+    ends = [get(target) for get in then]
+    for p, row in enumerate(compose):
+        composites = then_of[p](row)
+        if (
+            None in composites
+            or m - row.count(None) != len(composites)
+            or _picker(composites)(source) != (source[p],) * len(composites)
+            or _picker(composites)(target) != ends[target[p]]
+        ):
+            for q, r in enumerate(row):
+                if r is not None and target[p] != source[q]:
+                    raise BadComposability(p, q, "pair is not composable")
+                if r is not None and (source[r] != source[p] or target[r] != target[q]):
+                    raise BadComposability(p, q, f"composite {r} has wrong endpoints")
+            q = next(q for q in leaving[target[p]] if row[q] is None)
+            raise BadComposability(p, q, "composable pair left undefined")
     # after[q] picks the entries of a row at the composites q.r
     after = [_picker(then_of[q](row)) for q, row in enumerate(compose)]
     arriving = _leaving(n_objects, target)
@@ -289,25 +311,16 @@ def build_category(n_objects, morphisms, compose_map, labels=None) -> FiniteCate
                         raise NonAssociative(p, q, r, where="composition")
     identities = []
     for u in range(n_objects):
-        unit = None
+        # the first loop e at u with e.q = q after it and p.e = p before it
         for e in leaving[u]:
-            if target[e] != u:
-                continue
-            left = then[u](compose[e]) == leaving[u]
-            right = all(compose[p][e] == p for p in arriving[u])
-            if left and right:
-                unit = e
-                break
-        if unit is None:
+            if target[e] == u and then[u](compose[e]) == leaving[u]:
+                if all(compose[p][e] == p for p in arriving[u]):
+                    identities.append(e)
+                    break
+        else:
             raise MissingIdentity(u)
-        identities.append(unit)
     return FiniteCategory(
-        n_objects,
-        source,
-        target,
-        tuple(tuple(row) for row in compose),
-        tuple(identities),
-        tuple(labels) if labels else None,
+        n_objects, source, target, compose, tuple(identities), tuple(labels) if labels else None
     )
 
 
@@ -389,13 +402,6 @@ def _check_group_action(C: FiniteCategory, G: FiniteSemigroup, on_objects, on_mo
     return transitive, free
 
 
-def _require_free_transitive(action: GroupCategoryAction) -> None:
-    if not action.transitive:
-        raise PreconditionFailed("transitive_action")
-    if not action.free:
-        raise PreconditionFailed("free_action")
-
-
 @dataclass(frozen=True)
 class CuMonoid:
     """The monoid of pairs (p, g) with p a morphism from u to gu."""
@@ -424,21 +430,18 @@ def c_u_monoid(C: FiniteCategory, action: GroupCategoryAction, u: int) -> CuMono
         raise PreconditionFailed("strongly_connected")
     if not C.is_locally_idempotent():
         raise PreconditionFailed("locally_idempotent")
-    _require_free_transitive(action)
+    if not action.transitive:
+        raise PreconditionFailed("transitive_action")
+    if not action.free:
+        raise PreconditionFailed("free_action")
 
-    pairs = [
-        (p, g) for g in G.elements for p in C.hom(u, action.obj(g, u))
-    ]
+    pairs = [(p, g) for g in G.elements for p in C.hom(u, action.obj(g, u))]
     index = {pair: i for i, pair in enumerate(pairs)}
-    rows = []
-    for p, g in pairs:
-        row = []
-        for q, h in pairs:
-            gq = action.mor(g, q)
-            comp = C.compose[p][gq]
-            assert comp is not None
-            row.append(index[(comp, G.mul(g, h))])
-        rows.append(row)
+    # (p, g)(q, h) = (p then gq, gh); gq leaves gu, where p ends
+    rows = [
+        [index[(C.compose[p][action.mor(g, q)], G.mul(g, h))] for q, h in pairs]
+        for p, g in pairs
+    ]
     labels = [f"({C.mlabel(p)},{G.label(g)})" for p, g in pairs]
     S = build_semigroup(rows, labels=labels, name=f"C_{u}")
     return CuMonoid(S, tuple(pairs), u)
@@ -472,21 +475,22 @@ def _morphism_id(n: int, k: int, u: int, s: int, f: int) -> int:
 
 def _translation_category(G: FiniteSemigroup, k: int):
     """Morphisms (u, s, f) : u -> su, with f one of k flags (flag 0 only
-    for the derived category), numbered by ``_morphism_id``."""
-    n = G.n
+    for the derived category), numbered by ``_morphism_id``.  The
+    composition rows, (u, s, f) then (su, t, f') = (u, ts, ff') with ff'
+    the band product of the flags, and the action rows, g(u, s, f) =
+    (gu, gsg^-1, f), are written straight from the group table."""
+    n, table = G.n, G.table
     morphs = list(product(G.elements, G.elements, range(k)))
-    # one int object per id, shared by the composites and action entries
-    # that name it, rather than a new one per entry
-    ids = list(range(len(morphs)))
-    pairs = [(u, G.mul(s, u)) for u, s, _ in morphs]
-    compose_map = {}
-    for i, (u, s, f1) in enumerate(morphs):
-        su = G.mul(s, u)
-        for t in G.elements:
-            ts = G.mul(t, s)
-            for f2 in range(k):
-                j = ids[_morphism_id(n, k, su, t, f2)]
-                compose_map[(i, j)] = ids[_morphism_id(n, k, u, ts, _combine_flags(f1, f2))]
+    # the row of (u, s, f) is defined on the n*k morphisms (su, t, f') leaving su
+    width = n * k
+    after = list(product(G.elements, range(k)))
+    rows = []
+    for u, s, f in morphs:
+        su = table[s][u]
+        composites = tuple(
+            _morphism_id(n, k, u, table[t][s], _combine_flags(f, f2)) for t, f2 in after
+        )
+        rows.append((None,) * (su * width) + composites + (None,) * ((n - 1 - su) * width))
 
     def mlabel(u, s, f):
         base = f"({G.label(u)},{G.label(s)},{G.label(G.mul(s, u))})"
@@ -495,23 +499,19 @@ def _translation_category(G: FiniteSemigroup, k: int):
         e = f"e{f}" if k > 2 else "e"
         return f"{e}_{G.label(u)}+{base}"
 
+    source = tuple(u for u, _, _ in morphs)
+    target = tuple(table[s][u] for u, s, _ in morphs)
     labels = [mlabel(*m) for m in morphs]
-    C = build_category(n, pairs, compose_map, labels=labels)
+    C = _category_from_rows(n, source, target, rows, labels)
 
-    inv = [row.index(G.identity) for row in G.table]
-    on_objects = [[G.mul(g, u) for u in G.elements] for g in G.elements]
+    inv = [row.index(G.identity) for row in table]
+    conjugate = [[table[table[g][s]][inv[g]] for s in G.elements] for g in G.elements]
     on_morphisms = [
-        [ids[_morphism_id(n, k, G.mul(g, u), G.prod(g, s, inv[g]), f)] for u, s, f in morphs]
+        [_morphism_id(n, k, table[g][u], conjugate[g][s], f) for u, s, f in morphs]
         for g in G.elements
     ]
-    action = validate_group_action(C, G, on_objects, on_morphisms)
-    _require_free_transitive(action)
-    for u, g in product(G.elements, repeat=2):
-        gu = action.obj(g, u)
-        size = len(C.hom(u, gu))
-        if size != k:
-            raise PreconditionFailed("hom_size", f"hom({u}, {gu}) has {size} morphisms, not {k}")
-    return C, action
+    # g acts on the objects by left multiplication: its row of the table
+    return C, validate_group_action(C, G, table, on_morphisms)
 
 
 def adjoined_band_to_cu_map(G: FiniteSemigroup, k: int = 2, name=""):
@@ -542,7 +542,8 @@ def parse_category(text: str, G: FiniteSemigroup):
     Sections: ``objects: <count>``, then ``morphisms:`` with ``id src dst``
     lines, ``compose:`` with ``p q r`` lines (p then q equals r), and
     ``action:`` with ``g obj u v`` / ``g mor p q`` lines.  ``#`` comments.
-    Every object and every morphism needs an action line for every g.
+    Every object and every morphism needs an action line for every g, and
+    an action line must name an element of G and an object or morphism.
     Returns ``(C, action)``.
     """
 
@@ -555,8 +556,7 @@ def parse_category(text: str, G: FiniteSemigroup):
     n_objects = None
     morphisms = []
     compose_map = {}
-    obj_action = {}
-    mor_action = {}
+    action_lines = {}  # (kind, g, a) -> (line number, b)
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -564,18 +564,15 @@ def parse_category(text: str, G: FiniteSemigroup):
             continue
         low = line.lower()
         if low.startswith("objects:"):
+            if n_objects is not None:
+                raise ParseError(lineno, "second objects: line")
             (n_objects,) = ints(lineno, [line.split(":", 1)[1]], "a count after 'objects:'")
             if n_objects < 0:
                 raise ParseError(lineno, "object count must not be negative")
             continue
-        if low.startswith("morphisms:"):
-            section = "morphisms"
-            continue
-        if low.startswith("compose:"):
-            section = "compose"
-            continue
-        if low.startswith("action:"):
-            section = "action"
+        header, colon, _ = low.partition(":")
+        if colon and header in ("morphisms", "compose", "action"):
+            section = header
             continue
         toks = line.split()
         if section == "morphisms":
@@ -597,25 +594,27 @@ def parse_category(text: str, G: FiniteSemigroup):
                 raise ParseError(lineno, "expected 'g obj u v' or 'g mor p q'")
             kind = toks[1]
             g, a, b = ints(lineno, toks[:1] + toks[2:], "'g obj u v' or 'g mor p q'")
-            entries = obj_action if kind == "obj" else mor_action
-            if (g, a) in entries:
+            if (kind, g, a) in action_lines:
                 raise ParseError(lineno, f"second action line for '{g} {kind} {a}'")
-            entries[(g, a)] = b
+            action_lines[(kind, g, a)] = lineno, b
         else:
             raise ParseError(lineno, f"unexpected line {line!r}")
     if n_objects is None:
         raise ParseError(0, "missing objects: section")
+    width = {"obj": n_objects, "mor": len(morphisms)}
+    for (kind, g, a), (lineno, _) in action_lines.items():
+        if not 0 <= g < G.n:
+            raise ParseError(lineno, f"the group has no element {g}")
+        if not 0 <= a < width[kind]:
+            noun = "object" if kind == "obj" else "morphism"
+            raise ParseError(lineno, f"the category has no {noun} {a}")
     C = build_category(n_objects, morphisms, compose_map)
 
-    def rows(entries, kind, width):
-        missing = next(
-            (ga for ga in product(G.elements, range(width)) if ga not in entries), None
-        )
-        if missing is not None:
-            raise ParseError(0, f"missing action line '{missing[0]} {kind} {missing[1]}'")
-        return [[entries[(g, a)] for a in range(width)] for g in G.elements]
+    def rows(kind):
+        for g, a in product(G.elements, range(width[kind])):
+            if (kind, g, a) not in action_lines:
+                raise ParseError(0, f"missing action line '{g} {kind} {a}'")
+        return [[action_lines[(kind, g, a)][1] for a in range(width[kind])] for g in G.elements]
 
-    on_objects = rows(obj_action, "obj", n_objects)
-    on_morphisms = rows(mor_action, "mor", len(morphisms))
-    action = validate_group_action(C, G, on_objects, on_morphisms)
+    action = validate_group_action(C, G, rows("obj"), rows("mor"))
     return C, action

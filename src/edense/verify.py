@@ -942,8 +942,9 @@ def _derived_category_violations():
             return f"{name}: {v}"
         if core.find_semigroup_isomorphism(cu.semigroup, G) is None:
             return f"pair monoid over the derived category of {name} not isomorphic to it"
-        if len(C.hom(0, 1 % G.n)) != 1:
-            return f"derived category of {name} has fat hom-sets"
+        for u, g in product(G.elements, repeat=2):
+            if len(C.hom(u, action.obj(g, u))) != 1:
+                return f"derived category of {name} has fat hom-sets at u={u}, g={g}"
 
 
 def _adjoined_band_violations():
@@ -958,9 +959,9 @@ def _adjoined_band_violations():
         v = _pair_monoid_violations(C, action, cu)
         if v:
             return f"{name}, k={k}: {v}"
-        for g in G.elements:
-            if len(C.hom(u, action.obj(g, u))) != k:
-                return f"{name}, k={k}: hom-set size wrong at g={g}"
+        for w, g in product(G.elements, repeat=2):
+            if len(C.hom(w, action.obj(g, w))) != k:
+                return f"{name}, k={k}: hom-set size wrong at u={w}, g={g}"
         # flags slide across translations: t_g + e_gu = e_u + t_g
         n = G.n
         for g in G.elements:

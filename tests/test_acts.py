@@ -299,6 +299,19 @@ def test_act_text_roundtrip():
     assert again.table == wp.table
 
 
+def test_act_text_roundtrip_on_no_points():
+    # an act on no points is written as its header and blank rows
+    S, wp = eg_act()
+    empty = acts.subact(wp, [])
+    text = acts.format_act(empty)
+    assert text == f"{S.n} 0\n" + "\n" * S.n
+    again = acts.parse_act(text, S)
+    assert again.carrier == 0 and again.table == empty.table == ((),) * S.n
+    assert acts.parse_act(f"{S.n} 0\n", S).table == empty.table
+    with pytest.raises(ParseError, match="expected 0 entries, got 1"):
+        acts.parse_act(f"{S.n} 0\n" + "0\n" * S.n, S)
+
+
 def test_act_text_errors():
     S = fx("Z2")
     with pytest.raises(ParseError):

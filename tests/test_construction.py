@@ -3,7 +3,7 @@ band-extension family, the enumerator and the fixture corpus."""
 
 import random
 from dataclasses import replace
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -692,3 +692,123 @@ def test_translation_category_numbering_matches_a_tuple_index(name, k):
     assert C.morphism_labels is not None and len(C.morphism_labels) == C.n_morphisms
     for attr in ("on_objects", "on_morphisms", "transitive", "free"):
         assert getattr(action, attr) == getattr(ref_action, attr), attr
+
+
+# --- the translation category against its defining formulas --------------
+
+
+def _s3_table():
+    """The permutations of three points, s*t the map x -> s(t(x))."""
+    perms = list(permutations(range(3)))
+    return [[perms.index(tuple(s[t[x]] for x in range(3))) for t in perms] for s in perms]
+
+
+def _translation_oracle(G, k, conjugate):
+    """The composition, identities and action of the translation category
+    of G with k flags, from (u, s, f)(su, t, f') = (u, ts, f'') with f''
+    = f' if f' else f, and g(u, s, f) = (gu, conjugate(g, s), f); the
+    morphisms (u, s, f) are numbered in lexicographic order."""
+    mul = G.mul
+    morphs = [(u, s, f) for u in G.elements for s in G.elements for f in range(k)]
+    compose = []
+    for u, s, f in morphs:
+        row = []
+        for v, t, f2 in morphs:
+            composable = v == mul(s, u)
+            row.append(morphs.index((u, mul(t, s), f2 if f2 else f)) if composable else None)
+        compose.append(tuple(row))
+    identities = tuple(morphs.index((u, G.identity, 0)) for u in G.elements)
+    on_objects = tuple(tuple(mul(g, u) for u in G.elements) for g in G.elements)
+    on_morphisms = tuple(
+        tuple(morphs.index((mul(g, u), conjugate(g, s), f)) for u, s, f in morphs)
+        for g in G.elements
+    )
+    hom_sizes = {}
+    for u, g in product(G.elements, repeat=2):
+        hom_sizes[(u, g)] = sum(1 for v, s, _ in morphs if v == u and mul(s, u) == mul(g, u))
+    return tuple(compose), identities, on_objects, on_morphisms, hom_sizes
+
+
+def _inverse(G, g):
+    return next(h for h in G.elements if G.mul(g, h) == G.identity)
+
+
+ORACLE_GROUPS = {
+    "Z2": cyclic_table(2),
+    "Z3": cyclic_table(3),
+    "Z6": cyclic_table(6),
+    "S3": _s3_table(),
+}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("name", list(ORACLE_GROUPS))
+def test_translation_category_matches_its_formulas(name, k):
+    G = core.build_semigroup(ORACLE_GROUPS[name], name=name)
+    assert core.is_group(G)
+    if k == 1:
+        C, action = construction.derived_category(G)
+    else:
+        C, action = construction.adjoin_band_category(G, k)
+
+    def conjugate(g, s):
+        return G.mul(G.mul(g, s), _inverse(G, g))
+
+    compose, identities, on_objects, on_morphisms, hom_sizes = _translation_oracle(
+        G, k, conjugate
+    )
+    assert C.compose == compose
+    assert C.identities == identities
+    assert action.on_objects == on_objects
+    assert action.on_morphisms == on_morphisms
+    for (u, g), size in hom_sizes.items():
+        assert len(C.hom(u, action.obj(g, u))) == size == k
+    assert action.transitive and action.free
+
+
+def test_translation_action_by_the_wrong_conjugation_is_refused():
+    # g(u, s, f) = (gu, g^-1 s g, f) agrees with gsg^-1 on an abelian group
+    # but sends (u, s, f) out of hom(gu, gsu) on S3
+    G = core.build_semigroup(_s3_table(), name="S3")
+    C, _ = construction.adjoin_band_category(G, 2)
+
+    def wrong(g, s):
+        return G.mul(G.mul(_inverse(G, g), s), g)
+
+    _, _, on_objects, on_morphisms, _ = _translation_oracle(G, 2, wrong)
+    with pytest.raises(ActionAxiomViolation):
+        construction.validate_group_action(C, G, on_objects, on_morphisms)
+
+
+ONE_MORPHISM_FILE = """\
+objects: 1
+morphisms:
+0 0 0
+compose:
+0 0 0
+action:
+0 obj 0 0
+0 mor 0 0
+"""
+
+
+def test_parse_category_rejects_action_lines_out_of_range():
+    G = core.build_semigroup([[0]], name="1")
+    C, action = construction.parse_category(ONE_MORPHISM_FILE, G)
+    assert (C.n_morphisms, action.on_morphisms) == (1, ((0,),))
+    for line, message in (
+        ("7 obj 0 0", "line 9: the group has no element 7"),
+        ("-1 mor 0 0", "line 9: the group has no element -1"),
+        ("0 obj 4 0", "line 9: the category has no object 4"),
+        ("0 mor 9 3", "line 9: the category has no morphism 9"),
+    ):
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            construction.parse_category(ONE_MORPHISM_FILE + line + "\n", G)
+
+
+def test_parse_category_rejects_a_second_objects_line():
+    G = core.build_semigroup([[0]], name="1")
+    for text in ("objects: 1\n" + ONE_MORPHISM_FILE, ONE_MORPHISM_FILE + "objects: 1\n"):
+        line = text.splitlines().index("objects: 1", 1) + 1
+        with pytest.raises(ParseError, match=f"^line {line}: second objects: line$"):
+            construction.parse_category(text, G)

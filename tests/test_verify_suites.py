@@ -660,3 +660,16 @@ def test_module_level_caches_are_the_three_known_ones():
                     decorators.add((path.name, target.lineno, target.col_offset))
     assert found == allowed
     assert uses == decorators
+
+
+def test_construction_findings_check_hom_sizes_at_every_object(monkeypatch):
+    # one morphism too many in each hom-set leaving object 1, which is not
+    # the base object of any pair monoid the findings build
+    real = construction.FiniteCategory.hom
+    monkeypatch.setattr(
+        construction.FiniteCategory, "hom", lambda C, u, v: real(C, u, v) + [0] * (u == 1)
+    )
+    assert verify._derived_category_violations() == (
+        "derived category of Z2 has fat hom-sets at u=1, g=0"
+    )
+    assert verify._adjoined_band_violations() == "Z2, k=2: hom-set size wrong at u=1, g=0"
