@@ -4,9 +4,9 @@ stabilizers, gradings and act isomorphisms.
 
 An act stores an n x m table of point ids with ``None`` for undefined,
 so every domain query is a direct lookup and validation sees the whole
-definedness structure.  The point queries, the orbit partition, the
-properties and the grading read the act's derived data, which it computes
-once, on first use, and which die with it.
+definedness structure.  The point queries, the orbits and their subacts,
+the properties and the grading read the act's derived data, which it
+computes once, on first use, and which die with it.
 """
 
 from __future__ import annotations
@@ -68,6 +68,12 @@ class PartialAct:
     def plabel(self, x: int) -> str:
         return self.point_labels[x] if self.point_labels else str(x)
 
+    def orbit_act(self, x: int) -> PartialAct:
+        """The subact on the orbit of x; the act itself when it has one orbit."""
+        if len(self.orbit_partition) == 1:
+            return self
+        return self.orbit_acts[x]
+
     @cached_property
     def point_domains(self) -> tuple[frozenset[int], ...]:
         """D^x of every point x, one column of the table each."""
@@ -92,6 +98,12 @@ class PartialAct:
     def orbit_partition(self) -> tuple[frozenset[int], ...]:
         """The distinct orbits, ordered by their least points."""
         return tuple(sorted(dict.fromkeys(self.orbit_sets), key=min))
+
+    @cached_property
+    def orbit_acts(self) -> tuple[PartialAct, ...]:
+        """The subact on the orbit of every point, one per orbit; see ``orbit_act``."""
+        pieces = {O: subact(self, O) for O in self.orbit_partition}
+        return tuple(pieces[O] for O in self.orbit_sets)
 
     @cached_property
     def properties(self) -> ActProperties:
@@ -319,16 +331,14 @@ def subact(act: PartialAct, points) -> PartialAct:
     """Restriction to a subset closed under the action."""
     pts = sorted(points)
     pos = {x: i for i, x in enumerate(pts)}
-    for s in act.semigroup.elements:
+    table = []
+    for s, row in enumerate(act.table):
         for x in pts:
-            if act.defined(s, x) and act.act(s, x) not in pos:
+            if row[x] is not None and row[x] not in pos:
                 raise PreconditionFailed("closed_subset", f"{s}*{x} leaves the subset")
-    table = [
-        [pos[act.act(s, x)] if act.defined(s, x) else None for x in pts]
-        for s in act.semigroup.elements
-    ]
-    labels = [act.plabel(x) for x in pts]
-    return PartialAct(act.semigroup, tuple(tuple(r) for r in table), tuple(labels))
+        table.append(tuple(None if row[x] is None else pos[row[x]] for x in pts))
+    labels = tuple(act.plabel(x) for x in pts)
+    return PartialAct(act.semigroup, tuple(table), labels)
 
 
 def _require_same_semigroup(S: FiniteSemigroup, *acts: PartialAct) -> None:

@@ -200,8 +200,8 @@ def quotient_group(S: FiniteSemigroup, H) -> FiniteSemigroup:
         [space.coset_of(S.mul(a, b)) for b in reps]
         for a in reps
     ]
-    labels = ["{" + ",".join(str(x) for x in sorted(c.members)) + "}" for c in space.cosets]
-    return core.build_semigroup(rows, labels=labels, name=f"{S.name}/H" if S.name else "S/H")
+    name = f"{S.name}/H" if S.name else "S/H"
+    return core.build_semigroup(rows, labels=space.act.point_labels, name=name)
 
 
 @dataclass(frozen=True)

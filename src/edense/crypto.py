@@ -390,9 +390,8 @@ def stabilizers_left_dense(act: acts.PartialAct) -> bool:
     this scan is the finding ``crypto.left-dense-equivalences``.
     """
     _require_total(act.table)
-    table = DecryptKeyTable.of(act.semigroup, act)
-    ideals = [sum(1 << u for u in set(col)) for col in table.columns]
-    return all(ideal & fixing for fixing in table.stabilizers for ideal in ideals)
+    ideals = [frozenset(col) for col in zip(*act.semigroup.table)]
+    return all(not ideal.isdisjoint(fixing) for fixing in act.stabilizers for ideal in ideals)
 
 
 @dataclass(frozen=True)
@@ -418,12 +417,11 @@ def classify_locally_free_cryptosystem(S: FiniteSemigroup, act: acts.PartialAct)
     f = minimum_idempotent(S)
     wp = acts.wagner_preston(S)
     base_points = tuple(sorted(acts.orbit(wp, f)))
-    base_act = acts.subact(wp, base_points)
+    base_act = wp.orbit_act(f)
     results = []
     all_iso = True
     for O in acts.orbits(act):
-        piece = acts.subact(act, sorted(O))
-        iso = acts.find_act_isomorphism(piece, base_act)
+        iso = acts.find_act_isomorphism(act.orbit_act(min(O)), base_act)
         results.append((tuple(sorted(O)), iso is not None))
         all_iso = all_iso and iso is not None
     E = core.idempotents(S)

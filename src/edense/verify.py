@@ -377,14 +377,12 @@ def _orbit_partition_violations(act):
 
 
 def _effective_orbit_violations(act):
-    # the first point of an orbit that some element acts on names it
-    checked = set()
-    for x in act.points:
-        O = acts.orbit(act, x)
-        if not act.point_domain(x) or O in checked:
+    # a point that no element acts on is an orbit of its own, and is skipped
+    for O in acts.orbits(act):
+        x = min(O)
+        if not act.point_domain(x):
             continue
-        checked.add(O)
-        props = acts.act_properties(acts.subact(act, sorted(O)))
+        props = acts.act_properties(act.orbit_act(x))
         if not (props.effective and props.transitive):
             return f"orbit of {x} not effective transitive"
     props = acts.act_properties(act)
@@ -540,10 +538,9 @@ def _grading_law_violations(act):
             return f"image formula fails at s={s}"
 
 
-def _free_transitive_graded_violations(S, wp, pieces, collection):
-    # pieces holds the subact on each orbit of wp
+def _free_transitive_graded_violations(S, wp, collection):
     E = core.idempotents(S)
-    orbit_acts = {e: pieces[acts.orbit(wp, e)] for e in E}
+    orbit_acts = {e: wp.orbit_act(e) for e in E}
     for e, oa in orbit_acts.items():
         props = acts.act_properties(oa)
         if not (props.locally_free and props.transitive):
@@ -586,8 +583,7 @@ def _graded_quotient_violations(S, wp, act):
             mapping.append(tpos[images.pop()])
         if set(mapping) != set(range(len(target_points))):
             return f"map not onto the orbit of {x}"
-        source = acts.subact(wp, source_points)
-        if not acts.is_s_map(source, acts.subact(act, target_points), mapping):
+        if not acts.is_s_map(wp.orbit_act(px), act.orbit_act(x), mapping):
             return f"quotient map is not an act map on the orbit of {x}"
 
 
@@ -613,16 +609,15 @@ def suite_acts(S: FiniteSemigroup, wp=None) -> list[Finding]:
     if wp is None:
         wp = acts.wagner_preston(S)
     munn = acts.munn_act(S)
-    pieces = {O: acts.subact(wp, sorted(O)) for O in acts.orbits(wp)}
     collection = [("wp-self", wp), ("munn", munn)]
-    collection += [(f"wp-orbit-{min(O)}", piece) for O, piece in pieces.items()]
+    collection += [(f"wp-orbit-{min(O)}", wp.orbit_act(min(O))) for O in acts.orbits(wp)]
     out = [
         Finding(f"acts.constructions-validate{t}", True, f"{len(collection)} acts"),
         finding(f"acts.wp-domain-forms{t}", _wp_domain_forms_violations(S, wp)),
         finding(f"acts.wp-idempotent-orbits{t}", _wp_idempotent_orbit_violations(S, wp)),
         finding(
             f"acts.free-transitive-graded-classification{t}",
-            _free_transitive_graded_violations(S, wp, pieces, collection),
+            _free_transitive_graded_violations(S, wp, collection),
         ),
         finding(f"acts.order-ideal-forms{t}", _order_ideal_violations(S)),
         finding(f"acts.munn-grading-is-identity{t}", _munn_grading_violations(S, munn)),
@@ -853,15 +848,11 @@ def _quotient_violations(S, H):
 
 
 def _orbit_stabilizer_violations(S, wp):
-    pieces = {}  # one subact per orbit
     for x in wp.points:
         if not wp.point_domain(x):
             continue
-        O = acts.orbit(wp, x)
-        if O not in pieces:
-            pieces[O] = acts.subact(wp, sorted(O))
         space = cosets.coset_space(S, acts.stabilizer(wp, x))
-        if acts.find_act_isomorphism(pieces[O], space.act) is None:
+        if acts.find_act_isomorphism(wp.orbit_act(x), space.act) is None:
             return f"orbit of {x} not isomorphic to the coset act of its stabilizer"
 
 

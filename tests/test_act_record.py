@@ -174,6 +174,51 @@ def test_record_is_kept_on_the_act_and_dies_with_it():
     assert ref() is None
 
 
+def test_orbit_act_is_the_subact_on_the_orbit():
+    one_orbit = several = 0
+    for S in record_tables():
+        if verify._skip_reason(S):
+            continue
+        for act in suite_acts_of(S):
+            for x in act.points:
+                O = acts.orbit(act, x)
+                piece = act.orbit_act(x)
+                assert piece.table == acts.subact(act, sorted(O)).table, (S, x)
+                assert all(act.orbit_act(y) is piece for y in O), (S, x)
+            if len(ref_orbits(act)) == 1:
+                assert act.orbit_act(0) is act
+                one_orbit += 1
+            elif act.carrier:
+                several += 1
+    assert one_orbit > 100 and several > 100
+
+
+def test_orbit_acts_hold_no_reference_to_their_act():
+    # each act has two orbits on Z3E and one on Z3
+    for S, build in product([fx("Z3E"), fx("Z3")], [acts.wagner_preston, acts.munn_act]):
+        act = build(S)
+        ref, piece = weakref.ref(act), weakref.ref(act.orbit_act(act.carrier - 1))
+        del act
+        # freed by reference counts alone: neither the act nor a piece is in a cycle
+        assert ref() is None and piece() is None
+
+
+def test_one_corpus_verify_restricts_each_orbit_once(monkeypatch):
+    calls = []
+    real = acts.subact
+
+    def subact(act, points):
+        # the calls list holds every act, so no id is reused during the run
+        calls.append((act, frozenset(points)))
+        return real(act, points)
+
+    monkeypatch.setattr(acts, "subact", subact)
+    assert cli.main(["verify", "--corpus", "--json"]) == 0
+    keys = [(id(act), points) for act, points in calls]
+    assert len(keys) == len(set(keys))
+    assert calls and all(len(points) < act.carrier for act, points in calls)
+
+
 def test_one_verify_builds_one_wagner_preston_act(monkeypatch, tmp_path):
     path = tmp_path / "z6e.tbl"
     path.write_text(core.format_cayley_table(fx("Z6E")))

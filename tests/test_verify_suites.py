@@ -641,6 +641,16 @@ def test_only_the_checking_modules_build_findings():
             assert getattr(node, "id", getattr(node, "attr", None)) != "Finding", where
 
 
+def test_orbit_subacts_are_read_from_the_act():
+    # the subact on an orbit is built once, by PartialAct.orbit_act
+    for name in ("verify.py", "crypto.py"):
+        path = ROOT / "src" / "edense" / name
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+                assert callee != "subact", f"{name}:{node.lineno}"
+
+
 def test_module_level_caches_are_the_three_known_ones():
     # derived data live on the semigroup or act they belong to and die with
     # it; no module-level cache keys on a table.  Every use of functools.cache
