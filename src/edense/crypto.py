@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import compress, product
-from operator import and_, eq
+from itertools import product
+from operator import and_
 
 from . import acts, closures, core
 from .core import FiniteSemigroup
@@ -31,9 +31,9 @@ from .errors import (
 
 @dataclass(frozen=True)
 class DecryptKeyTable:
-    """What every decrypt-key query reads, built once per (semigroup, act).
+    """What every decrypt-key query reads, built once per act.
 
-    ``stabilizers[x]`` is the bitmask of the elements fixing point x;
+    ``stabilizers[x]`` is the act's stabilizer of point x as a bitmask;
     ``columns[s][t]`` is the product t*s; ``uniform[s]`` is the set of t
     such that t*s fixes every point (empty on an empty carrier).  Then
     K(s, x) = {t : t*s fixes x} is read off column s and mask x.
@@ -45,12 +45,9 @@ class DecryptKeyTable:
     commutative: bool
 
     @classmethod
-    def of(cls, S: FiniteSemigroup, act: acts.PartialAct) -> "DecryptKeyTable":
-        stabilizers = [0] * act.carrier
-        for s, row in enumerate(act.table):
-            bit = 1 << s
-            for x in compress(act.points, map(eq, row, act.points)):
-                stabilizers[x] |= bit
+    def of(cls, act: acts.PartialAct) -> "DecryptKeyTable":
+        S = act.semigroup
+        stabilizers = tuple(sum(1 << s for s in fixing) for fixing in act.stabilizers)
         columns = tuple(zip(*S.table))
         if stabilizers:
             fix_all = reduce(and_, stabilizers)
@@ -60,19 +57,22 @@ class DecryptKeyTable:
             )
         else:
             uniform = (frozenset(),) * S.n
-        return cls(tuple(stabilizers), columns, uniform, columns == S.table)
+        return cls(stabilizers, columns, uniform, columns == S.table)
 
 
 @dataclass(frozen=True)
 class Cryptosystem:
-    """A total cancellative act; keys are elements of the semigroup, passed
-    to each query.
+    """A validated total act, which ``build_cryptosystem`` checks; keys are
+    elements of its semigroup, passed to each query.
 
     The decrypt-key table is built on first use, once per system.
     """
 
-    semigroup: FiniteSemigroup
     act: acts.PartialAct  # total: every entry defined
+
+    @property
+    def semigroup(self) -> FiniteSemigroup:
+        return self.act.semigroup
 
     @property
     def carrier(self) -> int:
@@ -80,7 +80,7 @@ class Cryptosystem:
 
     @cached_property
     def key_table(self) -> DecryptKeyTable:
-        return DecryptKeyTable.of(self.semigroup, self.act)
+        return DecryptKeyTable.of(self.act)
 
 
 def build_cryptosystem(S: FiniteSemigroup, rows, point_labels=None) -> Cryptosystem:
@@ -97,7 +97,7 @@ def build_cryptosystem(S: FiniteSemigroup, rows, point_labels=None) -> Cryptosys
         act = acts.validate_act(S, rows, point_labels)
     except CompositionViolation as exc:
         raise NotAssociativeAction(*exc.witness) from None
-    return Cryptosystem(S, act)
+    return Cryptosystem(act)
 
 
 def _require_total(rows) -> None:
@@ -162,15 +162,12 @@ def locally_free_key_space(sys: Cryptosystem, x: int, key: int) -> frozenset[int
     """K(s, x) in the locally free E-unitary case, where it collapses to
     the closure of the weak inverses of s (equivalently, to L(s)); both
     forms are checked by the finding ``crypto.unitary-key-spaces``."""
-    S = sys.semigroup
+    S = sys.act.semigroup
     closures.require_semilattice(S)
     if not core.is_e_unitary(S):
         raise PreconditionFailed("e_unitary")
-    E = core.idempotents(S)
-    e_closure = closures.omega_h(S, E)
-    for y in sys.act.points:
-        if acts.stabilizer(sys.act, y) != e_closure:
-            raise PreconditionFailed("locally_free", f"point {y}")
+    if not sys.act.properties.locally_free:
+        raise PreconditionFailed("locally_free")
     return decrypt_key_space(sys, x, key)
 
 
@@ -236,7 +233,7 @@ def massey_omura(
     With a commutative semigroup the two locks slide past each other;
     otherwise a compatible right action takes Bob's place.
     """
-    S = sys.semigroup
+    S = sys.act.semigroup
     s, t = alice_key, bob_key
     if biact is None:
         if not sys.key_table.commutative:
@@ -274,7 +271,7 @@ def elgamal(sys: Cryptosystem, x: int, shared: int, alice_key: int, bob_key: int
     """Generalised ElGamal over the act: Bob publishes shared*bob_key,
     Alice sends the pair ((alice_key*(shared*bob_key))x, alice_key*shared),
     Bob rebuilds the masking key by associativity and undoes it."""
-    S = sys.semigroup
+    S = sys.act.semigroup
     s, c, d = shared, alice_key, bob_key
     public = S.mul(s, d)
     mask = S.mul(c, public)
@@ -406,16 +403,17 @@ class ClassificationReport:
     copies: int | None
 
 
-def classify_locally_free_cryptosystem(S: FiniteSemigroup, act: acts.PartialAct) -> ClassificationReport:
+def classify_locally_free_cryptosystem(act: acts.PartialAct, wp: acts.PartialAct) -> ClassificationReport:
     """Decide whether a total act decomposes into disjoint copies of the
-    orbit of the minimum idempotent, orbit by orbit.
+    orbit of the minimum idempotent in ``wp``, its Wagner-Preston act.
 
     The decomposition exists exactly when the act is locally free (every
     stabilizer equals the closure of the idempotents); that the two fields
     of the report agree is the finding ``crypto.classification-theorem``.
     """
-    f = minimum_idempotent(S)
-    wp = acts.wagner_preston(S)
+    _require_total(act.table)
+    acts._require_same_semigroup(act.semigroup, wp)
+    f = minimum_idempotent(act.semigroup)
     base_points = tuple(sorted(acts.orbit(wp, f)))
     base_act = wp.orbit_act(f)
     results = []
@@ -424,14 +422,11 @@ def classify_locally_free_cryptosystem(S: FiniteSemigroup, act: acts.PartialAct)
         iso = acts.find_act_isomorphism(act.orbit_act(min(O)), base_act)
         results.append((tuple(sorted(O)), iso is not None))
         all_iso = all_iso and iso is not None
-    E = core.idempotents(S)
-    e_closure = closures.omega_h(S, E)
-    locally_free = all(acts.stabilizer(act, x) == e_closure for x in act.points)
     return ClassificationReport(
         f,
         base_points,
         tuple(results),
-        locally_free,
+        act.properties.locally_free,
         all_iso,
         len(results) if all_iso else None,
     )
@@ -439,4 +434,4 @@ def classify_locally_free_cryptosystem(S: FiniteSemigroup, act: acts.PartialAct)
 
 def discrete_log_candidates(sys: Cryptosystem, x: int, y: int) -> frozenset[int]:
     """All keys s with s*x = y: the brute-force discrete log."""
-    return frozenset(s for s in sys.semigroup.elements if sys.act.act(s, x) == y)
+    return frozenset(s for s in sys.act.semigroup.elements if sys.act.act(s, x) == y)

@@ -52,9 +52,8 @@ class NotIdempotent(WorkbenchError):
 
 
 class NotGroup(WorkbenchError):
-    def __init__(self, witness=None):
-        self.witness = witness
-        super().__init__(f"semigroup is not a group (witness {witness})")
+    def __init__(self):
+        super().__init__("semigroup is not a group")
 
 
 class NotPrime(WorkbenchError):

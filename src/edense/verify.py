@@ -1003,9 +1003,12 @@ def suite_construction() -> list[Finding]:
 # --- crypto suite ----------------------------------------------------------
 
 
+_SYSTEM_FIXTURES = ("Z3", "Z6", "B2", "Z3E", "Z6E", "CHAIN3")
+
+
 def _system_corpus():
     systems = []
-    for name in ("Z3", "Z6", "B2", "Z3E", "Z6E", "CHAIN3"):
+    for name in _SYSTEM_FIXTURES:
         systems.append((name, crypto.locally_free_system(construction.fixture(name))))
     for p in (5, 7, 11, 13):
         systems.append((f"modexp-{p}", crypto.modexp_system(p).system()))
@@ -1047,8 +1050,7 @@ def _pre_inverse_uniform_violations(systems):
 def _stabilizer_closed_violations(systems):
     for name, sys in systems:
         S = sys.semigroup
-        for x in sys.act.points:
-            st = acts.stabilizer(sys.act, x)
+        for x, st in enumerate(sys.act.stabilizers):
             if closures.omega_h(S, st) != st:
                 return f"{name}: stabilizer of {x} not closed"
 
@@ -1065,15 +1067,14 @@ def _key_space_violations(systems):
         band = core.classify_idempotents(S).is_band
         inverse = core.is_inverse_semigroup(S)
         group = core.is_group(S)
-        stabilizers = [acts.stabilizer(act, x) for x in act.points]
         for s in S.elements:
             W_s = core.weak_inverses(S, s)
             if inverse:
                 (s_inv,) = core.inverse_sets(S, s).V
             for x in act.points:
                 K = crypto.decrypt_key_space(sys, x, s)
-                S_x = stabilizers[x]
-                triple = core.set_mul(S, S_x, W_s, stabilizers[act.act(s, x)])
+                S_x = act.stabilizers[x]
+                triple = core.set_mul(S, S_x, W_s, act.stabilizers[act.act(s, x)])
                 if closures.omega_m(S, K) != K:
                     part = "key-space-m-closed"
                 elif not closures.omega_m(S, triple) <= K:
@@ -1124,12 +1125,11 @@ def _roundtrip_violations(systems):
                     return f"{name}: key-trace protocol fails at x={x}"
 
 
-def _biact_roundtrip_violations():
-    S = construction.fixture("Z6")
-    rows, _ = acts.left_mult_total(S)
+def _biact_roundtrip_violations(systems):
+    sys = dict(systems)["Z6"]  # left multiplication on all of Z6
+    S = sys.semigroup
     right = [[S.mul(x, s) for s in S.elements] for x in range(S.n)]
-    biact = crypto.build_biact(S, rows, right)
-    sys = crypto.build_cryptosystem(S, rows)
+    biact = crypto.build_biact(S, sys.act.table, right)
     for x in sys.act.points:
         for s, t in product(S.elements, repeat=2):
             if not crypto.massey_omura(sys, x, s, t, biact=biact).ok:
@@ -1191,9 +1191,10 @@ def _left_dense_violations(systems):
             return f"{name}: left-dense-equivalences (True,{cond2},{cond3})"
 
 
-def _classification_violations(systems):
+def _classification_violations(systems, wps=None):
     for name, sys in systems:
-        rep = crypto.classify_locally_free_cryptosystem(sys.semigroup, sys.act)
+        wp = (wps or {}).get(name) or acts.wagner_preston(sys.semigroup)
+        rep = crypto.classify_locally_free_cryptosystem(sys.act, wp)
         if rep.locally_free != rep.is_disjoint_union_of_base:
             return (
                 f"{name}: locally-free={rep.locally_free} but "
@@ -1204,10 +1205,10 @@ def _classification_violations(systems):
                 return f"{name}: expected one copy of the base orbit"
 
 
-def _unitary_key_space_violations():
+def _unitary_key_space_violations(systems):
     for name in ("Z3E", "Z6E"):
-        S = construction.fixture(name)
-        sys = crypto.locally_free_system(S)
+        sys = dict(systems)[name]
+        S = sys.semigroup
         for s in S.elements:
             expected = closures.omega_h(S, core.weak_inverses(S, s))
             for x in sys.act.points:
@@ -1218,7 +1219,8 @@ def _unitary_key_space_violations():
                     return f"{name}: key space differs from L(s) at s={s}"
 
 
-def suite_crypto() -> list[Finding]:
+def suite_crypto(wps=None) -> list[Finding]:
+    """The crypto findings; ``wps`` maps fixture names to Wagner-Preston acts."""
     systems = _system_corpus()
     return [
         finding("crypto.cancellative-equivalents", _cancellative_lemma_violations()),
@@ -1227,26 +1229,25 @@ def suite_crypto() -> list[Finding]:
         finding("crypto.key-space-theorem", _key_space_violations(systems)),
         finding("crypto.left-ideals-locally-free", _left_ideal_violations()),
         finding("crypto.protocol-roundtrips", _roundtrip_violations(systems)),
-        finding("crypto.biact-roundtrip", _biact_roundtrip_violations()),
+        finding("crypto.biact-roundtrip", _biact_roundtrip_violations(systems)),
         finding("crypto.left-dense-equivalences", _left_dense_violations(systems)),
-        finding("crypto.classification-theorem", _classification_violations(systems)),
-        finding("crypto.unitary-key-spaces", _unitary_key_space_violations()),
+        finding("crypto.classification-theorem", _classification_violations(systems, wps)),
+        finding("crypto.unitary-key-spaces", _unitary_key_space_violations(systems)),
     ]
 
 
 # --- entry points ----------------------------------------------------------
 
 
-def suites_for_table(S: FiniteSemigroup, names=SUITE_NAMES) -> list[Finding]:
+def suites_for_table(S: FiniteSemigroup, names=SUITE_NAMES, wp=None) -> list[Finding]:
     """Run the per-semigroup suites applicable to one table; the act and
-    coset suites share one Wagner-Preston act."""
+    coset suites share one Wagner-Preston act, ``wp`` when passed."""
     out = []
     if "core" in names:
         out += suite_core(S)
     if "closures" in names:
         out += suite_closures(S)
-    wp = None
-    if "acts" in names and "cosets" in names and not _skip_reason(S):
+    if wp is None and "acts" in names and "cosets" in names and not _skip_reason(S):
         wp = acts.wagner_preston(S)
     if "acts" in names:
         out += suite_acts(S, wp)
@@ -1286,14 +1287,18 @@ def small_order_sweep() -> list[Finding]:
 
 def corpus_findings(names=SUITE_NAMES) -> list[Finding]:
     """Everything: per-fixture suites plus the global construction and
-    crypto suites and the small-order sweep."""
-    out = []
+    crypto suites and the small-order sweep.  The Wagner-Preston acts of
+    the crypto fixtures are built here and shared with the crypto suite."""
+    out, wps = [], {}
     for name in construction.FIXTURE_NAMES:
-        out += suites_for_table(construction.fixture(name), names)
+        S = construction.fixture(name)
+        if "crypto" in names and name in _SYSTEM_FIXTURES:
+            wps[name] = acts.wagner_preston(S)
+        out += suites_for_table(S, names, wps.get(name))
     if "core" in names:
         out += small_order_sweep()
     if "construction" in names:
         out += suite_construction()
     if "crypto" in names:
-        out += suite_crypto()
+        out += suite_crypto(wps)
     return out

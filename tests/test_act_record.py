@@ -231,6 +231,31 @@ def test_one_verify_builds_one_wagner_preston_act(monkeypatch, tmp_path):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize(
+    "suite, builds", [("all", 12), ("core", 0), ("acts", 8), ("cosets", 8), ("crypto", 10)]
+)
+def test_one_corpus_verify_shares_its_wagner_preston_acts(monkeypatch, suite, builds):
+    # the crypto classification reads the act that the act and coset suites
+    # read; only the four modexp systems build their own
+    calls = {"wagner_preston": 0, "subact": 0}
+
+    def counted(name):
+        real = getattr(acts, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(acts, name, counted(name))
+    assert cli.main(["verify", "--corpus", "--suite", suite, "--json"]) == 0
+    assert calls["wagner_preston"] <= builds
+    if suite == "all":
+        assert calls["subact"] <= 38
+
+
 # --- checks that build one subact per orbit, against per-point scans ----------
 
 

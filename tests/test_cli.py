@@ -188,6 +188,13 @@ def test_crypto_demo_prime_zero(capsys):
     }
 
 
+def test_build_cu_rejects_a_table_that_is_not_a_group(capsys, tmp_path):
+    grp = tmp_path / "chain3.tbl"
+    grp.write_text(core.format_cayley_table(fx("CHAIN3")))
+    finding = _single_failure(capsys, "build-cu", "--group", str(grp))
+    assert finding == {"name": "NotGroup", "pass": False, "witness": "semigroup is not a group"}
+
+
 def test_build_cu_adjoin_band_zero(capsys, tmp_path):
     grp = tmp_path / "z3.tbl"
     grp.write_text(core.format_cayley_table(fx("Z3")))

@@ -131,8 +131,13 @@ def test_locally_free_key_space_z6e_sizes():
 def test_locally_free_key_space_preconditions():
     S = fx("B2")
     sys_ = crypto.locally_free_system(S)
-    with pytest.raises(PreconditionFailed):
+    with pytest.raises(PreconditionFailed) as not_unitary:
         crypto.locally_free_key_space(sys_, 0, 0)
+    assert not_unitary.value.name == "e_unitary"
+    # U_6 is E-unitary, but every exponent fixes the unit 1
+    with pytest.raises(PreconditionFailed) as not_free:
+        crypto.locally_free_key_space(crypto.modexp_system(7).system(), 0, 0)
+    assert not_free.value.name == "locally_free"
 
 
 def test_massey_omura_modexp_11():
@@ -226,7 +231,7 @@ def test_minimum_idempotent():
 def test_classification_band_extension():
     S = fx("Z3E")
     sys_ = band_system()
-    rep = crypto.classify_locally_free_cryptosystem(S, sys_.act)
+    rep = crypto.classify_locally_free_cryptosystem(sys_.act, acts.wagner_preston(S))
     assert rep.minimum_idempotent == 3
     assert rep.locally_free and rep.is_disjoint_union_of_base
     assert rep.copies == 1
@@ -237,15 +242,25 @@ def test_classification_two_copies():
     S = fx("Z3E")
     sys_ = band_system()
     double = acts.disjoint_union(sys_.act, sys_.act)
-    rep = crypto.classify_locally_free_cryptosystem(S, double)
+    rep = crypto.classify_locally_free_cryptosystem(double, acts.wagner_preston(S))
     assert rep.is_disjoint_union_of_base and rep.copies == 2
+
+
+def test_classification_needs_a_total_act_and_its_own_wagner_preston_act():
+    wp = acts.wagner_preston(fx("CHAIN3"))
+    with pytest.raises(PreconditionFailed) as partial:
+        crypto.classify_locally_free_cryptosystem(wp, wp)
+    assert partial.value.name == "total_action"
+    with pytest.raises(PreconditionFailed) as other:
+        crypto.classify_locally_free_cryptosystem(band_system().act, acts.wagner_preston(fx("Z3")))
+    assert other.value.name == "same_semigroup"
 
 
 def test_classification_modexp_7_honest():
     # the units mod 7 split into orbits {1}, {6}, {2,4}, {3,5}; only the
     # two-point orbits match the base, so no disjoint-union decomposition
     ms = crypto.modexp_system(7)
-    rep = crypto.classify_locally_free_cryptosystem(ms.semigroup, ms.system().act)
+    rep = crypto.classify_locally_free_cryptosystem(ms.system().act, acts.wagner_preston(ms.semigroup))
     assert not rep.locally_free
     assert not rep.is_disjoint_union_of_base
     orbit_units = sorted(
@@ -332,7 +347,7 @@ def test_reference_systems_include_a_non_commutative_one():
 def test_key_table_is_built_once_per_system(monkeypatch):
     built = []
     real = crypto.DecryptKeyTable.of
-    monkeypatch.setattr(crypto.DecryptKeyTable, "of", lambda S, act: built.append(act) or real(S, act))
+    monkeypatch.setattr(crypto.DecryptKeyTable, "of", lambda act: built.append(act) or real(act))
     sys_ = band_system()
     assert built == []
     for s in sys_.semigroup.elements:

@@ -431,8 +431,8 @@ def _swapped_displayed_map(monkeypatch):
 def _flipped_decomposition(monkeypatch):
     real = crypto.classify_locally_free_cryptosystem
 
-    def flipped(S, act):
-        rep = real(S, act)
+    def flipped(act, wp):
+        rep = real(act, wp)
         return dataclasses.replace(
             rep, is_disjoint_union_of_base=not rep.is_disjoint_union_of_base
         )
@@ -476,7 +476,7 @@ def _left_dense_claimed_for_a_non_cancellative_act(monkeypatch):
     rows, _ = acts.left_mult_total(S)
     raw = acts.PartialAct(S, tuple(tuple(r) for r in rows))
     monkeypatch.setattr(crypto, "stabilizers_left_dense", lambda act: True)
-    return verify._left_dense_violations([("CHAIN3", crypto.Cryptosystem(S, raw))])
+    return verify._left_dense_violations([("CHAIN3", crypto.Cryptosystem(raw))])
 
 
 WRONG_RESULTS = {
@@ -556,7 +556,7 @@ def test_key_space_check_names_the_first_failing_part(monkeypatch):
 @pytest.mark.parametrize("m", [16, 17])
 def test_left_dense_check_skips_carriers_above_16(monkeypatch, m):
     S = fx("Z2")
-    sys_ = crypto.Cryptosystem(S, acts.validate_act(S, [list(range(m))] * 2))
+    sys_ = crypto.Cryptosystem(acts.validate_act(S, [list(range(m))] * 2))
     scanned = []
     real = crypto.stabilizers_left_dense
     monkeypatch.setattr(crypto, "stabilizers_left_dense", lambda act: scanned.append(act) or real(act))
@@ -649,6 +649,16 @@ def test_orbit_subacts_are_read_from_the_act():
             if isinstance(node, ast.Call):
                 callee = getattr(node.func, "id", getattr(node.func, "attr", None))
                 assert callee != "subact", f"{name}:{node.lineno}"
+
+
+def test_crypto_is_handed_its_wagner_preston_acts():
+    # the classification reads the act its caller built, so a corpus
+    # verify builds each fixture's act once
+    path = ROOT / "src" / "edense" / "crypto.py"
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Call):
+            callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+            assert callee != "wagner_preston", f"crypto.py:{node.lineno}"
 
 
 def test_module_level_caches_are_the_three_known_ones():
