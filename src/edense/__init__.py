@@ -12,19 +12,14 @@ from .acts import (
     Grading,
     GradingObstruction,
     PartialAct,
-    act_properties,
     disjoint_union,
     find_act_isomorphism,
     format_act,
-    grading,
     is_s_map,
     left_mult_total,
     munn_act,
-    orbit,
-    orbits,
     order_ideal,
     parse_act,
-    stabilizer,
     subact,
     validate_act,
     wagner_preston,

@@ -61,10 +61,6 @@ class PartialAct:
         """D_s: the points s acts on."""
         return frozenset(x for x in self.points if self.table[s][x] is not None)
 
-    def point_domain(self, x: int) -> frozenset[int]:
-        """D^x: the elements acting on x."""
-        return self.point_domains[x]
-
     def plabel(self, x: int) -> str:
         return self.point_labels[x] if self.point_labels else str(x)
 
@@ -76,14 +72,15 @@ class PartialAct:
 
     @cached_property
     def point_domains(self) -> tuple[frozenset[int], ...]:
-        """D^x of every point x, one column of the table each."""
+        """D^x, the elements acting on x, of every point x: one column of
+        the table each."""
         return tuple(
             frozenset(s for s, v in enumerate(col) if v is not None) for col in zip(*self.table)
         )
 
     @cached_property
     def orbit_sets(self) -> tuple[frozenset[int], ...]:
-        """The orbit Sx together with x, of every point x."""
+        """Sx = {sx : s acts on x} together with x, of every point x."""
         return tuple(frozenset({x, *col} - {None}) for x, col in enumerate(zip(*self.table)))
 
     @cached_property
@@ -107,7 +104,9 @@ class PartialAct:
 
     @cached_property
     def properties(self) -> ActProperties:
-        """See the module function ``act_properties``."""
+        """Whether the act is effective, transitive, indecomposable and
+        locally free (each stabilizer is the closure of the idempotents
+        acting on its point)."""
         S, m = self.semigroup, self.carrier
         E = core.idempotents(S)
         return ActProperties(
@@ -123,7 +122,14 @@ class PartialAct:
 
     @cached_property
     def grading(self) -> Grading | GradingObstruction:
-        """See the module function ``grading``."""
+        """The grading of the act, or the obstruction to one.
+
+        The grading sends x to the minimum idempotent in its stabilizer; it
+        exists exactly when the act is effective and each stabilizer has a
+        minimum idempotent, and then the domain of every idempotent e is the
+        preimage of the order ideal of e (the domain formula of the finding
+        ``acts.grading-laws``).  Needs a semilattice of idempotents.
+        """
         S = self.semigroup
         closures.require_semilattice(S)
         E = core.idempotents(S)
@@ -298,35 +304,6 @@ def munn_act(S: FiniteSemigroup) -> PartialAct:
     return validate_act(S, table, [S.label(e) for e in E])
 
 
-def orbit(act: PartialAct, x: int) -> frozenset[int]:
-    """Sx = {sx : s acts on x} together with x itself."""
-    return act.orbit_sets[x]
-
-
-def stabilizer(act: PartialAct, x: int) -> frozenset[int]:
-    return act.stabilizers[x]
-
-
-def orbits(act: PartialAct) -> list[frozenset[int]]:
-    return list(act.orbit_partition)
-
-
-def act_properties(act: PartialAct) -> ActProperties:
-    return act.properties
-
-
-def grading(act: PartialAct) -> Grading | GradingObstruction:
-    """The grading of the act, or the obstruction to one.
-
-    The grading sends x to the minimum idempotent in its stabilizer; it
-    exists exactly when the act is effective and each stabilizer has a
-    minimum idempotent, and then the domain of every idempotent e is the
-    preimage of the order ideal of e (the domain formula of the finding
-    ``acts.grading-laws``).
-    """
-    return act.grading
-
-
 def subact(act: PartialAct, points) -> PartialAct:
     """Restriction to a subset closed under the action."""
     pts = sorted(points)
@@ -413,7 +390,7 @@ def find_act_isomorphism(act1: PartialAct, act2: PartialAct):
     if act1.carrier != act2.carrier:
         return None
     image = {}
-    for O in orbits(act1):
+    for O in act1.orbit_partition:
         used = set(image.values())
         for y0 in act2.points:
             f = None if y0 in used else forced_map(act1, min(O), act2, y0)

@@ -89,18 +89,18 @@ def cmd_act(args) -> int:
     act, kind = _act_from_args(S, args)
     report = Report(f"act {args.table} ({kind})")
     report.add(Finding("act-valid", True, f"{act.carrier} points"))
-    props = acts.act_properties(act)
+    props = act.properties
     report.info("effective", props.effective)
     report.info("transitive", props.transitive)
     report.info("indecomposable", props.indecomposable)
     report.info("locally-free", props.locally_free)
-    for O in acts.orbits(act):
+    for O in act.orbit_partition:
         report.info(f"orbit[{min(O)}]", " ".join(map(str, sorted(O))))
     for x in act.points:
         report.info(
-            f"stabilizer[{x}]", " ".join(map(str, sorted(acts.stabilizer(act, x))))
+            f"stabilizer[{x}]", " ".join(map(str, sorted(act.stabilizers[x])))
         )
-    g = acts.grading(act)
+    g = act.grading
     if isinstance(g, acts.Grading):
         report.info("grading", " ".join(map(str, g.p)))
     else:
@@ -160,7 +160,7 @@ def cmd_build_cu(args) -> int:
 
 def _demo_system(args):
     if args.prime is not None:
-        return crypto.modexp_system(args.prime).system(), f"modexp p={args.prime}"
+        return crypto.modexp_system(args.prime).system, f"modexp p={args.prime}"
     S = construction.fixture(args.fixture)
     return crypto.locally_free_system(S), f"fixture {args.fixture}"
 
@@ -173,7 +173,7 @@ def cmd_crypto_demo(args) -> int:
     sizes = sorted(crypto.key_space_sizes(sys_))
     report.info("key-space-sizes", " ".join(map(str, sizes)))
     keys = [s for s in S.elements if crypto.uniform_decrypt_keys(sys_, s)]
-    x = rng.choice(range(sys_.carrier))
+    x = rng.choice(sys_.act.points)
     if args.protocol == "mo":
         s, t = rng.choice(keys), rng.choice(keys)
         transcript = crypto.massey_omura(sys_, x, s, t)

@@ -57,8 +57,9 @@ def check_base(S: FiniteSemigroup, H) -> frozenset[int]:
     closures.require_semilattice(S)
     if not H:
         raise BadSubsemigroup("empty subset")
-    if not all(0 <= h < S.n for h in H):
-        raise BadSubsemigroup("member out of range", sorted(H))
+    outside = sorted(h for h in H if not 0 <= h < S.n)
+    if outside:
+        raise BadSubsemigroup("member out of range", outside)
     if not core.is_subsemigroup(S, H):
         bad = next(
             (h, k) for h in H for k in H if S.mul(h, k) not in H
@@ -167,15 +168,22 @@ def are_conjugate(S: FiniteSemigroup, H, K):
     return answers.setdefault(key, witness)
 
 
+def _conjugacy_witness(S: FiniteSemigroup, H):
+    """The first (s, t) with st in H and ts not in H, or None."""
+    return next(
+        (
+            (s, t)
+            for s in S.elements
+            for t in S.elements
+            if S.mul(s, t) in H and S.mul(t, s) not in H
+        ),
+        None,
+    )
+
+
 def is_self_conjugate(S: FiniteSemigroup, H) -> bool:
     """Whether st in H always forces ts in H."""
-    H = check_base(S, H)
-    return all(
-        S.mul(t, s) in H
-        for s in S.elements
-        for t in S.elements
-        if S.mul(s, t) in H
-    )
+    return _conjugacy_witness(S, check_base(S, H)) is None
 
 
 def quotient_group(S: FiniteSemigroup, H) -> FiniteSemigroup:
@@ -183,16 +191,8 @@ def quotient_group(S: FiniteSemigroup, H) -> FiniteSemigroup:
     (coset of s)(coset of t) = coset of st.  That it is a group with the
     coset H as identity is the finding ``cosets.self-conjugacy-forms``."""
     H = check_base(S, H)
-    if not is_self_conjugate(S, H):
-        witness = next(
-            (
-                (s, t)
-                for s in S.elements
-                for t in S.elements
-                if S.mul(s, t) in H and S.mul(t, s) not in H
-            ),
-            None,
-        )
+    witness = _conjugacy_witness(S, H)
+    if witness is not None:
         raise NotSelfConjugate(witness)
     space = coset_space(S, H)
     reps = [min(c.members) for c in space.cosets]
@@ -229,8 +229,9 @@ def rho_representation(S: FiniteSemigroup, H) -> RhoRepresentation:
     coset congruence is the finding ``cosets.self-conjugacy-forms``.
     """
     H = check_base(S, H)
-    if not is_self_conjugate(S, H):
-        raise NotSelfConjugate()
+    witness = _conjugacy_witness(S, H)
+    if witness is not None:
+        raise NotSelfConjugate(witness)
     space = coset_space(S, H)
     perms = {}
     for s in sorted(space.domain):

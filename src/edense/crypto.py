@@ -74,10 +74,6 @@ class Cryptosystem:
     def semigroup(self) -> FiniteSemigroup:
         return self.act.semigroup
 
-    @property
-    def carrier(self) -> int:
-        return self.act.carrier
-
     @cached_property
     def key_table(self) -> DecryptKeyTable:
         return DecryptKeyTable.of(self.act)
@@ -249,7 +245,7 @@ def massey_omura(
         t_right_keys = frozenset(
             r
             for r in S.elements
-            if all(biact.right[y][S.mul(t, r)] == y for y in range(sys.carrier))
+            if all(biact.right[y][S.mul(t, r)] == y for y in sys.act.points)
         )
         if not t_right_keys:
             raise NoDecryptKey(t)
@@ -302,6 +298,8 @@ class ModExpSystem:
     p-1, of size phi(d).  The action is free at x exactly when
     phi(d) = phi(p-1), so it is never free at 1 or p-1 once p > 3:
     `is_free` is False and `non_free_units` lists the other units.
+
+    The cryptosystem is built and validated on first use, once per cipher.
     """
 
     p: int
@@ -309,8 +307,6 @@ class ModExpSystem:
     units: tuple[int, ...]
     semigroup: FiniteSemigroup
     rows: tuple[tuple[int, ...], ...]
-    is_free: bool
-    non_free_units: tuple[int, ...]
 
     def element_of(self, n: int) -> int:
         """The element of S that is the exponent n, the key of x -> x^n."""
@@ -324,10 +320,22 @@ class ModExpSystem:
     def unit_value(self, point: int) -> int:
         return self.units[point]
 
+    @cached_property
     def system(self) -> Cryptosystem:
         """The cryptosystem of this cipher; the key of exponent n is
         ``element_of(n)``."""
         return build_cryptosystem(self.semigroup, self.rows, [str(u) for u in self.units])
+
+    @property
+    def non_free_units(self) -> tuple[int, ...]:
+        """The units fixed by some exponent other than 1: those whose
+        stabilizer holds more than the exponent 1."""
+        stabilizers = self.system.act.stabilizers
+        return tuple(u for u, fixing in zip(self.units, stabilizers) if len(fixing) > 1)
+
+    @property
+    def is_free(self) -> bool:
+        return not self.non_free_units
 
 
 def _is_prime(p: int) -> bool:
@@ -346,7 +354,8 @@ def modexp_system(p: int) -> ModExpSystem:
 
     The group of units mod p-1 acts on the units mod p by exponentiation;
     every key has a unique uniform decrypt key (the modular inverse of the
-    exponent), and the freeness of the action is recorded point by point.
+    exponent), and the freeness of the action is read off the stabilizers
+    of its act.
     """
     if p > 257:
         raise OrderTooLarge(p, 257, "modulus")
@@ -356,7 +365,6 @@ def modexp_system(p: int) -> ModExpSystem:
     exponents = tuple(
         n for n in range(1, max(modulus, 2)) if math.gcd(n, modulus) == 1
     )
-    k = len(exponents)
 
     def emul(a, b):
         r = (a * b) % modulus
@@ -370,12 +378,7 @@ def modexp_system(p: int) -> ModExpSystem:
     units = tuple(range(1, p)) if p > 2 else (1,)
     # unit u is point u - 1
     rows = tuple(tuple(pow(x, n, p) - 1 for x in units) for n in exponents)
-    non_free = tuple(
-        x
-        for i, x in enumerate(units)
-        if any(rows[j][i] == i for j in range(k) if exponents[j] != 1)
-    )
-    return ModExpSystem(p, exponents, units, S, rows, not non_free, non_free)
+    return ModExpSystem(p, exponents, units, S, rows)
 
 
 def stabilizers_left_dense(act: acts.PartialAct) -> bool:
@@ -414,11 +417,11 @@ def classify_locally_free_cryptosystem(act: acts.PartialAct, wp: acts.PartialAct
     _require_total(act.table)
     acts._require_same_semigroup(act.semigroup, wp)
     f = minimum_idempotent(act.semigroup)
-    base_points = tuple(sorted(acts.orbit(wp, f)))
+    base_points = tuple(sorted(wp.orbit_sets[f]))
     base_act = wp.orbit_act(f)
     results = []
     all_iso = True
-    for O in acts.orbits(act):
+    for O in act.orbit_partition:
         iso = acts.find_act_isomorphism(act.orbit_act(min(O)), base_act)
         results.append((tuple(sorted(O)), iso is not None))
         all_iso = all_iso and iso is not None

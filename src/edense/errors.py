@@ -103,11 +103,12 @@ class BadSubsemigroup(WorkbenchError):
     def __init__(self, reason, witness=None):
         self.reason = reason
         self.witness = witness
-        super().__init__(f"subset is not a closed E-dense subsemigroup: {reason}")
+        shown = "" if witness is None else f" (witness {witness})"
+        super().__init__(f"subset is not a closed E-dense subsemigroup: {reason}{shown}")
 
 
 class NotSelfConjugate(WorkbenchError):
-    def __init__(self, witness=None):
+    def __init__(self, witness):
         self.witness = witness
         super().__init__(f"subsemigroup is not self-conjugate (witness {witness})")
 

@@ -342,8 +342,8 @@ def _basic_lemma_violations(act):
     S = act.semigroup
     E = core.idempotents(S)
     for x in act.points:
-        dom = act.point_domain(x)
-        stab = acts.stabilizer(act, x)
+        dom = act.point_domains[x]
+        stab = act.stabilizers[x]
         if not (E & dom) <= stab:
             return f"part 1 at x={x}"
         for s in S.elements:
@@ -370,7 +370,7 @@ def _basic_lemma_violations(act):
 
 
 def _orbit_partition_violations(act):
-    orbs = [acts.orbit(act, x) for x in act.points]
+    orbs = act.orbit_sets
     for x, y in product(act.points, repeat=2):
         if (y in orbs[x]) != (orbs[x] == orbs[y]):
             return f"x={x}, y={y}"
@@ -378,15 +378,15 @@ def _orbit_partition_violations(act):
 
 def _effective_orbit_violations(act):
     # a point that no element acts on is an orbit of its own, and is skipped
-    for O in acts.orbits(act):
+    for O in act.orbit_partition:
         x = min(O)
-        if not act.point_domain(x):
+        if not act.point_domains[x]:
             continue
-        props = acts.act_properties(act.orbit_act(x))
+        props = act.orbit_act(x).properties
         if not (props.effective and props.transitive):
             return f"orbit of {x} not effective transitive"
-    props = acts.act_properties(act)
-    if props.effective and props.transitive and len(acts.orbits(act)) != 1:
+    props = act.properties
+    if props.effective and props.transitive and len(act.orbit_partition) != 1:
         return "effective transitive act with several orbits"
 
 
@@ -404,14 +404,14 @@ def _wp_domain_forms_violations(S, wp):
 def _wp_idempotent_orbit_violations(S, wp):
     E = core.idempotents(S)
     for e in E:
-        if acts.stabilizer(wp, e) != closures.omega_h(S, {e}):
+        if wp.stabilizers[e] != closures.omega_h(S, {e}):
             return f"stabilizer of idempotent {e}"
-        if acts.orbit(wp, e) != core.green_l_class(S, e):
+        if wp.orbit_sets[e] != core.green_l_class(S, e):
             return f"orbit of idempotent {e}"
     regular = core.regular_elements(S)
     for s in S.elements:
-        stab = acts.stabilizer(wp, s)
-        orb = acts.orbit(wp, s)
+        stab = wp.stabilizers[s]
+        orb = wp.orbit_sets[s]
         hits = []
         for w in core.weak_inverses(S, s):
             up = closures.omega_h(S, {S.mul(s, w)})
@@ -429,13 +429,13 @@ def _wp_idempotent_orbit_violations(S, wp):
             if orb != core.green_l_class(S, s):
                 return f"part 2 (orbit equals L-class) at s={s}"
         for w in core.weak_inverses(S, s):
-            if acts.stabilizer(wp, w) != closures.omega_h(S, {S.mul(w, s)}):
+            if wp.stabilizers[w] != closures.omega_h(S, {S.mul(w, s)}):
                 return f"part 4 (stabilizer) at s={s}, s'={w}"
-            if acts.orbit(wp, w) != core.green_l_class(S, w):
+            if wp.orbit_sets[w] != core.green_l_class(S, w):
                 return f"part 4 (orbit) at s={s}, s'={w}"
     for e in E:
-        for se in acts.orbit(wp, e):
-            stab = acts.stabilizer(wp, se)
+        for se in wp.orbit_sets[e]:
+            stab = wp.stabilizers[se]
             ok = any(
                 stab == closures.omega_h(S, {S.prod(s, e, w)})
                 for s in S.elements
@@ -444,18 +444,18 @@ def _wp_idempotent_orbit_violations(S, wp):
             ) or (se == e and stab == closures.omega_h(S, {e}))
             if not ok:
                 return f"part 3 at e={e}, point {se}"
-            if acts.orbit(wp, se) != core.green_l_class(S, se):
+            if wp.orbit_sets[se] != core.green_l_class(S, se):
                 return f"part 3 (orbit) at point {se}"
 
 
 def _locally_free_iff_violations(act):
     S = act.semigroup
-    lf = acts.act_properties(act).locally_free
-    stabs = [acts.stabilizer(act, x) for x in act.points]
+    lf = act.properties.locally_free
+    stabs = act.stabilizers
     cond = all(
         any(S.mul(s, e) == S.mul(t, e) for e in stabs[x])
         for x in act.points
-        for s, t in product(act.point_domain(x), repeat=2)
+        for s, t in product(act.point_domains[x], repeat=2)
         if act.act(s, x) == act.act(t, x)
     )
     if lf != cond:
@@ -466,10 +466,10 @@ def _graded_equivalence_violations(act, munn):
     S = act.semigroup
     E = sorted(core.idempotents(S))
     pos = {e: i for i, e in enumerate(E)}
-    g = acts.grading(act)
+    g = act.grading
     graded = isinstance(g, acts.Grading)
-    effective = all(act.point_domain(x) for x in act.points)
-    fixing = [acts.stabilizer(act, x) & core.idempotents(S) for x in act.points]
+    effective = all(act.point_domains[x] for x in act.points)
+    fixing = [act.stabilizers[x] & core.idempotents(S) for x in act.points]
     minima = all(any(all(core.h_leq(S, e, f) for f in F) for e in F) for F in fixing)
     cond3 = effective and minima
     if graded != cond3:
@@ -493,19 +493,19 @@ def _act_map_exists(act, dst):
             f is not None and acts.is_s_map(act, dst, f)
             for f in (acts.forced_map(act, min(O), dst, y0) for y0 in dst.points)
         )
-        for O in acts.orbits(act)
+        for O in act.orbit_partition
     )
 
 
 def _grading_law_violations(act):
     S = act.semigroup
-    g = acts.grading(act)
+    g = act.grading
     if not isinstance(g, acts.Grading):
         return None
     p = g.p
     E = core.idempotents(S)
     for x in act.points:
-        fixing = acts.stabilizer(act, x) & E
+        fixing = act.stabilizers[x] & E
         if p[x] not in fixing or not all(core.h_leq(S, p[x], f) for f in fixing):
             return f"p({x}) is not the minimum stabilizing idempotent"
         for w in core.weak_inverses(S, p[x]):
@@ -542,17 +542,17 @@ def _free_transitive_graded_violations(S, wp, collection):
     E = core.idempotents(S)
     orbit_acts = {e: wp.orbit_act(e) for e in E}
     for e, oa in orbit_acts.items():
-        props = acts.act_properties(oa)
+        props = oa.properties
         if not (props.locally_free and props.transitive):
             return f"orbit of idempotent {e} not locally free transitive"
-        if not isinstance(acts.grading(oa), acts.Grading):
+        if not isinstance(oa.grading, acts.Grading):
             return f"orbit of idempotent {e} not graded"
     for name, act in collection:
-        props = acts.act_properties(act)
+        props = act.properties
         lhs = (
             props.locally_free
             and props.transitive
-            and isinstance(acts.grading(act), acts.Grading)
+            and isinstance(act.grading, acts.Grading)
         )
         rhs = any(acts.find_act_isomorphism(act, oa) is not None for oa in orbit_acts.values())
         if lhs != rhs:
@@ -560,13 +560,13 @@ def _free_transitive_graded_violations(S, wp, collection):
 
 
 def _graded_quotient_violations(S, wp, act):
-    g = acts.grading(act)
+    g = act.grading
     if not isinstance(g, acts.Grading):
         return None
-    for O in acts.orbits(act):
+    for O in act.orbit_partition:
         x = min(O)
         px = g.p[x]
-        source_points = sorted(acts.orbit(wp, px))
+        source_points = sorted(wp.orbit_sets[px])
         # map s*p(x) -> s*x; well-definedness and the act-map law are the claim
         mapping = []
         target_points = sorted(O)
@@ -590,7 +590,7 @@ def _graded_quotient_violations(S, wp, act):
 def _stabilizers_closed_violations(act):
     S = act.semigroup
     for x in act.points:
-        stab = acts.stabilizer(act, x)
+        stab = act.stabilizers[x]
         if not stab:
             continue
         if not closures.is_e_dense_subsemigroup(S, stab):
@@ -610,7 +610,7 @@ def suite_acts(S: FiniteSemigroup, wp=None) -> list[Finding]:
         wp = acts.wagner_preston(S)
     munn = acts.munn_act(S)
     collection = [("wp-self", wp), ("munn", munn)]
-    collection += [(f"wp-orbit-{min(O)}", wp.orbit_act(min(O))) for O in acts.orbits(wp)]
+    collection += [(f"wp-orbit-{min(O)}", wp.orbit_act(min(O))) for O in wp.orbit_partition]
     out = [
         Finding(f"acts.constructions-validate{t}", True, f"{len(collection)} acts"),
         finding(f"acts.wp-domain-forms{t}", _wp_domain_forms_violations(S, wp)),
@@ -648,7 +648,7 @@ def _order_ideal_violations(S):
 
 
 def _munn_grading_violations(S, munn):
-    g = acts.grading(munn)
+    g = munn.grading
     if not isinstance(g, acts.Grading):
         return f"idempotent act not graded: {g.reason}"
     E = sorted(core.idempotents(S))
@@ -712,7 +712,7 @@ def _coset_class_violations(S, H, space):
         return "H is not a coset"
     if frozenset().union(*members) != d or sum(map(len, members)) != len(d):
         return "cosets do not partition D_H"
-    if acts.stabilizer(space.act, space.index_of(H)) != H:
+    if space.act.stabilizers[space.index_of(H)] != H:
         return "stabilizer of the coset H is not H"
     classes = _classes(S, H, d)
     for s, cls in classes.items():
@@ -777,9 +777,9 @@ def _conjugacy_violations(S, bases):
 def _stabilizer_conjugacy_violations(S, wp):
     for s in S.elements:
         for x in wp.element_domain(s):
-            stab_x = acts.stabilizer(wp, x)
+            stab_x = wp.stabilizers[x]
             sx = wp.act(s, x)
-            stab_sx = acts.stabilizer(wp, sx)
+            stab_sx = wp.stabilizers[sx]
             for w in core.weak_inverses(S, s):
                 if not wp.defined(w, sx):
                     continue
@@ -849,9 +849,9 @@ def _quotient_violations(S, H):
 
 def _orbit_stabilizer_violations(S, wp):
     for x in wp.points:
-        if not wp.point_domain(x):
+        if not wp.point_domains[x]:
             continue
-        space = cosets.coset_space(S, acts.stabilizer(wp, x))
+        space = cosets.coset_space(S, wp.stabilizers[x])
         if acts.find_act_isomorphism(wp.orbit_act(x), space.act) is None:
             return f"orbit of {x} not isomorphic to the coset act of its stabilizer"
 
@@ -1011,7 +1011,7 @@ def _system_corpus():
     for name in _SYSTEM_FIXTURES:
         systems.append((name, crypto.locally_free_system(construction.fixture(name))))
     for p in (5, 7, 11, 13):
-        systems.append((f"modexp-{p}", crypto.modexp_system(p).system()))
+        systems.append((f"modexp-{p}", crypto.modexp_system(p).system))
     return systems
 
 

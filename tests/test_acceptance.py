@@ -80,14 +80,14 @@ def test_criterion_02a_modexp_free():
         units = _unit_exponents(p)
         assert list(ms.exponents) == units, f"p={p}"
         assert list(ms.units) == list(range(1, p)), f"p={p}"
-        sys_ = ms.system()
+        sys_ = ms.system
         free_units = []
         for x in sys_.act.points:
             u = ms.unit_value(x)
             d = _order(u, p)
             expected = {n for n in units if n % d == 1 % d}
             assert len(expected) == _phi(p - 1) // _phi(d), f"p={p}, x={u}"
-            stab = {ms.exponents[i] for i in acts.stabilizer(sys_.act, x)}
+            stab = {ms.exponents[i] for i in sys_.act.stabilizers[x]}
             assert stab == expected, f"p={p}, x={u}: Stab = {sorted(stab)}"
             assert (len(stab) == 1) == (_phi(d) == _phi(p - 1)), f"p={p}, x={u}"
             if _phi(d) == _phi(p - 1):
@@ -98,7 +98,7 @@ def test_criterion_02a_modexp_free():
         assert ms.is_free is False, f"p={p}"
         for u in (1, p - 1):
             assert all(pow(u, n, p) == u for n in units), f"p={p}, x={u}"
-            stab = acts.stabilizer(sys_.act, ms.point_of(u))
+            stab = sys_.act.stabilizers[ms.point_of(u)]
             assert {ms.exponents[i] for i in stab} == set(units), (
                 f"p={p}: {u} is fixed by every exponent, so the action is "
                 "not free there"
@@ -113,7 +113,7 @@ def test_criterion_02b_modexp_singleton_keys():
         ms = crypto.modexp_system(p)
         units = _unit_exponents(p)
         assert list(ms.exponents) == units, f"p={p}"
-        sys_ = ms.system()
+        sys_ = ms.system
         for n in units:
             inverse = pow(n, -1, p - 1)
             for x in sys_.act.points:
@@ -137,7 +137,7 @@ def test_criterion_02c_modexp_roundtrips():
     cases = 0
     for p in (5, 7, 11, 13):
         ms = crypto.modexp_system(p)
-        sys_ = ms.system()
+        sys_ = ms.system
         keys = range(len(ms.exponents))
         for x in sys_.act.points:
             for s, t in product(keys, repeat=2):
@@ -180,14 +180,14 @@ def test_criterion_05_wagner_preston_structure():
         S = fx(name)
         wp = acts.wagner_preston(S)  # validation is part of construction
         for e in core.idempotents(S):
-            assert acts.stabilizer(wp, e) == closures.omega_h(S, {e}), f"{name}, e={e}"
-            assert acts.orbit(wp, e) == core.green_l_class(S, e), f"{name}, e={e}"
+            assert wp.stabilizers[e] == closures.omega_h(S, {e}), f"{name}, e={e}"
+            assert wp.orbit_sets[e] == core.green_l_class(S, e), f"{name}, e={e}"
         for s in S.elements:
             for w in core.weak_inverses(S, s):
-                assert acts.stabilizer(wp, w) == closures.omega_h(
+                assert wp.stabilizers[w] == closures.omega_h(
                     S, {S.mul(w, s)}
                 ), f"{name}, s={s}, s'={w}"
-                assert acts.orbit(wp, w) == core.green_l_class(S, w)
+                assert wp.orbit_sets[w] == core.green_l_class(S, w)
 
 
 @_stamp(6, "coset machinery on the designated bases")
@@ -205,14 +205,14 @@ def test_criterion_06_coset_suite():
             assert verify._coset_class_violations(S, H, space) is None, f"{name}, H={sorted(H)}"
             E = core.idempotents(S)
             assert [c.members for c in space.cosets if c.members & E] == [H]
-            props = acts.act_properties(space.act)
+            props = space.act.properties
             assert props.transitive, f"{name}, H={sorted(H)}"
         wp = acts.wagner_preston(S)
         for x in wp.points:
-            if not wp.point_domain(x):
+            if not wp.point_domains[x]:
                 continue
-            piece = acts.subact(wp, sorted(acts.orbit(wp, x)))
-            space = cosets.coset_space(S, acts.stabilizer(wp, x))
+            piece = acts.subact(wp, sorted(wp.orbit_sets[x]))
+            space = cosets.coset_space(S, wp.stabilizers[x])
             assert acts.find_act_isomorphism(piece, space.act) is not None, (
                 f"{name}: orbit of {x} is not the coset act of its stabilizer"
             )
@@ -275,7 +275,7 @@ def test_criterion_09_key_space_theorem():
     for s in S.elements:
         for x in range(6):
             K = crypto.decrypt_key_space(gsys, x, s)
-            assert len(K) == len(acts.stabilizer(gsys.act, x)) == 1
+            assert len(K) == len(gsys.act.stabilizers[x]) == 1
 
 
 @_stamp(10, "band-extension system is one copy of the base orbit")
@@ -294,7 +294,7 @@ def test_criterion_10b_modexp_7_three_copies():
         ms = crypto.modexp_system(p)
         units = _unit_exponents(p)
         rep = crypto.classify_locally_free_cryptosystem(
-            ms.system().act, acts.wagner_preston(ms.semigroup)
+            ms.system.act, acts.wagner_preston(ms.semigroup)
         )
         by_order = {d: set() for d in _divisors(p - 1)}
         for u in range(1, p):

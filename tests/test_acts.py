@@ -47,7 +47,7 @@ def test_total_n2_self_action_not_cancellative():
 def test_empty_action_is_valid():
     S = fx("Z3E")
     act = acts.validate_act(S, [[None] * 2 for _ in S.elements])
-    assert acts.act_properties(act).effective is False
+    assert act.properties.effective is False
 
 
 def test_validate_rejects_composition_violation():
@@ -119,43 +119,43 @@ def test_idempotents_fix_their_ideals(corpus):
 def test_orbit_and_stabilizer_on_b2():
     S = fx("B2")
     wp = acts.wagner_preston(S)
-    assert acts.orbit(wp, 3) == {2, 3}
-    assert acts.orbit(wp, 3) == core.green_l_class(S, 3)
-    assert acts.stabilizer(wp, 3) == {3}
-    assert acts.stabilizer(wp, 3) == closures.omega_h(S, {3})
+    assert wp.orbit_sets[3] == {2, 3}
+    assert wp.orbit_sets[3] == core.green_l_class(S, 3)
+    assert wp.stabilizers[3] == {3}
+    assert wp.stabilizers[3] == closures.omega_h(S, {3})
 
 
 def test_non_effective_orbit_is_singleton():
     S = fx("N2")
     wp = acts.wagner_preston(S)
-    assert wp.point_domain(1) == frozenset()
-    assert acts.orbit(wp, 1) == {1}
+    assert wp.point_domains[1] == frozenset()
+    assert wp.orbit_sets[1] == {1}
 
 
 def test_act_properties_band_extension():
     S, wp = eg_act()
-    props = acts.act_properties(wp)
+    props = wp.properties
     assert props.effective and props.transitive
     assert props.indecomposable and props.locally_free
 
 
 def test_act_properties_chain3_not_transitive():
     wp = acts.wagner_preston(fx("CHAIN3"))
-    props = acts.act_properties(wp)
+    props = wp.properties
     assert not props.transitive
-    assert all(acts.orbit(wp, x) == {x} for x in wp.points)
+    assert all(wp.orbit_sets[x] == {x} for x in wp.points)
 
 
 def test_grading_band_extension():
     S, wp = eg_act()
-    g = acts.grading(wp)
+    g = wp.grading
     assert isinstance(g, acts.Grading)
     assert g.p == (3, 3, 3)
 
 
 def test_grading_obstruction_non_effective():
     wp = acts.wagner_preston(fx("N2"))
-    g = acts.grading(wp)
+    g = wp.grading
     assert isinstance(g, acts.GradingObstruction)
     assert g.reason == "non-effective point"
 
@@ -164,7 +164,7 @@ def test_munn_grading_is_identity(corpus):
     for name in SEMILATTICE_FIXTURES:
         S = fx(name)
         munn = acts.munn_act(S)
-        g = acts.grading(munn)
+        g = munn.grading
         assert isinstance(g, acts.Grading)
         assert g.p == tuple(sorted(core.idempotents(S)))
 
@@ -182,7 +182,7 @@ def test_orbit_act_matches_coset_act():
 
     S = fx("Z3E")
     wp = acts.wagner_preston(S)
-    orbit_act = acts.subact(wp, sorted(acts.orbit(wp, 3)))
+    orbit_act = acts.subact(wp, sorted(wp.orbit_sets[3]))
     space = cosets.coset_space(S, closures.omega_h(S, {3}))
     assert acts.find_act_isomorphism(orbit_act, space.act) is not None
 
@@ -227,7 +227,7 @@ def oracle_acts(S, rng):
     those of at most ``ORACLE_CARRIER`` points, one per table."""
     wp, munn = acts.wagner_preston(S), acts.munn_act(S)
     pieces = [wp, munn] + [
-        acts.subact(a, sorted(O)) for a in (wp, munn) for O in acts.orbits(a)
+        acts.subact(a, sorted(O)) for a in (wp, munn) for O in a.orbit_partition
     ]
     pieces += [
         acts.disjoint_union(a, b)
@@ -274,7 +274,7 @@ def z16e_wagner_preston():
 def test_act_isomorphism_has_no_carrier_bound():
     wp = z16e_wagner_preston()
     assert wp.carrier == 32
-    pieces = [acts.subact(wp, sorted(O)) for O in acts.orbits(wp)]
+    pieces = [acts.subact(wp, sorted(O)) for O in wp.orbit_partition]
     assert [p.carrier for p in pieces] == [16, 16]
     shuffled = relabelled_act(wp, random.Random(1).sample(range(32), 32))
     for act1, act2 in [(p, p) for p in pieces] + [(wp, shuffled)]:
@@ -324,7 +324,7 @@ def test_disjoint_union_doubles_orbits():
     _, wp = eg_act()
     double = acts.disjoint_union(wp, wp)
     assert double.carrier == 6
-    assert len(acts.orbits(double)) == 2
+    assert len(double.orbit_partition) == 2
 
 
 def test_subact_rejects_a_subset_the_act_leaves():
@@ -387,10 +387,10 @@ def test_transitive_agrees_with_the_pairwise_scan():
     seen = set()
     for S in oracle_tables():
         wp, munn = acts.wagner_preston(S), acts.munn_act(S)
-        orbit_acts = [acts.subact(a, sorted(O)) for a in (wp, munn) for O in acts.orbits(a)]
+        orbit_acts = [acts.subact(a, sorted(O)) for a in (wp, munn) for O in a.orbit_partition]
         for act in [wp, munn, *orbit_acts]:
             expected = pairwise_transitive(act)
-            assert acts.act_properties(act).transitive is expected, (S.table, act.table)
+            assert act.properties.transitive is expected, (S.table, act.table)
             seen.add(expected)
     assert seen == {True, False}
 

@@ -376,6 +376,15 @@ def test_cosets_subsemigroup_not_ids(capsys, z3e_file):
     }
 
 
+def test_cosets_member_out_of_range_names_it(capsys, z6_file):
+    finding = _single_failure(capsys, "cosets", z6_file, "--subsemigroup", "0 9")
+    assert finding == {
+        "name": "BadSubsemigroup",
+        "pass": False,
+        "witness": "subset is not a closed E-dense subsemigroup: member out of range (witness [9])",
+    }
+
+
 def test_missing_table_file(capsys, tmp_path):
     missing = str(tmp_path / "missing.tbl")
     finding = _single_failure(capsys, "analyze", missing)

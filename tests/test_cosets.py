@@ -94,7 +94,7 @@ def test_coset_space_band_extension():
     space = cosets.coset_space(S, H03)
     assert [sorted(c.members) for c in space.cosets] == [[0, 3], [1, 4], [2, 5]]
     assert space.domain == frozenset(range(6))
-    assert acts.act_properties(space.act).transitive
+    assert space.act.properties.transitive
 
 
 def test_coset_space_group_subgroup():
@@ -136,7 +136,7 @@ def test_wagner_preston_stabilizers_conjugate():
     for s in S.elements:
         for x in wp.element_domain(s):
             assert cosets.are_conjugate(
-                S, acts.stabilizer(wp, x), acts.stabilizer(wp, wp.act(s, x))
+                S, wp.stabilizers[x], wp.stabilizers[wp.act(s, x)]
             ) is not None
 
 
@@ -173,8 +173,10 @@ def test_quotient_by_everything_is_trivial():
 
 
 def test_quotient_requires_self_conjugacy():
-    with pytest.raises(NotSelfConjugate):
-        cosets.quotient_group(fx("B2"), frozenset({3}))
+    # on B2, 1*2 = 3 lies in H = {3} and 2*1 does not; both raisers name it
+    for build in (cosets.quotient_group, cosets.rho_representation):
+        with pytest.raises(NotSelfConjugate, match=r"\(witness \(1, 2\)\)$"):
+            build(fx("B2"), frozenset({3}))
 
 
 def test_rho_representation():

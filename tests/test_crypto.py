@@ -32,7 +32,7 @@ def band_system(name="Z3E"):
 
 def test_build_band_extension_system():
     sys_ = band_system()
-    assert sys_.carrier == 3
+    assert sys_.act.carrier == 3
     assert sys_.act.point_labels == ("e.0", "e.1", "e.2")
 
 
@@ -72,7 +72,7 @@ def test_decrypt_key_space_band_extension():
 
 def test_decrypt_key_space_modexp_primitive_root():
     ms = crypto.modexp_system(7)
-    sys_ = ms.system()
+    sys_ = ms.system
     x = ms.point_of(3)  # 3 generates the units mod 7
     assert crypto.decrypt_key_space(sys_, x, ms.element_of(5)) == {ms.element_of(5)}
 
@@ -136,13 +136,13 @@ def test_locally_free_key_space_preconditions():
     assert not_unitary.value.name == "e_unitary"
     # U_6 is E-unitary, but every exponent fixes the unit 1
     with pytest.raises(PreconditionFailed) as not_free:
-        crypto.locally_free_key_space(crypto.modexp_system(7).system(), 0, 0)
+        crypto.locally_free_key_space(crypto.modexp_system(7).system, 0, 0)
     assert not_free.value.name == "locally_free"
 
 
 def test_massey_omura_modexp_11():
     ms = crypto.modexp_system(11)
-    sys_ = ms.system()
+    sys_ = ms.system
     t = crypto.massey_omura(sys_, ms.point_of(2), ms.element_of(3), ms.element_of(9))
     values = [ms.unit_value(v) for _, _, v in t.entries]
     assert values == [8, 7, 6, 2]
@@ -151,7 +151,7 @@ def test_massey_omura_modexp_11():
 
 def test_massey_omura_identity_keys_echo():
     ms = crypto.modexp_system(11)
-    sys_ = ms.system()
+    sys_ = ms.system
     one = ms.element_of(1)
     x = ms.point_of(7)
     t = crypto.massey_omura(sys_, x, one, one)
@@ -167,7 +167,7 @@ def test_massey_omura_band_extension():
 
 def test_elgamal_modexp_11():
     ms = crypto.modexp_system(11)
-    sys_ = ms.system()
+    sys_ = ms.system
     t = crypto.elgamal(
         sys_, ms.point_of(2), ms.element_of(3), ms.element_of(7), ms.element_of(9)
     )
@@ -212,7 +212,7 @@ def test_biact_variant_roundtrip():
 def test_stabilizers_left_dense():
     assert crypto.stabilizers_left_dense(band_system().act)
     ms = crypto.modexp_system(7)
-    assert crypto.stabilizers_left_dense(ms.system().act)
+    assert crypto.stabilizers_left_dense(ms.system.act)
     # a total act that is not cancellative fails pointwise decryptability
     S = fx("N2")
     rows, labels = acts.left_mult_total(S)
@@ -260,7 +260,7 @@ def test_classification_modexp_7_honest():
     # the units mod 7 split into orbits {1}, {6}, {2,4}, {3,5}; only the
     # two-point orbits match the base, so no disjoint-union decomposition
     ms = crypto.modexp_system(7)
-    rep = crypto.classify_locally_free_cryptosystem(ms.system().act, acts.wagner_preston(ms.semigroup))
+    rep = crypto.classify_locally_free_cryptosystem(ms.system.act, acts.wagner_preston(ms.semigroup))
     assert not rep.locally_free
     assert not rep.is_disjoint_union_of_base
     orbit_units = sorted(
@@ -276,7 +276,7 @@ def test_classification_modexp_7_honest():
 
 def test_discrete_log_candidates():
     ms = crypto.modexp_system(11)
-    sys_ = ms.system()
+    sys_ = ms.system
     x, y = ms.point_of(2), ms.point_of(8)
     cands = crypto.discrete_log_candidates(sys_, x, y)
     assert ms.element_of(3) in cands
@@ -314,7 +314,7 @@ def reference_systems():
     systems = verify._system_corpus()
     for p in (17, 19, 23):
         ms = crypto.modexp_system(p)
-        systems.append((f"modexp-{p}", ms.system()))
+        systems.append((f"modexp-{p}", ms.system))
     return systems
 
 
@@ -369,16 +369,29 @@ def test_key_table_empty_carrier():
 # --- modexp systems and key-space sizes against arithmetic --------------------
 
 
+def phi(m):
+    return sum(1 for k in range(1, m + 1) if math.gcd(k, m) == 1)
+
+
 def oracle_key_space_sizes(p):
     """{phi(p-1)/phi(d) : d | p-1}: K(n, x) is a coset of Stab(x), whose
     size is phi(p-1)/phi(ord x), and every divisor d of p-1 is the order
     of some unit."""
-
-    def phi(m):
-        return sum(1 for k in range(1, m + 1) if math.gcd(k, m) == 1)
-
     m = p - 1
     return {phi(m) // phi(d) for d in range(1, m + 1) if m % d == 0}
+
+
+def oracle_non_free_units(p):
+    """The units x with phi(ord x) != phi(p-1): Stab(x) has phi(p-1)/phi(ord x)
+    exponents, so these are the units some exponent other than 1 fixes."""
+
+    def order(x):
+        d, y = 1, x
+        while y != 1:
+            y, d = y * x % p, d + 1
+        return d
+
+    return tuple(x for x in range(1, p) if phi(order(x)) != phi(p - 1))
 
 
 PRIMES_TO_257 = [p for p in range(2, 258) if all(p % d for d in range(2, p))]
@@ -392,8 +405,12 @@ def test_modexp_systems_match_arithmetic_for_every_prime():
         assert [ms.point_of(u) for u in units] == list(range(len(units))), f"p={p}"
         for n, row in zip(ms.exponents, ms.rows):
             assert [ms.unit_value(y) for y in row] == [pow(u, n, p) for u in units], f"p={p}"
-        sizes = crypto.key_space_sizes(ms.system())
+        assert ms.system is ms.system, f"p={p}"
+        sizes = crypto.key_space_sizes(ms.system)
         assert sizes == oracle_key_space_sizes(p), f"p={p}"
+        expected = oracle_non_free_units(p)
+        assert ms.non_free_units == expected, f"p={p}"
+        assert ms.is_free is (not expected), f"p={p}"
 
 
 def test_crypto_demo_reports_the_arithmetic_key_space_sizes(capsys):
@@ -727,7 +744,7 @@ def test_composition_scan_multiplies_generators_only(monkeypatch):
 
 def test_modexp_systems_match_direct_builds():
     ms = crypto.modexp_system(41)
-    sys_ = ms.system()
+    sys_ = ms.system
     direct = crypto.build_cryptosystem(ms.semigroup, ms.rows, [str(u) for u in ms.units])
     assert sys_ == direct
     assert sys_.act.table == ms.rows

@@ -150,7 +150,7 @@ def validated_acts(draw):
     acts of a semilattice fixture and their orbits, validated."""
     S = fx(draw(st.sampled_from(SEMILATTICE_FIXTURES)))
     wp, munn = acts.wagner_preston(S), acts.munn_act(S)
-    pieces = [wp, munn] + [acts.subact(a, sorted(O)) for a in (wp, munn) for O in acts.orbits(a)]
+    pieces = [wp, munn] + [acts.subact(a, sorted(O)) for a in (wp, munn) for O in a.orbit_partition]
     union = acts.disjoint_union(*draw(st.lists(st.sampled_from(pieces), min_size=1, max_size=3)))
     return acts.validate_act(S, union.table)
 

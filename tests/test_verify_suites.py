@@ -4,6 +4,7 @@ we had to repair is pinned by its counterexample."""
 
 import ast
 import dataclasses
+import functools
 import os
 import random
 import subprocess
@@ -197,11 +198,11 @@ def ref_graded_equivalence_converse(act, munn):
 def suite_acts_collection(S):
     """The idempotent act of S and the acts ``verify.suite_acts`` checks."""
     wp, munn = acts.wagner_preston(S), acts.munn_act(S)
-    return munn, [wp, munn] + [acts.subact(wp, sorted(O)) for O in acts.orbits(wp)]
+    return munn, [wp, munn] + [acts.subact(wp, sorted(O)) for O in wp.orbit_partition]
 
 
 def is_graded(act):
-    return isinstance(acts.grading(act), acts.Grading)
+    return isinstance(act.grading, acts.Grading)
 
 
 def test_graded_equivalence_converse_agrees_with_the_product_scan():
@@ -336,14 +337,17 @@ def test_monotonicity_check_closes_each_subset_once(monkeypatch):
 
 
 def test_key_space_check_finds_each_stabilizer_once(monkeypatch):
+    # the stabilizers of an act are one record, filled once
     Z16 = core.build_semigroup(cyclic_table(16), name="Z16")
     sys_ = crypto.locally_free_system(construction.adjoined_band_semigroup(Z16))
-    calls = []
-    real = acts.stabilizer
-    monkeypatch.setattr(acts, "stabilizer", lambda act, x: calls.append(x) or real(act, x))
+    fills = []
+    real = acts.PartialAct.stabilizers.func
+    stabilizers = functools.cached_property(lambda act: fills.append(act) or real(act))
+    stabilizers.__set_name__(acts.PartialAct, "stabilizers")
+    monkeypatch.setattr(acts.PartialAct, "stabilizers", stabilizers)
     assert verify._key_space_violations([("Z16E", sys_)]) is None
-    assert sys_.carrier == 16
-    assert len(calls) <= sys_.carrier
+    assert sys_.act.carrier == 16
+    assert len(fills) == 1 and fills[0] is sys_.act
 
 
 def count_subset_scans(monkeypatch):
@@ -649,6 +653,43 @@ def test_orbit_subacts_are_read_from_the_act():
             if isinstance(node, ast.Call):
                 callee = getattr(node.func, "id", getattr(node.func, "attr", None))
                 assert callee != "subact", f"{name}:{node.lineno}"
+
+
+def record_forwarders(source):
+    """The public module-level functions whose body, after the docstring,
+    is one return of an attribute or subscript read of a parameter,
+    possibly copied by a builtin such as ``list``."""
+    found = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+            continue
+        body = node.body[1:] if ast.get_docstring(node) is not None else node.body
+        if len(body) != 1 or not isinstance(body[0], ast.Return):
+            continue
+        value = body[0].value
+        if (
+            isinstance(value, ast.Call)
+            and getattr(value.func, "id", None) in ("list", "tuple", "set", "frozenset", "sorted")
+            and len(value.args) == 1
+        ):
+            value = value.args[0]
+        if not isinstance(value, (ast.Attribute, ast.Subscript)):
+            continue
+        while isinstance(value, (ast.Attribute, ast.Subscript)):
+            value = value.value
+        params = {a.arg for a in node.args.posonlyargs + node.args.args + node.args.kwonlyargs}
+        if isinstance(value, ast.Name) and value.id in params:
+            found.append(f"{node.name}:{node.lineno}")
+    return found
+
+
+def test_act_data_are_read_from_the_act():
+    # an act's orbits, stabilizers, properties and grading are read from its
+    # record; no module function of acts only hands a record field back
+    path = ROOT / "src" / "edense" / "acts.py"
+    assert record_forwarders(path.read_text()) == []
+    forwarder = "def orbits(act):\n    \"\"\"Doc.\"\"\"\n    return list(act.orbit_partition)\n"
+    assert record_forwarders(forwarder) == ["orbits:1"]
 
 
 def test_crypto_is_handed_its_wagner_preston_acts():
