@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from . import core
 from .core import FiniteSemigroup
 from .errors import NotSemilattice, OrderTooLarge, ParseError
@@ -59,20 +57,56 @@ def require_semilattice(S: FiniteSemigroup) -> None:
         raise NotSemilattice(witness)
 
 
+def _subsemigroup_search(S: FiniteSemigroup) -> dict[int, list[int]]:
+    """Every subsemigroup of S, as a bitmask mapped to its members.
+
+    The search runs depth-first from the empty set: the children of H are
+    the closures <H u {s}> for s outside H, and each set is visited once.
+    A subsemigroup is reached by adding its members one at a time, so
+    none is missed.
+    """
+    t, n = S.table, S.n
+    # products[x][y] holds the bits of x*y and y*x
+    products = [[1 << t[x][y] | 1 << t[y][x] for y in range(n)] for x in range(n)]
+    found, todo = {}, [(0, [])]
+    while todo:
+        H, members = todo.pop()
+        for s in range(n):
+            if H >> s & 1:
+                continue
+            K, inside, fresh = H | 1 << s, members + [s], [s]
+            while fresh:
+                row, grown = products[fresh.pop()], K
+                for y in inside:
+                    grown |= row[y]
+                if grown != K:
+                    added = [z for z in range(n) if (grown & ~K) >> z & 1]
+                    K = grown
+                    inside += added
+                    fresh += added
+            if K not in found:
+                found[K] = inside
+                todo.append((K, inside))
+    return found
+
+
 def e_dense_subsemigroups(S: FiniteSemigroup) -> tuple[frozenset[int], ...]:
-    """Every E-dense subsemigroup, closed or not, by power-set scan, in
-    order of size and then of sorted members.  The scan runs once per
-    semigroup; its result is kept in ``S.structure.subsemigroups``."""
+    """Every E-dense subsemigroup, closed or not, in order of size and then
+    of sorted members: the subsemigroups of S, found by a search that
+    visits each once, in which every member has a weak inverse.  The
+    search runs once per semigroup; its result is kept in
+    ``S.structure.subsemigroups``."""
     if S.n > SUBSET_SCAN_BOUND:
         raise OrderTooLarge(S.n, SUBSET_SCAN_BOUND, "subset scan")
     st = S.structure
     if st.subsemigroups is None:
-        st.subsemigroups = tuple(
-            H
-            for r in range(1, S.n + 1)
-            for H in map(frozenset, combinations(S.elements, r))
-            if is_e_dense_subsemigroup(S, H)
-        )
+        weak = [sum(1 << w for w in iv.W) for iv in st.inverse_sets]
+        dense = [
+            frozenset(members)
+            for H, members in _subsemigroup_search(S).items()
+            if all(weak[h] & H for h in members)
+        ]
+        st.subsemigroups = tuple(sorted(dense, key=lambda H: (len(H), sorted(H))))
     return st.subsemigroups
 
 

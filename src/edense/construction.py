@@ -77,15 +77,42 @@ def corpus() -> list[FiniteSemigroup]:
 
 
 def enumerate_semigroups(n: int):
-    """Stream all associative tables on n elements (no isomorphism reduction)."""
+    """Stream all associative tables on n elements (no isomorphism
+    reduction), in lexicographic order of their rows.
+
+    A backtracking search fills the cells in row-major order, each with
+    its values in increasing order, and refuses a partial table as soon
+    as a triple whose four products are all filled breaks associativity.
+    """
     if n > 3:
         raise OrderTooLarge(n, 3)
     ids = range(n)
+    table = [[None] * n for _ in ids]
     triples = list(product(ids, repeat=3))
-    for flat in product(ids, repeat=n * n):
-        table = tuple(flat[i * n : (i + 1) * n] for i in ids)
-        if all(table[table[i][j]][k] == table[i][table[j][k]] for i, j, k in triples):
-            yield FiniteSemigroup(table, core._find_identity(table))
+
+    def consistent():
+        for i, j, k in triples:
+            ij, jk = table[i][j], table[j][k]
+            if ij is None or jk is None:
+                continue
+            left, right = table[ij][k], table[i][jk]
+            if left is not None and right is not None and left != right:
+                return False
+        return True
+
+    def fill(cell):
+        if cell == n * n:
+            rows = tuple(map(tuple, table))
+            yield FiniteSemigroup(rows, core._find_identity(rows))
+            return
+        i, j = divmod(cell, n)
+        for v in ids:
+            table[i][j] = v
+            if consistent():
+                yield from fill(cell + 1)
+        table[i][j] = None
+
+    yield from fill(0)
 
 
 # --- adjoined-band family -------------------------------------------------

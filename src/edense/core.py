@@ -395,9 +395,9 @@ def is_inverse_semigroup(S: FiniteSemigroup) -> bool:
 
 def set_mul(S: FiniteSemigroup, *sets) -> frozenset[int]:
     """Elementwise product of subsets, e.g. set_mul(S, A, B) = {a*b}."""
-    acc = frozenset(sets[0])
+    rows, acc = S.table, frozenset(sets[0])
     for other in sets[1:]:
-        acc = frozenset(S.mul(a, b) for a in acc for b in other)
+        acc = frozenset(rows[a][b] for a in acc for b in other)
     return acc
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import product
 from operator import and_
+from typing import NamedTuple
 
 from . import acts, closures, core
 from .core import FiniteSemigroup
@@ -35,13 +36,15 @@ class DecryptKeyTable:
 
     ``stabilizers[x]`` is the act's stabilizer of point x as a bitmask;
     ``columns[s][t]`` is the product t*s; ``uniform[s]`` is the set of t
-    such that t*s fixes every point (empty on an empty carrier).  Then
+    such that t*s fixes every point (empty on an empty carrier), and
+    ``least_uniform[s]`` its least member, or None when it is empty.  Then
     K(s, x) = {t : t*s fixes x} is read off column s and mask x.
     """
 
     stabilizers: tuple[int, ...]
     columns: tuple[tuple[int, ...], ...]
     uniform: tuple[frozenset[int], ...]
+    least_uniform: tuple[int | None, ...]
     commutative: bool
 
     @classmethod
@@ -57,7 +60,8 @@ class DecryptKeyTable:
             )
         else:
             uniform = (frozenset(),) * S.n
-        return cls(stabilizers, columns, uniform, columns == S.table)
+        least = tuple(min(keys, default=None) for keys in uniform)
+        return cls(stabilizers, columns, uniform, least, columns == S.table)
 
 
 @dataclass(frozen=True)
@@ -148,10 +152,10 @@ def uniform_decrypt_keys(sys: Cryptosystem, key: int) -> frozenset[int]:
 
 
 def _uniform_key(sys: Cryptosystem, key: int) -> int:
-    keys = sys.key_table.uniform[key]
-    if not keys:
+    least = sys.key_table.least_uniform[key]
+    if least is None:
         raise NoDecryptKey(key)
-    return min(keys)
+    return least
 
 
 def locally_free_key_space(sys: Cryptosystem, x: int, key: int) -> frozenset[int]:
@@ -167,8 +171,7 @@ def locally_free_key_space(sys: Cryptosystem, x: int, key: int) -> frozenset[int
     return decrypt_key_space(sys, x, key)
 
 
-@dataclass(frozen=True)
-class ProtocolTranscript:
+class ProtocolTranscript(NamedTuple):
     """Message flow of one protocol run; values are element/point ids."""
 
     entries: tuple[tuple[str, str, int], ...]
@@ -229,23 +232,24 @@ def massey_omura(
     With a commutative semigroup the two locks slide past each other;
     otherwise a compatible right action takes Bob's place.
     """
-    S = sys.act.semigroup
+    S, act = sys.act.semigroup, sys.act.table  # total: every entry defined
     s, t = alice_key, bob_key
     if biact is None:
         if not sys.key_table.commutative:
             raise PreconditionFailed("commutative", "supply a biact for this semigroup")
         s_inv = _uniform_key(sys, s)
         t_inv = _uniform_key(sys, t)
-        m1 = sys.act.act(s, x)
-        m2 = sys.act.act(t, m1)
-        m3 = sys.act.act(s_inv, m2)
-        recovered = sys.act.act(t_inv, m3)
+        m1 = act[s][x]
+        m2 = act[t][m1]
+        m3 = act[s_inv][m2]
+        recovered = act[t_inv][m3]
     else:
         s_inv = _uniform_key(sys, s)
+        t_row = S.table[t]
         t_right_keys = frozenset(
             r
             for r in S.elements
-            if all(biact.right[y][S.mul(t, r)] == y for y in sys.act.points)
+            if all(biact.right[y][t_row[r]] == y for y in sys.act.points)
         )
         if not t_right_keys:
             raise NoDecryptKey(t)
@@ -267,16 +271,16 @@ def elgamal(sys: Cryptosystem, x: int, shared: int, alice_key: int, bob_key: int
     """Generalised ElGamal over the act: Bob publishes shared*bob_key,
     Alice sends the pair ((alice_key*(shared*bob_key))x, alice_key*shared),
     Bob rebuilds the masking key by associativity and undoes it."""
-    S = sys.act.semigroup
+    mul, act = sys.act.semigroup.table, sys.act.table  # total: every entry defined
     s, c, d = shared, alice_key, bob_key
-    public = S.mul(s, d)
-    mask = S.mul(c, public)
-    ciphertext = sys.act.act(mask, x)
-    trace = S.mul(c, s)
-    bob_mask = S.mul(trace, d)
+    public = mul[s][d]
+    mask = mul[c][public]
+    ciphertext = act[mask][x]
+    trace = mul[c][s]
+    bob_mask = mul[trace][d]
     assert bob_mask == mask
     k = _uniform_key(sys, bob_mask)
-    recovered = sys.act.act(k, ciphertext)
+    recovered = act[k][ciphertext]
     entries = (
         ("bob", "public-key", public),
         ("alice", "ciphertext", ciphertext),

@@ -1,11 +1,13 @@
 """Closure operators, unitary subsets, and the closed-subsemigroup scan."""
 
+from itertools import combinations
+
 import pytest
 
-from edense import closures, core
+from edense import closures, construction, core
 from edense.errors import NotSemilattice, OrderTooLarge
 
-from conftest import fx
+from conftest import cyclic_table, fx
 
 
 def test_omega_m_examples():
@@ -73,6 +75,33 @@ def test_subset_scan_gate():
     chain = core.build_semigroup([[min(i, j) for j in range(n)] for i in range(n)])
     with pytest.raises(OrderTooLarge):
         closures.closed_e_dense_subsemigroups(chain)
+    with pytest.raises(OrderTooLarge):
+        closures.e_dense_subsemigroups(chain)
+    assert len(closures.e_dense_subsemigroups(core.build_semigroup(cyclic_table(16)))) == 5
+
+
+def power_set_e_dense(S):
+    """Every nonempty subset closed under the product in which each member
+    has a weak inverse (t with tht = t), by size and then sorted members."""
+    t, out = S.table, []
+    for r in range(1, S.n + 1):
+        for H in map(frozenset, combinations(S.elements, r)):
+            closed = all(t[a][b] in H for a in H for b in H)
+            if closed and all(any(t[t[w][h]][w] == w for w in H) for h in H):
+                out.append(H)
+    return tuple(out)
+
+
+def test_e_dense_subsemigroups_match_the_power_set():
+    small = [S for n in (1, 2, 3) for S in construction.enumerate_semigroups(n)]
+    bands = [
+        construction.adjoined_band_semigroup(core.build_semigroup(cyclic_table(k)))
+        for k in range(1, 9)
+    ]
+    tables = small + construction.corpus() + bands
+    assert len(tables) == 122 + 10 + 8
+    for S in tables:
+        assert closures.e_dense_subsemigroups(S) == power_set_e_dense(S), S.table
 
 
 def test_subset_text_format():

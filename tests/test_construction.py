@@ -153,10 +153,25 @@ def test_adjoined_band_errors():
         construction.adjoined_band_semigroup(fx("Z2"), 1)
 
 
+def brute_force_semigroups(n):
+    """Every n x n table over range(n), in lexicographic order of its rows,
+    kept when associative, with its two-sided identity or None: the
+    n^(n*n) loop that the enumerator must reproduce."""
+    ids = range(n)
+    for flat in product(ids, repeat=n * n):
+        t = tuple(flat[i * n : (i + 1) * n] for i in ids)
+        if all(t[t[i][j]][k] == t[i][t[j][k]] for i, j, k in product(ids, repeat=3)):
+            units = [e for e in ids if all(t[e][x] == x == t[x][e] for x in ids)]
+            yield t, (units[0] if units else None)
+
+
 def test_enumerate_counts():
-    assert sum(1 for _ in construction.enumerate_semigroups(1)) == 1
-    assert sum(1 for _ in construction.enumerate_semigroups(2)) == 8
-    assert sum(1 for _ in construction.enumerate_semigroups(3)) == 113
+    # the labelled semigroups of order 1, 2, 3 (OEIS A023814), table for
+    # table and in the same order as the brute-force loop
+    for n, count in ((1, 1), (2, 8), (3, 113)):
+        got = [(S.table, S.identity) for S in construction.enumerate_semigroups(n)]
+        assert got == list(brute_force_semigroups(n))
+        assert len(got) == count
 
 
 def test_enumerate_gate():

@@ -12,6 +12,7 @@ from edense import acts, closures, construction, core, crypto, verify
 from edense.cli import main
 from edense.errors import (
     CompositionViolation,
+    NoDecryptKey,
     NotAssociativeAction,
     NotCancellative,
     NotPrime,
@@ -189,6 +190,67 @@ def test_transcript_rendering():
     lines = t.render().splitlines()
     assert lines[0].startswith("alice: ciphertext-1 = ")
     assert lines[-1].startswith("bob: recovered = ")
+
+
+def test_transcript_is_an_immutable_record():
+    t = crypto.elgamal(crypto.modexp_system(11).system, 2, 1, 2, 3)
+    assert [entry[:2] for entry in t.entries] == [
+        ("bob", "public-key"),
+        ("alice", "ciphertext"),
+        ("alice", "key-trace"),
+        ("bob", "recovered"),
+    ]
+    assert t.ok and t.recovered == t.plaintext == 2
+    assert t.render().splitlines()[-1] == "bob: recovered = 2"
+    assert not crypto.ProtocolTranscript(t.entries, 1, 2).ok
+    for field in ("entries", "recovered", "plaintext"):
+        with pytest.raises(AttributeError):
+            setattr(t, field, 0)
+
+
+@pytest.mark.parametrize(
+    "argv, transcript",
+    [
+        (
+            ["--prime", "241", "--protocol", "mo", "--seed", "1"],
+            ["alice: ciphertext-1 = 38", "bob: ciphertext-2 = 201",
+             "alice: ciphertext-3 = 205", "bob: recovered = 34"],
+        ),
+        (
+            ["--fixture", "Z3E", "--protocol", "elgamal", "--seed", "3"],
+            ["bob: public-key = 5", "alice: ciphertext = 0",
+             "alice: key-trace = 5", "bob: recovered = 0"],
+        ),
+    ],
+)
+def test_crypto_demo_renders_its_transcript(capsys, argv, transcript):
+    # the two demos pinned in tests/golden, in text mode, where the
+    # transcript itself is printed
+    assert main(["crypto-demo", *argv]) == 0
+    assert capsys.readouterr().out.splitlines()[-4:] == transcript
+
+
+def test_protocols_raise_no_decrypt_key():
+    # a total cancellative act maps S into a finite permutation group, so
+    # every key has a uniform decrypt key unless there are no points
+    S = fx("Z3E")
+    empty = crypto.build_cryptosystem(S, [[] for _ in S.elements])
+    with pytest.raises(NoDecryptKey) as exc:
+        crypto.massey_omura(empty, 0, 4, 2)
+    assert exc.value.key == 4
+    # left multiplication on N2 sends both points to 0, so no t*s fixes
+    # the point a; validation refuses the act as not cancellative, so the
+    # act is made directly, to reach the protocols' own refusal
+    S = fx("N2")
+    rows, _ = acts.left_mult_total(S)
+    sys_ = crypto.Cryptosystem(acts.PartialAct(S, tuple(map(tuple, rows))))
+    assert sys_.key_table.uniform == (frozenset(), frozenset())
+    with pytest.raises(NoDecryptKey) as exc:
+        crypto.massey_omura(sys_, 1, 1, 0)
+    assert exc.value.key == 1
+    with pytest.raises(NoDecryptKey) as exc:
+        crypto.elgamal(sys_, 1, 1, 1, 1)
+    assert exc.value.key == 0
 
 
 def test_massey_omura_needs_commutativity_or_biact():

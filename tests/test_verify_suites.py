@@ -351,17 +351,15 @@ def test_key_space_check_finds_each_stabilizer_once(monkeypatch):
 
 
 def count_subset_scans(monkeypatch):
-    # the power-set scan is the one caller of closures.combinations, and it
-    # starts each scan with the singletons
+    # each search for the subsemigroups of a table is one call
     scans = []
-    real = closures.combinations
+    real = closures._subsemigroup_search
 
-    def counting(elements, r):
-        if r == 1:
-            scans.append(elements)
-        return real(elements, r)
+    def counting(S):
+        scans.append(S)
+        return real(S)
 
-    monkeypatch.setattr(closures, "combinations", counting)
+    monkeypatch.setattr(closures, "_subsemigroup_search", counting)
     return scans
 
 
