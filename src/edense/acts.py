@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
+from operator import eq
 
 from . import closures, core
 from .core import FiniteSemigroup
@@ -85,11 +87,14 @@ class PartialAct:
 
     @cached_property
     def stabilizers(self) -> tuple[frozenset[int], ...]:
-        """The elements fixing x, of every point x."""
-        return tuple(
-            frozenset(s for s, v in enumerate(col) if v == x)
-            for x, col in enumerate(zip(*self.table))
-        )
+        """The elements fixing x, of every point x, from one pass over the
+        rows: each row gives its fixed points."""
+        points = self.points
+        fixing = [[] for _ in points]
+        for s, row in enumerate(self.table):
+            for x in compress(points, map(eq, row, points)):
+                fixing[x].append(s)
+        return tuple(map(frozenset, fixing))
 
     @cached_property
     def orbit_partition(self) -> tuple[frozenset[int], ...]:
@@ -167,6 +172,18 @@ class GradingObstruction:
     witness: int
 
 
+_POINT_TYPES = frozenset({int, type(None)})
+
+
+def _point_row(row) -> tuple[int | None, ...]:
+    """The row as a tuple of ints and Nones; a row of those alone is kept
+    as it is, any other converts entry by entry with ``int``."""
+    row = tuple(row)
+    if _POINT_TYPES.issuperset(map(type, row)):
+        return row
+    return tuple(v if v is None else int(v) for v in row)
+
+
 def validate_act(S: FiniteSemigroup, rows, point_labels=None) -> PartialAct:
     """Check the act axioms exhaustively and return the act.
 
@@ -180,18 +197,18 @@ def validate_act(S: FiniteSemigroup, rows, point_labels=None) -> PartialAct:
     Each law is checked a whole row at a time; a failing row is rescanned
     point by point only to name its first witness.
     """
-    table = tuple(
-        tuple(v if v is None else int(v) for v in row) for row in rows
-    )
+    table = tuple(map(_point_row, rows))
     if len(table) != S.n:
         raise PreconditionFailed("act_shape", f"{len(table)} rows for order {S.n}")
     m = len(table[0]) if table else 0
+    entries = frozenset([*range(m), None])
     for s, row in enumerate(table):
         if len(row) != m:
             raise PreconditionFailed("act_shape", f"row {s} has {len(row)} entries, expected {m}")
-        for x, v in enumerate(row):
-            if v is not None and not 0 <= v < m:
-                raise OutOfRangeEntry(s, x, v)
+        if not entries.issuperset(row):
+            for x, v in enumerate(row):
+                if v is not None and not 0 <= v < m:
+                    raise OutOfRangeEntry(s, x, v)
     witness = core._composition_witness(S, table)
     if witness:
         s, t, x = witness
@@ -200,9 +217,10 @@ def validate_act(S: FiniteSemigroup, rows, point_labels=None) -> PartialAct:
         if (direct is None) != (via is None):
             raise CompositionViolation(s, t, x, "(one side defined, the other not)")
         raise CompositionViolation(s, t, x, f"({direct} != {via})")
-    for s, row in enumerate(table):
-        defined = [v for v in row if v is not None]
-        if len(set(defined)) != len(defined):
+    undefined = [row.count(None) for row in table]
+    for s, (row, k) in enumerate(zip(table, undefined)):
+        # the defined entries are distinct: the set holds them and one None
+        if len(set(row)) != m - k + (k > 0):
             seen = {}
             for x, v in enumerate(row):
                 if v is None:
@@ -210,11 +228,17 @@ def validate_act(S: FiniteSemigroup, rows, point_labels=None) -> PartialAct:
                 if v in seen:
                     raise NotCancellative(s, seen[v], x)
                 seen[v] = x
-    domains = [sum(1 << x for x, v in enumerate(row) if v is not None) for row in table]
+    full = (1 << m) - 1
+    domains = [
+        sum(1 << x for x, v in enumerate(row) if v is not None) if k else full
+        for row, k in zip(table, undefined)
+    ]
     for s, row in enumerate(table):
         reached = 0
         for w in core.weak_inverses(S, s):
             reached |= domains[w]
+        if reached == full:
+            continue
         for x, v in enumerate(row):
             if v is not None and not reached >> v & 1:
                 raise NotReflexive(s, x)

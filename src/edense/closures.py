@@ -9,16 +9,19 @@ from .errors import NotSemilattice, OrderTooLarge, ParseError
 SUBSET_SCAN_BOUND = 16
 
 
+def _upward(up, S: FiniteSemigroup, A) -> frozenset[int]:
+    # the union of the up-sets of the members of A; ids outside 0..n-1 are ignored
+    return frozenset().union(*map(up.__getitem__, frozenset(A).intersection(S.elements)))
+
+
 def omega_m(S: FiniteSemigroup, A) -> frozenset[int]:
     """Upward closure of A under the natural partial order."""
-    down, A = S.structure.natural_down, frozenset(A)
-    return frozenset(s for s in S.elements if not down[s].isdisjoint(A))
+    return _upward(S.structure.natural_up, S, A)
 
 
 def omega_h(S: FiniteSemigroup, A) -> frozenset[int]:
     """Upward closure of A under the idempotent-witnessed order."""
-    down, A = S.structure.h_down, frozenset(A)
-    return frozenset(s for s in S.elements if not down[s].isdisjoint(A))
+    return _upward(S.structure.h_up, S, A)
 
 
 def is_omega_h_closed(S: FiniteSemigroup, A) -> bool:

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
 from operator import itemgetter
 
 from . import core
@@ -255,13 +255,6 @@ def _picker(indices):
     return itemgetter(*indices)
 
 
-def _check_range(rows, bound: int) -> None:
-    for i, row in enumerate(rows):
-        for j, v in enumerate(row):
-            if not 0 <= v < bound:
-                raise OutOfRangeEntry(i, j, v)
-
-
 def build_category(n_objects, morphisms, compose_map, labels=None) -> FiniteCategory:
     """Validate category data and return it.
 
@@ -270,7 +263,7 @@ def build_category(n_objects, morphisms, compose_map, labels=None) -> FiniteCate
     the morphisms are refused here; the category axioms are checked on
     the rows of the map by ``_category_from_rows``.
     """
-    _check_range(morphisms, n_objects)
+    core._check_range(morphisms, n_objects)
     m = len(morphisms)
     rows = [[None] * m for _ in range(m)]
     for (p, q), r in compose_map.items():
@@ -382,7 +375,7 @@ def _check_group_action(C: FiniteCategory, G: FiniteSemigroup, on_objects, on_mo
             raise PreconditionFailed(
                 "action_shape", f"on_{what} must be {G.n} rows of {width} entries"
             )
-        _check_range(rows, width)
+        core._check_range(rows, width)
     one = G.identity
     for u in range(n):
         if on_objects[one][u] != u:
@@ -511,13 +504,18 @@ def _translation_category(G: FiniteSemigroup, k: int):
     # the row of (u, s, f) is defined on the n*k morphisms (su, t, f') leaving su
     width = n * k
     after = list(product(G.elements, range(k)))
+    # the composites of (0, s, f), one block per (s, f); those of (u, s, f)
+    # are the same block shifted by the id of (u, 0, 0)
+    blocks = [
+        [_morphism_id(n, k, 0, table[t][s], _combine_flags(f, f2)) for t, f2 in after]
+        for s, f in after
+    ]
+    # undefined before and after the block: pads[v] covers v objects' morphisms
+    pads = [(None,) * (v * width) for v in range(n)]
     rows = []
-    for u, s, f in morphs:
+    for (u, s, f), block in zip(morphs, blocks * n):
         su = table[s][u]
-        composites = tuple(
-            _morphism_id(n, k, u, table[t][s], _combine_flags(f, f2)) for t, f2 in after
-        )
-        rows.append((None,) * (su * width) + composites + (None,) * ((n - 1 - su) * width))
+        rows.append((*pads[su], *map((u * width).__add__, block), *pads[n - 1 - su]))
 
     def mlabel(u, s, f):
         base = f"({G.label(u)},{G.label(s)},{G.label(G.mul(s, u))})"
@@ -533,10 +531,13 @@ def _translation_category(G: FiniteSemigroup, k: int):
 
     inv = [row.index(G.identity) for row in table]
     conjugate = [[table[table[g][s]][inv[g]] for s in G.elements] for g in G.elements]
-    on_morphisms = [
-        [_morphism_id(n, k, table[g][u], conjugate[g][s], f) for u, s, f in morphs]
-        for g in G.elements
-    ]
+    # g(u, s, f) is g(0, s, f) shifted by the id of (gu, 0, 0)
+    on_morphisms = []
+    for g, row in enumerate(table):
+        block = [_morphism_id(n, k, 0, conjugate[g][s], f) for s, f in after]
+        on_morphisms.append(
+            list(chain.from_iterable(map((gu * width).__add__, block) for gu in row))
+        )
     # g acts on the objects by left multiplication: its row of the table
     return C, validate_group_action(C, G, table, on_morphisms)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from operator import itemgetter
+from operator import eq, itemgetter
 
 from .errors import (
     BadIdentityHint,
@@ -139,6 +139,16 @@ class Structure:
         )
 
     @cached_property
+    def natural_up(self) -> tuple[frozenset[int], ...]:
+        """Row a holds every b >= a in the natural order: ``natural_down`` transposed."""
+        return _transpose(self.natural_down)
+
+    @cached_property
+    def h_up(self) -> tuple[frozenset[int], ...]:
+        """Row a holds every b >= a in the idempotent-witnessed order: ``h_down`` transposed."""
+        return _transpose(self.h_down)
+
+    @cached_property
     def l_classes(self) -> tuple[frozenset[int], ...]:
         # a and b are L-related when S^1 a = S^1 b
         ideals = [frozenset(col) | {a} for a, col in enumerate(zip(*self.table))]
@@ -153,6 +163,15 @@ class Structure:
     def is_group(self) -> bool:
         t, full = self.table, set(range(len(self.table)))
         return _find_identity(t) is not None and all(set(r) == full for r in (*t, *zip(*t)))
+
+
+def _transpose(rows) -> tuple[frozenset[int], ...]:
+    """The relation {(a, b) : a in rows[b]}, as the rows of its a."""
+    out = [[] for _ in rows]
+    for b, row in enumerate(rows):
+        for a in row:
+            out[a].append(b)
+    return tuple(map(frozenset, out))
 
 
 def greedy_generators(n: int, products) -> tuple[int, ...]:
@@ -183,11 +202,27 @@ def greedy_generators(n: int, products) -> tuple[int, ...]:
 
 
 def _find_identity(table) -> int | None:
-    n = len(table)
-    for e in range(n):
-        if all(table[e][x] == x == table[x][e] for x in range(n)):
+    """The e whose row and column are both 0..n-1, a row at a time."""
+    ids = range(len(table))
+    for e, row in enumerate(table):
+        if all(map(eq, row, ids)) and all(map(eq, map(itemgetter(e), table), ids)):
             return e
     return None
+
+
+def _check_range(rows, bound: int, width: int | None = None) -> None:
+    """Every entry of every row is an id 0..bound-1, and with ``width``
+    every row has that many entries (``OutOfRangeEntry(i, len(row), -1)``
+    otherwise).  A row is tested as a whole, and a failing one rescanned
+    to raise ``OutOfRangeEntry`` at its first bad entry."""
+    ids = frozenset(range(bound))
+    for i, row in enumerate(rows):
+        if width is not None and len(row) != width:
+            raise OutOfRangeEntry(i, len(row), -1)
+        if not ids.issuperset(row):
+            for j, v in enumerate(row):
+                if not 0 <= v < bound:
+                    raise OutOfRangeEntry(i, j, v)
 
 
 def build_semigroup(rows, identity_hint=None, labels=None, name="") -> FiniteSemigroup:
@@ -204,12 +239,7 @@ def build_semigroup(rows, identity_hint=None, labels=None, name="") -> FiniteSem
     n = len(table)
     if n == 0:
         raise ParseError(1, "empty table")
-    for i, row in enumerate(table):
-        if len(row) != n:
-            raise OutOfRangeEntry(i, len(row), -1)
-        for j, v in enumerate(row):
-            if not (0 <= v < n):
-                raise OutOfRangeEntry(i, j, v)
+    _check_range(table, n, width=n)
     identity = _find_identity(table)
     labels = None if labels is None else tuple(labels)
     S = FiniteSemigroup(table, identity, labels, name)

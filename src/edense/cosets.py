@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from . import acts, closures, core
 from .core import FiniteSemigroup
-from .errors import BadSubsemigroup, NotSelfConjugate
+from .errors import BadSubsemigroup, NotSelfConjugate, WellDefinednessViolation
 
 
 @dataclass(frozen=True)
@@ -135,6 +135,10 @@ def coset_space(S: FiniteSemigroup, H) -> CosetSpace:
             st = S.mul(s, t)
             if st in d_h:
                 target = closures.omega_h(S, core.set_mul(S, {st}, H))
+                if target not in index:
+                    raise WellDefinednessViolation(
+                        f"{s} sends the coset {sorted(c.members)} to {sorted(target)}, not a coset"
+                    )
                 row.append(index[target])
             else:
                 row.append(None)

@@ -136,13 +136,14 @@ def decrypt_key_space(sys: Cryptosystem, x: int, key: int) -> frozenset[int]:
 def key_space_sizes(sys: Cryptosystem) -> frozenset[int]:
     """The sizes |K(s, x)| over every key s and every point x.
 
-    A point enters K(s, x) only through its stabilizer mask, so column s
-    is counted once per distinct mask, and no key space is built.
+    A point enters K(s, x) only through its stabilizer, so column s is
+    counted once per distinct stabilizer, and no key space is built.
     """
-    table = sys.key_table
-    masks = set(table.stabilizers)
+    stabilizers = set(sys.act.stabilizers)
     return frozenset(
-        sum(fixing >> u & 1 for u in col) for col in table.columns for fixing in masks
+        sum(map(fixing.__contains__, col))
+        for col in sys.key_table.columns
+        for fixing in stabilizers
     )
 
 
@@ -224,6 +225,14 @@ def build_biact(S: FiniteSemigroup, left_rows, right_rows) -> BiactTable:
     return BiactTable(S, left, right)
 
 
+def _require_point(sys: Cryptosystem, x: int) -> None:
+    """The plaintext must be a point: a negative id would index the rows
+    from the end.  The protocols check it once their decrypt keys are
+    found, so a system with no points refuses the keys first."""
+    if x not in sys.act.points:
+        raise PreconditionFailed("plaintext", f"{x} is not one of the {sys.act.carrier} points")
+
+
 def massey_omura(
     sys: Cryptosystem, x: int, alice_key: int, bob_key: int, biact: BiactTable | None = None
 ) -> ProtocolTranscript:
@@ -239,6 +248,7 @@ def massey_omura(
             raise PreconditionFailed("commutative", "supply a biact for this semigroup")
         s_inv = _uniform_key(sys, s)
         t_inv = _uniform_key(sys, t)
+        _require_point(sys, x)
         m1 = act[s][x]
         m2 = act[t][m1]
         m3 = act[s_inv][m2]
@@ -254,6 +264,7 @@ def massey_omura(
         if not t_right_keys:
             raise NoDecryptKey(t)
         t_inv = min(t_right_keys)
+        _require_point(sys, x)
         m1 = biact.left[s][x]
         m2 = biact.right[m1][t]
         m3 = biact.left[s_inv][m2]
@@ -275,11 +286,12 @@ def elgamal(sys: Cryptosystem, x: int, shared: int, alice_key: int, bob_key: int
     s, c, d = shared, alice_key, bob_key
     public = mul[s][d]
     mask = mul[c][public]
-    ciphertext = act[mask][x]
     trace = mul[c][s]
     bob_mask = mul[trace][d]
     assert bob_mask == mask
     k = _uniform_key(sys, bob_mask)
+    _require_point(sys, x)
+    ciphertext = act[mask][x]
     recovered = act[k][ciphertext]
     entries = (
         ("bob", "public-key", public),
@@ -353,6 +365,14 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def _primitive_root(p: int) -> int:
+    """The least generator of the units mod the prime p: g with
+    g^((p-1)/q) != 1 for every prime q dividing p-1."""
+    modulus = p - 1
+    primes = [q for q in range(2, modulus + 1) if modulus % q == 0 and _is_prime(q)]
+    return next(g for g in range(1, p) if all(pow(g, modulus // q, p) != 1 for q in primes))
+
+
 def modexp_system(p: int) -> ModExpSystem:
     """Build the exponentiation system mod a small prime.
 
@@ -369,19 +389,22 @@ def modexp_system(p: int) -> ModExpSystem:
     exponents = tuple(
         n for n in range(1, max(modulus, 2)) if math.gcd(n, modulus) == 1
     )
-
-    def emul(a, b):
-        r = (a * b) % modulus
-        return r if r else modulus
-
     position = {n: i for i, n in enumerate(exponents)}
-    table = [[position[emul(a, b)] for b in exponents] for a in exponents]
+    # exponents multiply mod p-1, with p-1 standing for 0 (only at p = 2)
+    table = [[position[a * b % modulus or modulus] for b in exponents] for a in exponents]
     S = core.build_semigroup(
         table, labels=[str(n) for n in exponents], name=f"U_{modulus}"
     )
     units = tuple(range(1, p)) if p > 2 else (1,)
-    # unit u is point u - 1
-    rows = tuple(tuple(pow(x, n, p) - 1 for x in units) for n in exponents)
+    # with x = g^j for a primitive root g, x^n = g^(jn mod p-1); unit u is point u - 1
+    g = _primitive_root(p)
+    point = [1]
+    for _ in range(modulus - 1):
+        point.append(point[-1] * g % p)
+    log = {x: j for j, x in enumerate(point)}
+    point = [x - 1 for x in point]
+    logs = [log[x] for x in units]
+    rows = tuple(tuple([point[j * n % modulus] for j in logs]) for n in exponents)
     return ModExpSystem(p, exponents, units, S, rows)
 
 
