@@ -9,19 +9,21 @@ from .errors import NotSemilattice, OrderTooLarge, ParseError
 SUBSET_SCAN_BOUND = 16
 
 
-def _upward(up, S: FiniteSemigroup, A) -> frozenset[int]:
+def _upward(up, A) -> frozenset[int]:
     # the union of the up-sets of the members of A; ids outside 0..n-1 are ignored
-    return frozenset().union(*map(up.__getitem__, frozenset(A).intersection(S.elements)))
+    return frozenset().union(*map(up.__getitem__, frozenset(A).intersection(range(len(up)))))
 
 
 def omega_m(S: FiniteSemigroup, A) -> frozenset[int]:
-    """Upward closure of A under the natural partial order."""
-    return _upward(S.structure.natural_up, S, A)
+    """Upward closure of A under the natural partial order: the union of
+    the up-sets ``S.structure.natural_up`` of its members."""
+    return _upward(S.structure.natural_up, A)
 
 
 def omega_h(S: FiniteSemigroup, A) -> frozenset[int]:
-    """Upward closure of A under the idempotent-witnessed order."""
-    return _upward(S.structure.h_up, S, A)
+    """Upward closure of A under the idempotent-witnessed order: the union
+    of the up-sets ``S.structure.h_up`` of its members."""
+    return _upward(S.structure.h_up, A)
 
 
 def is_omega_h_closed(S: FiniteSemigroup, A) -> bool:
