@@ -2,28 +2,28 @@
 
 from __future__ import annotations
 
+from itertools import repeat
+
 from . import core
 from .core import FiniteSemigroup
 from .errors import NotSemilattice, OrderTooLarge, ParseError
 
 SUBSET_SCAN_BOUND = 16
-
-
-def _upward(up, A) -> frozenset[int]:
-    # the union of the up-sets of the members of A; ids outside 0..n-1 are ignored
-    return frozenset().union(*map(up.__getitem__, frozenset(A).intersection(range(len(up)))))
+_NOTHING = frozenset()
 
 
 def omega_m(S: FiniteSemigroup, A) -> frozenset[int]:
     """Upward closure of A under the natural partial order: the union of
-    the up-sets ``S.structure.natural_up`` of its members."""
-    return _upward(S.structure.natural_up, A)
+    the up-sets ``S.structure.natural_up`` of its members, ids outside
+    0..n-1 ignored."""
+    return _NOTHING.union(*map(S.structure.natural_up.get, A, repeat(_NOTHING)))
 
 
 def omega_h(S: FiniteSemigroup, A) -> frozenset[int]:
     """Upward closure of A under the idempotent-witnessed order: the union
-    of the up-sets ``S.structure.h_up`` of its members."""
-    return _upward(S.structure.h_up, A)
+    of the up-sets ``S.structure.h_up`` of its members, ids outside 0..n-1
+    ignored."""
+    return _NOTHING.union(*map(S.structure.h_up.get, A, repeat(_NOTHING)))
 
 
 def is_omega_h_closed(S: FiniteSemigroup, A) -> bool:

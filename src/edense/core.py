@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from operator import eq, itemgetter
+from operator import itemgetter
 
 from .errors import (
     BadIdentityHint,
@@ -139,13 +139,13 @@ class Structure:
         )
 
     @cached_property
-    def natural_up(self) -> tuple[frozenset[int], ...]:
-        """Row a holds every b >= a in the natural order: ``natural_down`` transposed."""
+    def natural_up(self) -> dict[int, frozenset[int]]:
+        """Every b >= a in the natural order, by a: ``natural_down`` transposed."""
         return _transpose(self.natural_down)
 
     @cached_property
-    def h_up(self) -> tuple[frozenset[int], ...]:
-        """Row a holds every b >= a in the idempotent-witnessed order: ``h_down`` transposed."""
+    def h_up(self) -> dict[int, frozenset[int]]:
+        """Every b >= a in the idempotent-witnessed order, by a: ``h_down`` transposed."""
         return _transpose(self.h_down)
 
     @cached_property
@@ -165,13 +165,14 @@ class Structure:
         return _find_identity(t) is not None and all(set(r) == full for r in (*t, *zip(*t)))
 
 
-def _transpose(rows) -> tuple[frozenset[int], ...]:
-    """The relation {(a, b) : a in rows[b]}, as the rows of its a."""
+def _transpose(rows) -> dict[int, frozenset[int]]:
+    """The relation {(a, b) : a in rows[b]}, as the set of its b by a.
+    Keyed by id, so a lookup of anything but an id 0..n-1 finds nothing."""
     out = [[] for _ in rows]
     for b, row in enumerate(rows):
         for a in row:
             out[a].append(b)
-    return tuple(map(frozenset, out))
+    return dict(enumerate(map(frozenset, out)))
 
 
 def greedy_generators(n: int, products) -> tuple[int, ...]:
@@ -202,10 +203,10 @@ def greedy_generators(n: int, products) -> tuple[int, ...]:
 
 
 def _find_identity(table) -> int | None:
-    """The e whose row and column are both 0..n-1, a row at a time."""
-    ids = range(len(table))
+    """The e whose row and column are both 0..n-1, compared as tuples."""
+    ids = tuple(range(len(table)))
     for e, row in enumerate(table):
-        if all(map(eq, row, ids)) and all(map(eq, map(itemgetter(e), table), ids)):
+        if tuple(row) == ids and tuple(map(itemgetter(e), table)) == ids:
             return e
     return None
 

@@ -225,12 +225,12 @@ def build_biact(S: FiniteSemigroup, left_rows, right_rows) -> BiactTable:
     return BiactTable(S, left, right)
 
 
-def _require_point(sys: Cryptosystem, x: int) -> None:
-    """The plaintext must be a point: a negative id would index the rows
-    from the end.  The protocols check it once their decrypt keys are
-    found, so a system with no points refuses the keys first."""
-    if x not in sys.act.points:
-        raise PreconditionFailed("plaintext", f"{x} is not one of the {sys.act.carrier} points")
+def _not_a_point(x: int, carrier: int) -> PreconditionFailed:
+    """The refusal of a plaintext x outside 0..carrier-1, which would
+    otherwise index a row from its end.  The protocols test x against the
+    length of the row they first read, once their decrypt keys are found,
+    so a system with no points refuses the keys first."""
+    return PreconditionFailed("plaintext", f"{x} is not one of the {carrier} points")
 
 
 def massey_omura(
@@ -248,8 +248,10 @@ def massey_omura(
             raise PreconditionFailed("commutative", "supply a biact for this semigroup")
         s_inv = _uniform_key(sys, s)
         t_inv = _uniform_key(sys, t)
-        _require_point(sys, x)
-        m1 = act[s][x]
+        row = act[s]
+        if not 0 <= x < len(row):
+            raise _not_a_point(x, len(row))
+        m1 = row[x]
         m2 = act[t][m1]
         m3 = act[s_inv][m2]
         recovered = act[t_inv][m3]
@@ -264,8 +266,10 @@ def massey_omura(
         if not t_right_keys:
             raise NoDecryptKey(t)
         t_inv = min(t_right_keys)
-        _require_point(sys, x)
-        m1 = biact.left[s][x]
+        row = biact.left[s]
+        if not 0 <= x < len(row):
+            raise _not_a_point(x, len(row))
+        m1 = row[x]
         m2 = biact.right[m1][t]
         m3 = biact.left[s_inv][m2]
         recovered = biact.right[m3][t_inv]
@@ -290,8 +294,10 @@ def elgamal(sys: Cryptosystem, x: int, shared: int, alice_key: int, bob_key: int
     bob_mask = mul[trace][d]
     assert bob_mask == mask
     k = _uniform_key(sys, bob_mask)
-    _require_point(sys, x)
-    ciphertext = act[mask][x]
+    row = act[mask]
+    if not 0 <= x < len(row):
+        raise _not_a_point(x, len(row))
+    ciphertext = row[x]
     recovered = act[k][ciphertext]
     entries = (
         ("bob", "public-key", public),

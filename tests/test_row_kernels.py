@@ -22,6 +22,7 @@ import pytest
 from edense import acts, closures, construction, core, crypto, verify
 from edense.core import FiniteSemigroup
 from edense.errors import (
+    BadIdentityHint,
     CompositionViolation,
     NoDecryptKey,
     NonAssociative,
@@ -30,7 +31,6 @@ from edense.errors import (
     OutOfRangeEntry,
     ParseError,
     PreconditionFailed,
-    BadIdentityHint,
     WorkbenchError,
 )
 
