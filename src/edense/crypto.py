@@ -225,12 +225,14 @@ def build_biact(S: FiniteSemigroup, left_rows, right_rows) -> BiactTable:
     return BiactTable(S, left, right)
 
 
-def _not_a_point(x: int, carrier: int) -> PreconditionFailed:
-    """The refusal of a plaintext x outside 0..carrier-1, which would
-    otherwise index a row from its end.  The protocols test x against the
-    length of the row they first read, once their decrypt keys are found,
-    so a system with no points refuses the keys first."""
-    return PreconditionFailed("plaintext", f"{x} is not one of the {carrier} points")
+def _encrypt(row, x: int) -> int:
+    """row[x], the image of the plaintext x under a key's row; an x
+    outside the points, which would index the row from its end, is
+    refused.  The protocols call it once their decrypt keys are found, so
+    a system with no points refuses the keys first."""
+    if not 0 <= x < len(row):
+        raise PreconditionFailed("plaintext", f"{x} is not one of the {len(row)} points")
+    return row[x]
 
 
 def massey_omura(
@@ -248,10 +250,7 @@ def massey_omura(
             raise PreconditionFailed("commutative", "supply a biact for this semigroup")
         s_inv = _uniform_key(sys, s)
         t_inv = _uniform_key(sys, t)
-        row = act[s]
-        if not 0 <= x < len(row):
-            raise _not_a_point(x, len(row))
-        m1 = row[x]
+        m1 = _encrypt(act[s], x)
         m2 = act[t][m1]
         m3 = act[s_inv][m2]
         recovered = act[t_inv][m3]
@@ -266,10 +265,7 @@ def massey_omura(
         if not t_right_keys:
             raise NoDecryptKey(t)
         t_inv = min(t_right_keys)
-        row = biact.left[s]
-        if not 0 <= x < len(row):
-            raise _not_a_point(x, len(row))
-        m1 = row[x]
+        m1 = _encrypt(biact.left[s], x)
         m2 = biact.right[m1][t]
         m3 = biact.left[s_inv][m2]
         recovered = biact.right[m3][t_inv]
@@ -294,10 +290,7 @@ def elgamal(sys: Cryptosystem, x: int, shared: int, alice_key: int, bob_key: int
     bob_mask = mul[trace][d]
     assert bob_mask == mask
     k = _uniform_key(sys, bob_mask)
-    row = act[mask]
-    if not 0 <= x < len(row):
-        raise _not_a_point(x, len(row))
-    ciphertext = row[x]
+    ciphertext = _encrypt(act[mask], x)
     recovered = act[k][ciphertext]
     entries = (
         ("bob", "public-key", public),
@@ -404,11 +397,11 @@ def modexp_system(p: int) -> ModExpSystem:
     units = tuple(range(1, p)) if p > 2 else (1,)
     # with x = g^j for a primitive root g, x^n = g^(jn mod p-1); unit u is point u - 1
     g = _primitive_root(p)
-    point = [1]
+    power = [1]
     for _ in range(modulus - 1):
-        point.append(point[-1] * g % p)
-    log = {x: j for j, x in enumerate(point)}
-    point = [x - 1 for x in point]
+        power.append(power[-1] * g % p)
+    log = {x: j for j, x in enumerate(power)}
+    point = [x - 1 for x in power]
     logs = [log[x] for x in units]
     rows = tuple(tuple([point[j * n % modulus] for j in logs]) for n in exponents)
     return ModExpSystem(p, exponents, units, S, rows)
