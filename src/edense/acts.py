@@ -12,7 +12,7 @@ computes once, on first use, and which die with it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import compress
 from operator import eq
 
@@ -129,11 +129,12 @@ class PartialAct:
     def grading(self) -> Grading | GradingObstruction:
         """The grading of the act, or the obstruction to one.
 
-        The grading sends x to the minimum idempotent in its stabilizer; it
-        exists exactly when the act is effective and each stabilizer has a
-        minimum idempotent, and then the domain of every idempotent e is the
-        preimage of the order ideal of e (the domain formula of the finding
-        ``acts.grading-laws``).  Needs a semilattice of idempotents.
+        The grading sends x to the minimum idempotent in its stabilizer
+        (``acts.grading-laws`` checks its laws).  Needs a semilattice of
+        idempotents.  It exists exactly when the act is effective: an
+        idempotent fixes each point it acts on (cancellativity), and if s
+        acts on x then so does s's, for s' the weak inverse of reflexivity.
+        So the product of the idempotents fixing x is their least member.
         """
         S = self.semigroup
         closures.require_semilattice(S)
@@ -142,12 +143,7 @@ class PartialAct:
         for x, (dom, stab) in enumerate(zip(self.point_domains, self.stabilizers)):
             if not dom:
                 return GradingObstruction("non-effective point", x)
-            fixing = stab & E
-            minima = [e for e in fixing if all(core.h_leq(S, e, f) for f in fixing)]
-            if not minima:
-                return GradingObstruction("stabilizer without minimum idempotent", x)
-            assert len(minima) == 1
-            p.append(minima[0])
+            p.append(reduce(S.mul, stab & E))
         return Grading(tuple(p))
 
 

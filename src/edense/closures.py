@@ -40,11 +40,10 @@ def is_unitary(S: FiniteSemigroup, A) -> bool:
 
 
 def is_e_dense_subsemigroup(S: FiniteSemigroup, H) -> bool:
-    """H is closed under the product and every member has a weak inverse in H."""
-    H = frozenset(H)
-    if not core.is_subsemigroup(S, H):
-        return False
-    return all(core.weak_inverses(S, h) & H for h in H)
+    """H is a nonempty subset closed under the product.  Each member then
+    has a weak inverse in H, since S is finite: h^q, for q at least the
+    index of h and q = -1 modulo its period (``core.finite-is-e-dense``)."""
+    return core.is_subsemigroup(S, H)
 
 
 def require_semilattice(S: FiniteSemigroup) -> None:
@@ -97,21 +96,16 @@ def _subsemigroup_search(S: FiniteSemigroup) -> dict[int, list[int]]:
 
 def e_dense_subsemigroups(S: FiniteSemigroup) -> tuple[frozenset[int], ...]:
     """Every E-dense subsemigroup, closed or not, in order of size and then
-    of sorted members: the subsemigroups of S, found by a search that
-    visits each once, in which every member has a weak inverse.  The
-    search runs once per semigroup; its result is kept in
-    ``S.structure.subsemigroups``."""
+    of sorted members: every subsemigroup of S, found by a search that
+    visits each once.  Each is E-dense because S is finite (see
+    ``is_e_dense_subsemigroup``).  The search runs once per semigroup; its
+    result is kept in ``S.structure.subsemigroups``."""
     if S.n > SUBSET_SCAN_BOUND:
         raise OrderTooLarge(S.n, SUBSET_SCAN_BOUND, "subset scan")
     st = S.structure
     if st.subsemigroups is None:
-        weak = [sum(1 << w for w in iv.W) for iv in st.inverse_sets]
-        dense = [
-            frozenset(members)
-            for H, members in _subsemigroup_search(S).items()
-            if all(weak[h] & H for h in members)
-        ]
-        st.subsemigroups = tuple(sorted(dense, key=lambda H: (len(H), sorted(H))))
+        found = map(frozenset, _subsemigroup_search(S).values())
+        st.subsemigroups = tuple(sorted(found, key=lambda H: (len(H), sorted(H))))
     return st.subsemigroups
 
 

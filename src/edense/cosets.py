@@ -65,9 +65,6 @@ def check_base(S: FiniteSemigroup, H) -> frozenset[int]:
             (h, k) for h in H for k in H if S.mul(h, k) not in H
         )
         raise BadSubsemigroup("not closed under the product", bad)
-    missing = [h for h in H if not core.weak_inverses(S, h) & H]
-    if missing:
-        raise BadSubsemigroup("member without weak inverse inside", missing[0])
     closure = closures.omega_h(S, H)
     if closure != H:
         raise BadSubsemigroup(

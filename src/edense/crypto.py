@@ -21,7 +21,6 @@ from .core import FiniteSemigroup
 from .errors import (
     CompositionViolation,
     NoDecryptKey,
-    NoMinimumIdempotent,
     NotAssociativeAction,
     NotCancellative,
     NotPrime,
@@ -116,14 +115,10 @@ def locally_free_system(S: FiniteSemigroup) -> Cryptosystem:
 
 
 def minimum_idempotent(S: FiniteSemigroup) -> int:
-    """The least idempotent in the idempotent-witnessed order, if any."""
+    """The least idempotent in the idempotent-witnessed order.  Needs a
+    semilattice of idempotents, whose product e has e*f = e for each f."""
     closures.require_semilattice(S)
-    E = core.idempotents(S)
-    minima = [e for e in E if all(core.h_leq(S, e, f) for f in E)]
-    if not minima:
-        raise NoMinimumIdempotent(f"among {sorted(E)}")
-    assert len(minima) == 1
-    return minima[0]
+    return reduce(S.mul, core.idempotents(S))
 
 
 def decrypt_key_space(sys: Cryptosystem, x: int, key: int) -> frozenset[int]:

@@ -153,8 +153,3 @@ class NotAssociativeAction(WorkbenchError):
     def __init__(self, s, t, x):
         self.witness = (s, t, x)
         super().__init__(f"(s*t)x != s(tx) at (s={s}, t={t}, x={x})")
-
-
-class NoMinimumIdempotent(WorkbenchError):
-    def __init__(self, detail=""):
-        super().__init__(f"idempotents have no minimum element {detail}".rstrip())

@@ -104,6 +104,34 @@ def test_e_dense_subsemigroups_match_the_power_set():
         assert closures.e_dense_subsemigroups(S) == power_set_e_dense(S), S.table
 
 
+def power_witness(S, h):
+    """h^q for q at least the index of h and q = -1 modulo its period."""
+    seen, y, k = {}, h, 1
+    while y not in seen:
+        seen[y] = k
+        y, k = S.table[y][h], k + 1
+    index, period = seen[y], k - seen[y]
+    q = next(q for q in range(index, index + period) if (q + 1) % period == 0)
+    t = h
+    for _ in range(q - 1):
+        t = S.table[t][h]
+    return t
+
+
+def test_every_element_has_a_power_as_weak_inverse():
+    # why every subsemigroup of a finite semigroup is E-dense
+    small = [S for n in (1, 2, 3) for S in construction.enumerate_semigroups(n)]
+    bands = [
+        construction.adjoined_band_semigroup(core.build_semigroup(cyclic_table(k)))
+        for k in range(1, 9)
+    ]
+    tables = small + construction.corpus() + bands
+    assert len(tables) == 122 + 10 + 8
+    for S in tables:
+        for h in S.elements:
+            assert power_witness(S, h) in core.weak_inverses(S, h), (S.table, h)
+
+
 def test_subset_text_format():
     assert closures.parse_subset("0 3") == {0, 3}
     assert closures.format_subset({3, 0}) == "0 3"

@@ -5,6 +5,7 @@ import json
 import math
 import random
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 
@@ -24,7 +25,7 @@ from edense.errors import (
     WorkbenchError,
 )
 
-from conftest import SEMILATTICE_FIXTURES, closure, fx, twist_outside
+from conftest import SEMILATTICE_FIXTURES, closure, cyclic_table, fx, twist_outside
 
 
 def band_system(name="Z3E"):
@@ -288,6 +289,48 @@ def test_minimum_idempotent():
     assert crypto.minimum_idempotent(fx("CHAIN3")) == 0
     with pytest.raises(NotSemilattice):
         crypto.minimum_idempotent(fx("LZ2"))
+
+
+def oracle_minimum_idempotents(S):
+    E = core.idempotents(S)
+    return [e for e in E if all(core.h_leq(S, e, f) for f in E)]
+
+
+def test_minimum_idempotent_matches_a_scan_of_the_idempotents():
+    small = [S for n in (1, 2, 3) for S in construction.enumerate_semigroups(n)]
+    bands = [
+        construction.adjoined_band_semigroup(core.build_semigroup(cyclic_table(k)))
+        for k in range(1, 9)
+    ]
+    tables = [
+        S
+        for S in small + [fx(name) for name in SEMILATTICE_FIXTURES] + bands
+        if core.classify_idempotents(S).is_semilattice
+    ]
+    assert len(tables) == 82 + len(SEMILATTICE_FIXTURES) + 8
+    for S in tables:
+        assert [crypto.minimum_idempotent(S)] == oracle_minimum_idempotents(S), S.table
+    with pytest.raises(NotSemilattice):
+        crypto.minimum_idempotent(fx("LZ2"))
+
+
+def test_biact_and_unitary_key_space_checks_take_their_systems(monkeypatch):
+    # neither check looks its systems up by fixture name
+    z2, z3 = (crypto.locally_free_system(fx(name)) for name in ("Z2", "Z3"))
+    z4e = crypto.locally_free_system(
+        construction.adjoined_band_semigroup(core.build_semigroup(cyclic_table(4)))
+    )
+    assert verify._biact_roundtrip_violations([("Z2", z2), ("Z3", z3)]) is None
+    assert verify._unitary_key_space_violations([("Z4E", z4e)]) is None
+    # and a failure names the system it was handed
+    monkeypatch.setattr(crypto, "locally_free_key_space", lambda sys, x, s: frozenset())
+    assert verify._unitary_key_space_violations([("Z4E", z4e)]) == (
+        "Z4E: key space differs from closed weak inverses at s=0"
+    )
+    monkeypatch.setattr(crypto, "massey_omura", lambda *a, **k: SimpleNamespace(ok=False))
+    assert verify._biact_roundtrip_violations([("Z3", z3)]) == (
+        "Z3: biact three-pass fails at x=0, s=0, t=0"
+    )
 
 
 def test_classification_band_extension():

@@ -721,6 +721,34 @@ def test_module_level_caches_are_the_three_known_ones():
     assert uses == decorators
 
 
+def test_the_only_asserts_are_the_two_known_invariants():
+    # checks must not rest on asserts, which python -O strips; the two left
+    # are internal invariants of a protocol run and of the Munn act
+    allowed = ["acts.munn_act", "crypto.elgamal"]
+    found = []
+    for path in sorted((ROOT / "src" / "edense").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        # ast.walk visits outer functions first, so the innermost one owns each assert
+        owner = {}
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((node, func.name) for node in ast.walk(func))
+        found += [
+            f"{path.stem}.{owner.get(node, '<module>')}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assert)
+        ]
+    assert found == allowed
+
+
+def test_finite_is_e_dense_names_an_element_without_its_power_witness():
+    # not associative: 2*2 = 1 but (1*2)*1 = 0, so h^2 = 1 is no weak inverse
+    # of h = 2, though every element has the weak inverse 0
+    S = core.FiniteSemigroup(((0, 0, 0), (0, 0, 1), (0, 0, 1)))
+    assert core.is_e_dense(S)
+    assert verify._e_dense_violations(S) == "h^2 is not a weak inverse of h=2"
+
+
 def test_construction_findings_check_hom_sizes_at_every_object(monkeypatch):
     # one morphism too many in each hom-set leaving object 1, which is not
     # the base object of any pair monoid the findings build
