@@ -91,10 +91,12 @@ from .crypto import (
     classify_locally_free_cryptosystem,
     decrypt_key_space,
     elgamal,
+    elgamal_rows,
     key_space_sizes,
     locally_free_key_space,
     locally_free_system,
     massey_omura,
+    massey_omura_rows,
     minimum_idempotent,
     modexp_system,
     stabilizers_left_dense,

@@ -7,7 +7,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, product
-from operator import itemgetter
 
 from . import core
 from .core import FiniteSemigroup, build_semigroup
@@ -241,20 +240,6 @@ class GroupCategoryAction:
         return self.on_morphisms[g][p]
 
 
-def _picker(indices):
-    """The map from a row to the tuple of its entries at ``indices``.
-
-    ``itemgetter`` returns a bare entry for a single index and refuses
-    none, so those two cases are spelled out.
-    """
-    if len(indices) == 1:
-        (i,) = indices
-        return lambda row: (row[i],)
-    if not indices:
-        return lambda row: ()
-    return itemgetter(*indices)
-
-
 def build_category(n_objects, morphisms, compose_map, labels=None) -> FiniteCategory:
     """Validate category data and return it.
 
@@ -294,7 +279,7 @@ def _category_from_rows(n_objects, source, target, rows, labels) -> FiniteCatego
     m = len(source)
     leaving = _leaving(n_objects, source)
     # then[v] picks the entries of a row at the morphisms leaving v
-    then = [_picker(out) for out in leaving]
+    then = [core._picker(out) for out in leaving]
     then_of = [then[v] for v in target]
     # the targets of the morphisms leaving each object
     ends = [get(target) for get in then]
@@ -303,8 +288,8 @@ def _category_from_rows(n_objects, source, target, rows, labels) -> FiniteCatego
         if (
             None in composites
             or m - row.count(None) != len(composites)
-            or _picker(composites)(source) != (source[p],) * len(composites)
-            or _picker(composites)(target) != ends[target[p]]
+            or core._picker(composites)(source) != (source[p],) * len(composites)
+            or core._picker(composites)(target) != ends[target[p]]
         ):
             for q, r in enumerate(row):
                 if r is not None and target[p] != source[q]:
@@ -314,7 +299,7 @@ def _category_from_rows(n_objects, source, target, rows, labels) -> FiniteCatego
             q = next(q for q in leaving[target[p]] if row[q] is None)
             raise BadComposability(p, q, "composable pair left undefined")
     # after[q] picks the entries of a row at the composites q.r
-    after = [_picker(then_of[q](row)) for q, row in enumerate(compose)]
+    after = [core._picker(then_of[q](row)) for q, row in enumerate(compose)]
     arriving = _leaving(n_objects, target)
     generators = core.greedy_generators(
         m,
@@ -390,27 +375,27 @@ def _check_group_action(C: FiniteCategory, G: FiniteSemigroup, on_objects, on_mo
     if failing:
         i = min(failing)[1]
         raise ActionAxiomViolation(("(gh)u != g(hu)", "(gh)p != g(hp)")[i], witnesses[i])
-    of_source, of_target = _picker(C.source), _picker(C.target)
-    of_identity = _picker(C.identities)
-    then = [_picker(out) for out in C.leaving]
+    of_source, of_target = core._picker(C.source), core._picker(C.target)
+    of_identity = core._picker(C.identities)
+    then = [core._picker(out) for out in C.leaving]
     # the composites p.q over the q leaving the target of p, as a picker
-    composite = [_picker(then[C.target[p]](row)) for p, row in enumerate(C.compose)]
+    composite = [core._picker(then[C.target[p]](row)) for p, row in enumerate(C.compose)]
     for g in G.structure.generators:
         objs, mors = on_objects[g], on_morphisms[g]
-        mor_then = _picker(mors)
+        mor_then = core._picker(mors)
         if mor_then(C.source) != of_source(objs) or mor_then(C.target) != of_target(objs):
             for p in range(m):
                 gp = mors[p]
                 if C.source[gp] != objs[C.source[p]] or C.target[gp] != objs[C.target[p]]:
                     raise ActionAxiomViolation("gp must lie in hom(gu, gv)", (g, p))
         # gq over the q leaving each object v, as a picker on the row of gp
-        then_g = [_picker(get(mors)) for get in then]
+        then_g = [core._picker(get(mors)) for get in then]
         for p, gp in enumerate(mors):
             if then_g[C.target[p]](C.compose[gp]) != composite[p](mors):
                 for q in C.leaving[C.target[p]]:
                     if C.compose[gp][mors[q]] != mors[C.compose[p][q]]:
                         raise ActionAxiomViolation("g(p+q) != gp+gq", (g, p, q))
-        if of_identity(mors) != _picker(objs)(C.identities):
+        if of_identity(mors) != core._picker(objs)(C.identities):
             for u in range(n):
                 if mors[C.identities[u]] != C.identities[objs[u]]:
                     raise ActionAxiomViolation("g 0_u != 0_gu", (g, u))

@@ -211,6 +211,20 @@ def _find_identity(table) -> int | None:
     return None
 
 
+def _picker(indices):
+    """The map from a row to the tuple of its entries at ``indices``.
+
+    ``itemgetter`` returns a bare entry for a single index and refuses
+    none, so those two cases are spelled out.
+    """
+    if len(indices) == 1:
+        (i,) = indices
+        return lambda row: (row[i],)
+    if not indices:
+        return lambda row: ()
+    return itemgetter(*indices)
+
+
 def _check_range(rows, bound: int, width: int | None = None) -> None:
     """Every entry of every row is an id 0..bound-1, and with ``width``
     every row has that many entries (``OutOfRangeEntry(i, len(row), -1)``

@@ -184,86 +184,108 @@ class ProtocolTranscript(NamedTuple):
 
 @dataclass(frozen=True)
 class BiactTable:
-    """Compatible left and right total cancellative actions on one set."""
+    """Compatible left and right total cancellative actions on one set,
+    each kept by element, with the least right decrypt key of each t: the
+    least r such that x(tr) = x for every point x, or None."""
 
     semigroup: FiniteSemigroup
     left: tuple[tuple[int, ...], ...]  # left[s][x] = s*x
-    right: tuple[tuple[int, ...], ...]  # right[x][s] = x*s
+    right: tuple[tuple[int, ...], ...]  # right[s][x] = x*s
+    least_right_key: tuple[int | None, ...]
 
 
 def build_biact(S: FiniteSemigroup, left_rows, right_rows) -> BiactTable:
     """Check both actions and their compatibility, a whole row at a time.
 
-    Every law is scanned with s over the greedy generators of S and the
-    other arguments in full.  That is exhaustive: once both composition
-    laws hold, the s with (sx)t = s(xt) for all x, t are closed under
-    products, ((ab)x)t = a(b(xt)) = (ab)(xt), so the least failing s is a
+    ``left_rows[s][x]`` is s*x and ``right_rows[x][s]`` is x*s.  Their
+    shape and range are checked first.  Every law is scanned with s over
+    the greedy generators of S and the other arguments in full.  That is
+    exhaustive: once both composition laws hold, the s with
+    (sx)t = s(xt) for all x, t are closed under products,
+    ((ab)x)t = a(b(xt)) = (ab)(xt), so the least failing s is a
     generator, as it is for the composition laws themselves (see
     ``core._composition_witness``).
     """
     left = tuple(tuple(r) for r in left_rows)
-    right = tuple(tuple(r) for r in right_rows)
-    m = len(left[0])
-    by_element = [tuple(row[s] for row in right) for s in S.elements]  # x*s, by s
-    witnesses = [core._composition_witness(S, left), core._composition_witness(S, by_element, True)]
+    by_point = tuple(tuple(r) for r in right_rows)
+    m = len(left[0]) if left else 0
+    if len(left) != S.n:
+        raise PreconditionFailed("act_shape", f"{len(left)} left rows for order {S.n}")
+    if len(by_point) != m:
+        raise PreconditionFailed("act_shape", f"{len(by_point)} right rows for {m} points")
+    core._check_range(left, m, width=m)
+    core._check_range(by_point, m, width=S.n)
+    right = tuple(zip(*by_point)) if m else ((),) * S.n  # x*s, by s
+    witnesses = [core._composition_witness(S, left), core._composition_witness(S, right, True)]
     if any(witnesses):
         raise NotAssociativeAction(*min(w for w in witnesses if w))
     for s in S.elements:
-        if len(set(left[s])) != m or len(set(by_element[s])) != m:
-            raise NotCancellative(s, -1, -1)
+        for row in (left[s], right[s]):
+            if len(set(row)) != m:
+                # the first point whose image an earlier point already has
+                y = next(y for y, v in enumerate(row) if row.index(v) != y)
+                raise NotCancellative(s, row.index(row[y]), y)
     for s, t in product(S.structure.generators, S.elements):
         # (sx)t against s(xt)
-        after, before = left[s], by_element[t]
+        after, before = left[s], right[t]
         if [before[v] for v in after] != [after[v] for v in before]:
             x = next(x for x in range(m) if before[after[x]] != after[before[x]])
             raise NotAssociativeAction(s, t, x)
-    return BiactTable(S, left, right)
+    points = tuple(range(m))
+    fixes_all = [row == points for row in right]
+    least_right_key = tuple(
+        next((r for r, tr in enumerate(row) if fixes_all[tr]), None) for row in S.table
+    )
+    return BiactTable(S, left, right, least_right_key)
 
 
-def _encrypt(row, x: int) -> int:
-    """row[x], the image of the plaintext x under a key's row; an x
-    outside the points, which would index the row from its end, is
-    refused.  The protocols call it once their decrypt keys are found, so
-    a system with no points refuses the keys first."""
-    if not 0 <= x < len(row):
-        raise PreconditionFailed("plaintext", f"{x} is not one of the {len(row)} points")
-    return row[x]
+def _encrypt(rows, x: int) -> tuple[int, ...]:
+    """The entries at the plaintext x of a run's rows, the first of them
+    x's ciphertext; an x outside the points, which would index the rows
+    from their end, is refused.  A run finds its decrypt keys before it
+    reads a row, so a system with no points refuses the keys first."""
+    if not 0 <= x < len(rows[0]):
+        raise PreconditionFailed("plaintext", f"{x} is not one of the {len(rows[0])} points")
+    return tuple(row[x] for row in rows)
+
+
+def massey_omura_rows(
+    sys: Cryptosystem, alice_key: int, bob_key: int, biact: BiactTable | None = None
+) -> tuple[tuple[int, ...], ...]:
+    """The three-pass exchange run once over every plaintext: the rows of
+    the three ciphertexts and of the recovered plaintexts, each indexed by
+    plaintext.
+
+    With a commutative semigroup the two locks slide past each other;
+    otherwise a compatible right action takes Bob's place.  Both decrypt
+    keys are found first; then each pass after the first is one
+    whole-row composition.
+    """
+    act = sys.act.table  # total: every entry defined
+    s, t = alice_key, bob_key
+    if biact is None and not sys.key_table.commutative:
+        raise PreconditionFailed("commutative", "supply a biact for this semigroup")
+    s_inv = _uniform_key(sys, s)
+    if biact is None:
+        left = right = act
+        t_inv = _uniform_key(sys, t)
+    else:
+        left, right = biact.left, biact.right
+        t_inv = biact.least_right_key[t]
+        if t_inv is None:
+            raise NoDecryptKey(t)
+    m1 = left[s]
+    m2 = core._picker(m1)(right[t])
+    m3 = core._picker(m2)(left[s_inv])
+    return m1, m2, m3, core._picker(m3)(right[t_inv])
 
 
 def massey_omura(
     sys: Cryptosystem, x: int, alice_key: int, bob_key: int, biact: BiactTable | None = None
 ) -> ProtocolTranscript:
-    """Three-pass key-free exchange: lock, lock again, unlock, unlock.
-
-    With a commutative semigroup the two locks slide past each other;
-    otherwise a compatible right action takes Bob's place.
-    """
-    S, act = sys.act.semigroup, sys.act.table  # total: every entry defined
-    s, t = alice_key, bob_key
-    if biact is None:
-        if not sys.key_table.commutative:
-            raise PreconditionFailed("commutative", "supply a biact for this semigroup")
-        s_inv = _uniform_key(sys, s)
-        t_inv = _uniform_key(sys, t)
-        m1 = _encrypt(act[s], x)
-        m2 = act[t][m1]
-        m3 = act[s_inv][m2]
-        recovered = act[t_inv][m3]
-    else:
-        s_inv = _uniform_key(sys, s)
-        t_row = S.table[t]
-        t_right_keys = frozenset(
-            r
-            for r in S.elements
-            if all(biact.right[y][t_row[r]] == y for y in sys.act.points)
-        )
-        if not t_right_keys:
-            raise NoDecryptKey(t)
-        t_inv = min(t_right_keys)
-        m1 = _encrypt(biact.left[s], x)
-        m2 = biact.right[m1][t]
-        m3 = biact.left[s_inv][m2]
-        recovered = biact.right[m3][t_inv]
+    """Three-pass key-free exchange of the plaintext x: lock, lock again,
+    unlock, unlock; the entries at x of ``massey_omura_rows``."""
+    m1, m2, m3, recovered = _encrypt(massey_omura_rows(sys, alice_key, bob_key, biact), x)
     entries = (
         ("alice", "ciphertext-1", m1),
         ("bob", "ciphertext-2", m2),
@@ -273,10 +295,15 @@ def massey_omura(
     return ProtocolTranscript(entries, recovered, x)
 
 
-def elgamal(sys: Cryptosystem, x: int, shared: int, alice_key: int, bob_key: int) -> ProtocolTranscript:
-    """Generalised ElGamal over the act: Bob publishes shared*bob_key,
-    Alice sends the pair ((alice_key*(shared*bob_key))x, alice_key*shared),
-    Bob rebuilds the masking key by associativity and undoes it."""
+def elgamal_rows(
+    sys: Cryptosystem, shared: int, alice_key: int, bob_key: int
+) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
+    """Generalised ElGamal run once over every plaintext: Bob's public key
+    shared*bob_key, Alice's key trace alice_key*shared, and the rows of
+    ciphertexts (alice_key*(shared*bob_key))x and of recovered
+    plaintexts, indexed by plaintext x.  Bob rebuilds the masking key from
+    the trace by associativity and undoes it with one whole-row
+    composition."""
     mul, act = sys.act.semigroup.table, sys.act.table  # total: every entry defined
     s, c, d = shared, alice_key, bob_key
     public = mul[s][d]
@@ -285,8 +312,15 @@ def elgamal(sys: Cryptosystem, x: int, shared: int, alice_key: int, bob_key: int
     bob_mask = mul[trace][d]
     assert bob_mask == mask
     k = _uniform_key(sys, bob_mask)
-    ciphertext = _encrypt(act[mask], x)
-    recovered = act[k][ciphertext]
+    ciphertexts = act[mask]
+    return public, trace, ciphertexts, core._picker(ciphertexts)(act[k])
+
+
+def elgamal(sys: Cryptosystem, x: int, shared: int, alice_key: int, bob_key: int) -> ProtocolTranscript:
+    """Generalised ElGamal for the plaintext x: the entries at x of
+    ``elgamal_rows``."""
+    public, trace, *rows = elgamal_rows(sys, shared, alice_key, bob_key)
+    ciphertext, recovered = _encrypt(rows, x)
     entries = (
         ("bob", "public-key", public),
         ("alice", "ciphertext", ciphertext),

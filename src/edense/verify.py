@@ -1084,10 +1084,15 @@ def _key_space_violations(systems):
             W_s = core.weak_inverses(S, s)
             if inverse:
                 (s_inv,) = core.inverse_sets(S, s).V
+            # every part is a function of s and (K, S_x, S_sx): each
+            # distinct triple that passes is judged once
+            passed = set()
             for x in act.points:
                 K = crypto.decrypt_key_space(sys, x, s)
-                S_x = act.stabilizers[x]
-                triple = core.set_mul(S, S_x, W_s, act.stabilizers[act.act(s, x)])
+                S_x, S_sx = act.stabilizers[x], act.stabilizers[act.act(s, x)]
+                if (K, S_x, S_sx) in passed:
+                    continue
+                triple = core.set_mul(S, S_x, W_s, S_sx)
                 if closures.omega_m(S, K) != K:
                     part = "key-space-m-closed"
                 elif not closures.omega_m(S, triple) <= K:
@@ -1099,6 +1104,7 @@ def _key_space_violations(systems):
                 elif group and not (core.set_mul(S, S_x, {s_inv}) == K and len(K) == len(S_x)):
                     part = "key-space-group-form"
                 else:
+                    passed.add((K, S_x, S_sx))
                     continue
                 return f"{name}: {part} fails (s={s} x={x})"
 
@@ -1124,11 +1130,24 @@ def _left_ideal_violations():
 
 
 def _roundtrip_violations(systems):
+    """Both protocols recover every plaintext under every choice of keys
+    with uniform decrypt keys.  Each key choice is one run over all
+    plaintexts; only when a run fails are the plaintexts rescanned, x
+    outermost, to name the first witness."""
     for name, sys in systems:
         keys = sys.key_table
         if not keys.commutative:
             continue
         decryptable = [s for s, uniform in enumerate(keys.uniform) if uniform]
+        points = tuple(sys.act.points)
+        if all(
+            crypto.massey_omura_rows(sys, s, t)[-1] == points
+            for s, t in product(decryptable, repeat=2)
+        ) and all(
+            crypto.elgamal_rows(sys, s, c, d)[-1] == points
+            for s, c, d in product(decryptable, repeat=3)
+        ):
+            continue
         for x in sys.act.points:
             for s, t in product(decryptable, repeat=2):
                 if not crypto.massey_omura(sys, x, s, t).ok:
@@ -1145,8 +1164,12 @@ def _biact_roundtrip_violations(systems):
         S = sys.semigroup
         right = [[S.mul(x, s) for s in S.elements] for x in range(S.n)]
         biact = crypto.build_biact(S, sys.act.table, right)
+        points = tuple(sys.act.points)
+        keys = list(product(S.elements, repeat=2))
+        if all(crypto.massey_omura_rows(sys, s, t, biact)[-1] == points for s, t in keys):
+            continue
         for x in sys.act.points:
-            for s, t in product(S.elements, repeat=2):
+            for s, t in keys:
                 if not crypto.massey_omura(sys, x, s, t, biact=biact).ok:
                     return f"{name}: biact three-pass fails at x={x}, s={s}, t={t}"
 

@@ -5,7 +5,6 @@ import json
 import math
 import random
 from itertools import product
-from types import SimpleNamespace
 
 import pytest
 
@@ -327,7 +326,10 @@ def test_biact_and_unitary_key_space_checks_take_their_systems(monkeypatch):
     assert verify._unitary_key_space_violations([("Z4E", z4e)]) == (
         "Z4E: key space differs from closed weak inverses at s=0"
     )
-    monkeypatch.setattr(crypto, "massey_omura", lambda *a, **k: SimpleNamespace(ok=False))
+    # every run recovers -1 for every plaintext
+    monkeypatch.setattr(
+        crypto, "massey_omura_rows", lambda sys, *a, **k: ((-1,) * sys.act.carrier,) * 4
+    )
     assert verify._biact_roundtrip_violations([("Z3", z3)]) == (
         "Z3: biact three-pass fails at x=0, s=0, t=0"
     )
@@ -698,8 +700,21 @@ def reference_total_action_error(S, rows):
 
 
 def reference_biact_error(S, left, right):
-    """The per-triple checks of ``build_biact``, in their order."""
-    m = len(left[0])
+    """The per-entry checks of ``build_biact``, in their order: shape and
+    range, both composition laws, cancellativity at the first colliding
+    pair of points, compatibility."""
+    m = len(left[0]) if left else 0
+    if len(left) != S.n:
+        return PreconditionFailed("act_shape", f"{len(left)} left rows for order {S.n}")
+    if len(right) != m:
+        return PreconditionFailed("act_shape", f"{len(right)} right rows for {m} points")
+    for rows, width in ((left, m), (right, S.n)):
+        for i, row in enumerate(rows):
+            if len(row) != width:
+                return OutOfRangeEntry(i, len(row), -1)
+            for j, v in enumerate(row):
+                if not 0 <= v < m:
+                    return OutOfRangeEntry(i, j, v)
     for s, t in product(S.elements, repeat=2):
         st = S.mul(s, t)
         for x in range(m):
@@ -708,10 +723,12 @@ def reference_biact_error(S, left, right):
             if right[right[x][s]][t] != right[x][st]:
                 return NotAssociativeAction(s, t, x)
     for s in S.elements:
-        if len({left[s][x] for x in range(m)}) != m:
-            return NotCancellative(s, -1, -1)
-        if len({right[x][s] for x in range(m)}) != m:
-            return NotCancellative(s, -1, -1)
+        # s*x on the left, x*s on the right
+        for image in ([left[s][x] for x in range(m)], [right[x][s] for x in range(m)]):
+            for y in range(m):
+                for x in range(y):
+                    if image[x] == image[y]:
+                        return NotCancellative(s, x, y)
     for s, t in product(S.elements, repeat=2):
         for x in range(m):
             if right[left[s][x]][t] != left[s][right[x][t]]:
@@ -874,3 +891,28 @@ def test_build_biact_later_checks_match_triple_loop():
         error = reference_biact_error(S, rows, right)
         assert isinstance(error, kind)
         assert outcome(crypto.build_biact, S, rows, right) == expected(error)
+
+
+def test_build_biact_refuses_malformed_rows_by_name():
+    # shape and range are checked before any law, so no row is indexed out
+    # of range, and a collision names its two points on either side
+    S = fx("Z3")
+    left = [list(row) for row in S.table]
+    right = [[S.mul(x, s) for s in S.elements] for x in S.elements]
+    constant = [[0] * 3 for _ in S.elements]
+    cases = [
+        (left, [right[0], right[1][:2], right[2]], OutOfRangeEntry, (1, 2, -1)),
+        (left, right[:2], PreconditionFailed, None),
+        ([left[0], [1, 2, 3], left[2]], right, OutOfRangeEntry, (1, 2, 3)),
+        (left, [right[0], right[1], [-1, 0, 1]], OutOfRangeEntry, (2, 0, -1)),
+        (constant, right, NotCancellative, (0, 0, 1)),
+        (left, constant, NotCancellative, (0, 0, 1)),
+    ]
+    for lrows, rrows, kind, witness in cases:
+        error = reference_biact_error(S, lrows, rrows)
+        assert isinstance(error, kind) and getattr(error, "witness", None) == witness
+        assert outcome(crypto.build_biact, S, lrows, rrows) == expected(error), (lrows, rrows)
+    # a right action of all of S on a system on a 4-point ideal of Z4E
+    z4e = construction.adjoined_band_semigroup(core.build_semigroup(cyclic_table(4)))
+    with pytest.raises(PreconditionFailed, match="8 right rows for 4 points"):
+        verify._biact_roundtrip_violations([("Z4E", crypto.locally_free_system(z4e))])
