@@ -86,11 +86,11 @@ class IdempotentStructure:
 
 class Structure:
     """The derived data of one Cayley table, each part computed on first use.
-    ``cosets`` memoises validated bases, coset spaces and conjugacy
-    witnesses here, by subset, and ``closures`` the E-dense subsemigroups."""
+    ``cosets`` memoises coset spaces and conjugacy witnesses here, by
+    subset, and ``closures`` the E-dense subsemigroups."""
 
     def __init__(self, table):
-        self.table, self.bases, self.coset_spaces, self.conjugacy = table, set(), {}, {}
+        self.table, self.coset_spaces, self.conjugacy = table, {}, {}
         self.subsemigroups = None
 
     @cached_property

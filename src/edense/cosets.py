@@ -4,7 +4,7 @@ congruence, omega-cosets, the coset act, conjugacy and quotient groups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import acts, closures, core
 from .core import FiniteSemigroup
@@ -22,38 +22,37 @@ class OmegaCoset:
 
 @dataclass(frozen=True)
 class CosetSpace:
-    """All cosets of H, with the transitive act of S on them."""
+    """All cosets of H, with the transitive act of S on them; ``positions``
+    maps each member of a coset to the coset's index."""
 
     semigroup: FiniteSemigroup
     base: frozenset[int]
     cosets: tuple[OmegaCoset, ...]
     domain: frozenset[int]  # D_H
     act: acts.PartialAct
+    positions: dict[int, int] = field(compare=False, repr=False)
 
     def index_of(self, members) -> int:
         members = frozenset(members)
-        for i, c in enumerate(self.cosets):
-            if c.members == members:
-                return i
-        raise KeyError(f"not a coset: {sorted(members)}")
+        i = self.positions.get(min(members, default=None))
+        if i is None or self.cosets[i].members != members:
+            raise KeyError(f"not a coset: {sorted(members)}")
+        return i
 
     def coset_of(self, s: int) -> int:
-        for i, c in enumerate(self.cosets):
-            if s in c.members:
-                return i
-        raise KeyError(f"{s} lies in no coset")
+        i = self.positions.get(s)
+        if i is None:
+            raise KeyError(f"{s} lies in no coset")
+        return i
 
 
 def check_base(S: FiniteSemigroup, H) -> frozenset[int]:
     """Validate that H qualifies as a coset base; name the failure if not.
 
-    A base that passes is remembered in ``S.structure.bases`` and not
-    validated again; a failing one raises on every call.
+    Each call validates H afresh, so a failing base raises on every call;
+    ``coset_space`` calls it once per base, on a memo miss.
     """
     H = frozenset(H)
-    bases = S.structure.bases
-    if H in bases:
-        return H
     closures.require_semilattice(S)
     if not H:
         raise BadSubsemigroup("empty subset")
@@ -70,7 +69,6 @@ def check_base(S: FiniteSemigroup, H) -> frozenset[int]:
         raise BadSubsemigroup(
             "not upward closed", sorted(closure - H)
         )
-    bases.add(H)
     return H
 
 
@@ -86,7 +84,7 @@ def domain_d_h(S: FiniteSemigroup, H) -> frozenset[int]:
 
 def pi_h_related(S: FiniteSemigroup, H, s: int, t: int) -> bool:
     """The left partial congruence: some weak inverse of s sends t into H."""
-    H = check_base(S, H)
+    H = coset_space(S, H).base
     return any(S.mul(w, t) in H for w in core.weak_inverses(S, s))
 
 
@@ -119,6 +117,7 @@ def coset_space(S: FiniteSemigroup, H) -> CosetSpace:
     cosets = tuple(
         sorted(by_members.values(), key=lambda c: min(c.members))
     )
+    positions = {s: i for i, c in enumerate(cosets) for s in c.members}
 
     # s acts on the coset of t exactly when st stays inside the domain;
     # membership is representative-independent because the relation is a
@@ -142,7 +141,7 @@ def coset_space(S: FiniteSemigroup, H) -> CosetSpace:
         rows.append(row)
     labels = ["{" + ",".join(str(x) for x in sorted(c.members)) + "}" for c in cosets]
     act = acts.validate_act(S, rows, labels)
-    return spaces.setdefault(H, CosetSpace(S, H, cosets, d_h, act))
+    return spaces.setdefault(H, CosetSpace(S, H, cosets, d_h, act, positions))
 
 
 def are_conjugate(S: FiniteSemigroup, H, K):
@@ -157,7 +156,7 @@ def are_conjugate(S: FiniteSemigroup, H, K):
     key = frozenset(H), frozenset(K)
     if key in answers:
         return answers[key]
-    H, K = check_base(S, H), check_base(S, K)
+    H, K = coset_space(S, H).base, coset_space(S, K).base
     witness = None
     for s in S.elements:
         for w in core.weak_inverses(S, s):
@@ -184,23 +183,25 @@ def _conjugacy_witness(S: FiniteSemigroup, H):
 
 def is_self_conjugate(S: FiniteSemigroup, H) -> bool:
     """Whether st in H always forces ts in H."""
-    return _conjugacy_witness(S, check_base(S, H)) is None
+    return _conjugacy_witness(S, coset_space(S, H).base) is None
+
+
+def _self_conjugate_space(S: FiniteSemigroup, H) -> CosetSpace:
+    """The coset space of H, or ``NotSelfConjugate`` at the first witness."""
+    space = coset_space(S, H)
+    witness = _conjugacy_witness(S, space.base)
+    if witness is not None:
+        raise NotSelfConjugate(witness)
+    return space
 
 
 def quotient_group(S: FiniteSemigroup, H) -> FiniteSemigroup:
-    """The group of cosets of a self-conjugate base, multiplying by
-    (coset of s)(coset of t) = coset of st.  That it is a group with the
-    coset H as identity is the finding ``cosets.self-conjugacy-forms``."""
-    H = check_base(S, H)
-    witness = _conjugacy_witness(S, H)
-    if witness is not None:
-        raise NotSelfConjugate(witness)
-    space = coset_space(S, H)
-    reps = [min(c.members) for c in space.cosets]
-    rows = [
-        [space.coset_of(S.mul(a, b)) for b in reps]
-        for a in reps
-    ]
+    """The group of cosets of a self-conjugate base: row i is the coset act's
+    row at the representative s of coset i, so (coset of s)(coset of t) =
+    coset of st.  That it is a group with the coset H as identity is the
+    finding ``cosets.self-conjugacy-forms``."""
+    space = _self_conjugate_space(S, H)
+    rows = [space.act.table[c.representative] for c in space.cosets]
     name = f"{S.name}/H" if S.name else "S/H"
     return core.build_semigroup(rows, labels=space.act.point_labels, name=name)
 
@@ -225,20 +226,9 @@ class RhoRepresentation:
 def rho_representation(S: FiniteSemigroup, H) -> RhoRepresentation:
     """The map from D_H to the symmetric group on the cosets.
 
-    Each element acts by multiplying cosets.  That each image is a
+    Each element s acts by its row of the coset act.  That each image is a
     permutation, that the map is a homomorphism and that its kernel is the
     coset congruence is the finding ``cosets.self-conjugacy-forms``.
     """
-    H = check_base(S, H)
-    witness = _conjugacy_witness(S, H)
-    if witness is not None:
-        raise NotSelfConjugate(witness)
-    space = coset_space(S, H)
-    perms = {}
-    for s in sorted(space.domain):
-        images = []
-        for c in space.cosets:
-            st = S.mul(s, min(c.members))
-            images.append(space.coset_of(st) if st in space.domain else None)
-        perms[s] = tuple(images)
-    return RhoRepresentation(space, perms)
+    space = _self_conjugate_space(S, H)
+    return RhoRepresentation(space, {s: space.act.table[s] for s in sorted(space.domain)})

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import product
-from operator import and_
 from typing import NamedTuple
 
 from . import acts, closures, core
@@ -33,14 +32,13 @@ from .errors import (
 class DecryptKeyTable:
     """What every decrypt-key query reads, built once per act.
 
-    ``stabilizers[x]`` is the act's stabilizer of point x as a bitmask;
     ``columns[s][t]`` is the product t*s; ``uniform[s]`` is the set of t
     such that t*s fixes every point (empty on an empty carrier), and
     ``least_uniform[s]`` its least member, or None when it is empty.  Then
-    K(s, x) = {t : t*s fixes x} is read off column s and mask x.
+    K(s, x) = {t : t*s fixes x} is read off column s and the act's
+    stabilizer of x.
     """
 
-    stabilizers: tuple[int, ...]
     columns: tuple[tuple[int, ...], ...]
     uniform: tuple[frozenset[int], ...]
     least_uniform: tuple[int | None, ...]
@@ -49,18 +47,16 @@ class DecryptKeyTable:
     @classmethod
     def of(cls, act: acts.PartialAct) -> "DecryptKeyTable":
         S = act.semigroup
-        stabilizers = tuple(sum(1 << s for s in fixing) for fixing in act.stabilizers)
         columns = tuple(zip(*S.table))
-        if stabilizers:
-            fix_all = reduce(and_, stabilizers)
+        if act.stabilizers:
+            fix_all = frozenset.intersection(*act.stabilizers)
             uniform = tuple(
-                frozenset(t for t, u in enumerate(col) if fix_all >> u & 1)
-                for col in columns
+                frozenset(t for t, u in enumerate(col) if u in fix_all) for col in columns
             )
         else:
             uniform = (frozenset(),) * S.n
         least = tuple(min(keys, default=None) for keys in uniform)
-        return cls(stabilizers, columns, uniform, least, columns == S.table)
+        return cls(columns, uniform, least, columns == S.table)
 
 
 @dataclass(frozen=True)
@@ -121,11 +117,26 @@ def minimum_idempotent(S: FiniteSemigroup) -> int:
     return reduce(S.mul, core.idempotents(S))
 
 
+def _require_in(kind: str, v, values, what: str):
+    """v, when it is one of ``values``; anything else is refused with
+    ``PreconditionFailed(kind)``.  Used as an index, a negative v would read
+    a row from its end, and one too large would fail with a bare
+    ``IndexError``."""
+    if v not in values:
+        raise PreconditionFailed(kind, f"{v} is not one of the {len(values)} {what}")
+    return v
+
+
+def _require_keys(sys: Cryptosystem, *keys: int) -> None:
+    for key in keys:
+        _require_in("key", key, sys.semigroup.elements, "keys")
+
+
 def decrypt_key_space(sys: Cryptosystem, x: int, key: int) -> frozenset[int]:
     """K(key, x): all t such that t*key fixes x."""
-    table = sys.key_table
-    fixing = table.stabilizers[x]
-    return frozenset(t for t, u in enumerate(table.columns[key]) if fixing >> u & 1)
+    fixing = sys.act.stabilizers[_require_in("point", x, sys.act.points, "points")]
+    _require_keys(sys, key)
+    return frozenset(t for t, u in enumerate(sys.key_table.columns[key]) if u in fixing)
 
 
 def key_space_sizes(sys: Cryptosystem) -> frozenset[int]:
@@ -144,6 +155,7 @@ def key_space_sizes(sys: Cryptosystem) -> frozenset[int]:
 
 def uniform_decrypt_keys(sys: Cryptosystem, key: int) -> frozenset[int]:
     """Decrypt keys valid for every point: the intersection of K(s, x) over x."""
+    _require_keys(sys, key)
     return sys.key_table.uniform[key]
 
 
@@ -244,8 +256,7 @@ def _encrypt(rows, x: int) -> tuple[int, ...]:
     x's ciphertext; an x outside the points, which would index the rows
     from their end, is refused.  A run finds its decrypt keys before it
     reads a row, so a system with no points refuses the keys first."""
-    if not 0 <= x < len(rows[0]):
-        raise PreconditionFailed("plaintext", f"{x} is not one of the {len(rows[0])} points")
+    _require_in("plaintext", x, range(len(rows[0])), "points")
     return tuple(row[x] for row in rows)
 
 
@@ -263,6 +274,7 @@ def massey_omura_rows(
     """
     act = sys.act.table  # total: every entry defined
     s, t = alice_key, bob_key
+    _require_keys(sys, s, t)
     if biact is None and not sys.key_table.commutative:
         raise PreconditionFailed("commutative", "supply a biact for this semigroup")
     s_inv = _uniform_key(sys, s)
@@ -306,6 +318,7 @@ def elgamal_rows(
     composition."""
     mul, act = sys.act.semigroup.table, sys.act.table  # total: every entry defined
     s, c, d = shared, alice_key, bob_key
+    _require_keys(sys, s, c, d)
     public = mul[s][d]
     mask = mul[c][public]
     trace = mul[c][s]
@@ -359,10 +372,11 @@ class ModExpSystem:
         return self.exponents.index(n)
 
     def point_of(self, x: int) -> int:
-        return x - 1  # the units are 1..p-1
+        """The point of the unit x; the units are 1..p-1, at points 0..p-2."""
+        return _require_in("unit", x, self.units, "units") - 1
 
     def unit_value(self, point: int) -> int:
-        return self.units[point]
+        return self.units[_require_in("point", point, range(len(self.units)), "points")]
 
     @cached_property
     def system(self) -> Cryptosystem:
@@ -492,4 +506,6 @@ def classify_locally_free_cryptosystem(act: acts.PartialAct, wp: acts.PartialAct
 
 def discrete_log_candidates(sys: Cryptosystem, x: int, y: int) -> frozenset[int]:
     """All keys s with s*x = y: the brute-force discrete log."""
+    for v in (x, y):
+        _require_in("point", v, sys.act.points, "points")
     return frozenset(s for s in sys.act.semigroup.elements if sys.act.act(s, x) == y)

@@ -1,6 +1,7 @@
 """Cryptosystems over cancellative acts: key spaces, protocol round
 trips on the modular-exponentiation oracle, and the orbit classification."""
 
+import dataclasses
 import json
 import math
 import random
@@ -335,6 +336,42 @@ def test_biact_and_unitary_key_space_checks_take_their_systems(monkeypatch):
     )
 
 
+def test_crypto_checks_take_the_systems_that_meet_their_hypotheses(monkeypatch):
+    # by hypothesis, not by fixture name: the unitary key-space check takes
+    # every E-unitary locally free system, the biact check every system
+    # that is S acting on itself by left multiplication, and the one-copy
+    # control of the classification every canonical system
+    handed = {}
+    for check in ("_unitary_key_space_violations", "_biact_roundtrip_violations"):
+        real = getattr(verify, check)
+
+        def spy(systems, _real=real, _check=check):
+            handed[_check] = [name for name, _ in systems]
+            return _real(systems)
+
+        monkeypatch.setattr(verify, check, spy)
+    findings = verify.suite_crypto()
+    assert all(f.passed for f in findings)
+    assert handed == {
+        "_unitary_key_space_violations": ["Z3", "Z6", "Z3E", "Z6E", "CHAIN3"],
+        "_biact_roundtrip_violations": ["Z3", "Z6"],
+    }
+    # a report of two copies fails exactly the canonical systems
+    classify = crypto.classify_locally_free_cryptosystem
+    monkeypatch.setattr(
+        crypto,
+        "classify_locally_free_cryptosystem",
+        lambda act, wp: dataclasses.replace(classify(act, wp), copies=2),
+    )
+    failing = [
+        name
+        for name, sys_ in verify._system_corpus()
+        if verify._classification_violations([(name, sys_)])
+        == f"{name}: expected one copy of the base orbit"
+    ]
+    assert failing == ["Z3", "Z6", "B2", "Z3E", "Z6E", "CHAIN3"]
+
+
 def test_classification_band_extension():
     S = fx("Z3E")
     sys_ = band_system()
@@ -388,6 +425,96 @@ def test_discrete_log_candidates():
     cands = crypto.discrete_log_candidates(sys_, x, y)
     assert ms.element_of(3) in cands
     assert all(sys_.act.act(s, x) == y for s in cands)
+
+
+# --- keys and points outside their range ---------------------------------------
+
+
+def refused(kind, query):
+    """The message of the ``PreconditionFailed(kind)`` that query raises."""
+    with pytest.raises(PreconditionFailed) as exc:
+        query()
+    assert exc.value.name == kind
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("name", ["modexp-7", "Z6", "Z3E"])
+def test_crypto_queries_refuse_keys_and_points_out_of_range(name):
+    sys_ = crypto.modexp_system(7).system if name == "modexp-7" else band_system(name)
+    n, m = len(sys_.semigroup.table), len(sys_.act.table[0])
+    for key in (-1, n, n + 92):
+        message = f"precondition failed: key {key} is not one of the {n} keys"
+        queries = [
+            lambda: crypto.decrypt_key_space(sys_, 0, key),
+            lambda: crypto.uniform_decrypt_keys(sys_, key),
+            lambda: crypto.massey_omura_rows(sys_, key, 0),
+            lambda: crypto.massey_omura_rows(sys_, 0, key),
+            lambda: crypto.massey_omura(sys_, 0, key, 0),
+            lambda: crypto.massey_omura(sys_, 0, 0, key),
+            lambda: crypto.elgamal_rows(sys_, key, 0, 0),
+            lambda: crypto.elgamal_rows(sys_, 0, key, 0),
+            lambda: crypto.elgamal_rows(sys_, 0, 0, key),
+            lambda: crypto.elgamal(sys_, 0, 0, 0, key),
+        ]
+        if sys_.act.properties.locally_free:
+            queries.append(lambda: crypto.locally_free_key_space(sys_, 0, key))
+        for query in queries:
+            assert refused("key", query) == message
+    for x in (-1, m, m + 92):
+        message = f"precondition failed: point {x} is not one of the {m} points"
+        queries = [
+            lambda: crypto.decrypt_key_space(sys_, x, 0),
+            lambda: crypto.discrete_log_candidates(sys_, x, 0),
+            lambda: crypto.discrete_log_candidates(sys_, 0, x),
+        ]
+        if sys_.act.properties.locally_free:
+            queries.append(lambda: crypto.locally_free_key_space(sys_, x, 0))
+        for query in queries:
+            assert refused("point", query) == message
+        plaintext = f"precondition failed: plaintext {x} is not one of the {m} points"
+        assert refused("plaintext", lambda: crypto.massey_omura(sys_, x, 0, 0)) == plaintext
+        assert refused("plaintext", lambda: crypto.elgamal(sys_, x, 0, 0, 0)) == plaintext
+    # the last key and point are still answered
+    assert crypto.decrypt_key_space(sys_, m - 1, n - 1) == frozenset(
+        t for t in range(n) if sys_.act.table[sys_.semigroup.table[t][n - 1]][m - 1] == m - 1
+    )
+
+
+def test_biact_runs_refuse_keys_out_of_range():
+    S = fx("Z6")
+    sys_ = band_system("Z6")
+    biact = crypto.build_biact(S, sys_.act.table, [[S.mul(x, s) for s in S.elements] for x in S.elements])
+    for key in (-1, 6):
+        assert refused("key", lambda: crypto.massey_omura_rows(sys_, key, 0, biact)) == (
+            f"precondition failed: key {key} is not one of the 6 keys"
+        )
+        assert refused("key", lambda: crypto.massey_omura_rows(sys_, 0, key, biact))
+
+
+def test_modexp_units_and_points_out_of_range_are_refused():
+    # measured before the checks: point_of(0) was -1, point_of(7) was 6,
+    # unit_value(-1) was 6, and negative keys read keys from the end
+    for p in (2, 5, 7):
+        ms = crypto.modexp_system(p)
+        units = [u for u in range(1, p) if math.gcd(u, p) == 1]
+        assert [ms.point_of(u) for u in units] == list(range(len(units)))
+        assert [ms.unit_value(x) for x in range(len(units))] == units
+        for u in (-1, 0, p, p + 1):
+            assert refused("unit", lambda: ms.point_of(u)) == (
+                f"precondition failed: unit {u} is not one of the {len(units)} units"
+            )
+        for x in (-1, len(units)):
+            assert refused("point", lambda: ms.unit_value(x)) == (
+                f"precondition failed: point {x} is not one of the {len(units)} points"
+            )
+    ms = crypto.modexp_system(7)
+    sys_ = ms.system
+    with pytest.raises(PreconditionFailed):
+        crypto.decrypt_key_space(sys_, -1, -1)
+    with pytest.raises(PreconditionFailed):
+        crypto.massey_omura(sys_, 0, -1, 1)
+    with pytest.raises(PreconditionFailed):
+        crypto.decrypt_key_space(sys_, 99, 0)
 
 
 # --- the decrypt-key table against scans of the act ---------------------------

@@ -413,6 +413,30 @@ def _swapped_rho_images(monkeypatch):
     return verify._self_conjugacy_violations(S, bases)
 
 
+def _with_coset_act(rows_of):
+    # a fresh Z3E whose coset act on H = {0, 3} has the rows rows_of(table)
+    S = core.build_semigroup(fx("Z3E").table)
+    H = frozenset({0, 3})
+    space = cosets.coset_space(S, H)
+    act = dataclasses.replace(space.act, table=rows_of(space.act.table))
+    S.structure.coset_spaces[H] = dataclasses.replace(space, act=act)
+    return verify._self_conjugacy_violations(S, closures.closed_e_dense_subsemigroups(S))
+
+
+def _corrupted_coset_act_row(monkeypatch):
+    # 4 lies in the coset {1, 4} and is given the row of 2
+    return _with_coset_act(lambda table: (*table[:4], table[2], *table[5:]))
+
+
+def _relabelled_coset_act(monkeypatch):
+    # every row relabelled by swapping the cosets 1 and 2: rho keeps its
+    # laws and kernel, and the quotient reads x, y -> y - x off the rows
+    swap = (0, 2, 1)
+    return _with_coset_act(
+        lambda table: tuple(tuple(swap[row[swap[i]]] for i in range(3)) for row in table)
+    )
+
+
 def _swapped_displayed_map(monkeypatch):
     real = construction.adjoined_band_to_cu_map
 
@@ -490,6 +514,15 @@ WRONG_RESULTS = {
     "cosets.self-conjugacy-forms": (
         _swapped_rho_images,
         "H=[0, 3]: rho must be a homomorphism",
+    ),
+    "cosets.self-conjugacy-forms/act-row": (
+        _corrupted_coset_act_row,
+        "H=[0, 3]: rho must be a homomorphism",
+    ),
+    "cosets.self-conjugacy-forms/relabelled-act": (
+        _relabelled_coset_act,
+        "H=[0, 3]: the cosets do not form a group with identity H"
+        " (table not associative at triple (1, 0, 0))",
     ),
     "construction.direct-extension-matches-pair-monoid": (
         _swapped_displayed_map,
@@ -698,6 +731,30 @@ def test_crypto_is_handed_its_wagner_preston_acts():
         if isinstance(node, ast.Call):
             callee = getattr(node.func, "id", getattr(node.func, "attr", None))
             assert callee != "wagner_preston", f"crypto.py:{node.lineno}"
+
+
+def test_coset_bases_are_validated_by_the_coset_space_alone():
+    # one memo per base: coset_space validates a base on a memo miss, and
+    # every other coset query reads the validated base from the space
+    path = ROOT / "src" / "edense" / "cosets.py"
+    tree = ast.parse(path.read_text(), str(path))
+    owner = {}
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update((node, func.name) for node in ast.walk(func))
+    callers = [
+        owner.get(node, "<module>")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "check_base"
+    ]
+    assert callers == ["coset_space"]
+    for path in sorted((ROOT / "src" / "edense").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "bases":
+                assert getattr(node.value, "attr", getattr(node.value, "id", None)) != "structure", (
+                    f"{path.name}:{node.lineno}"
+                )
 
 
 def test_module_level_caches_are_the_three_known_ones():
