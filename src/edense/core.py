@@ -228,16 +228,16 @@ def _picker(indices):
 def _check_range(rows, bound: int, width: int | None = None) -> None:
     """Every entry of every row is an id 0..bound-1, and with ``width``
     every row has that many entries (``OutOfRangeEntry(i, len(row), -1)``
-    otherwise).  A row is tested as a whole, and a failing one rescanned
-    to raise ``OutOfRangeEntry`` at its first bad entry."""
+    otherwise).  A row is tested as a whole, and a failing one rescanned,
+    with the same membership test, to raise ``OutOfRangeEntry`` at its
+    first bad entry, whatever its type."""
     ids = frozenset(range(bound))
     for i, row in enumerate(rows):
         if width is not None and len(row) != width:
             raise OutOfRangeEntry(i, len(row), -1)
         if not ids.issuperset(row):
-            for j, v in enumerate(row):
-                if not 0 <= v < bound:
-                    raise OutOfRangeEntry(i, j, v)
+            j = next(j for j, v in enumerate(row) if v not in ids)
+            raise OutOfRangeEntry(i, j, row[j])
 
 
 def build_semigroup(rows, identity_hint=None, labels=None, name="") -> FiniteSemigroup:

@@ -196,47 +196,42 @@ class ProtocolTranscript(NamedTuple):
 
 @dataclass(frozen=True)
 class BiactTable:
-    """Compatible left and right total cancellative actions on one set,
-    each kept by element, with the least right decrypt key of each t: the
-    least r such that x(tr) = x for every point x, or None."""
+    """A cryptosystem with a compatible right total cancellative action on
+    its points, kept by element, and the least right decrypt key of each
+    t: the least r such that x(tr) = x for every point x, or None."""
 
-    semigroup: FiniteSemigroup
-    left: tuple[tuple[int, ...], ...]  # left[s][x] = s*x
+    system: Cryptosystem
     right: tuple[tuple[int, ...], ...]  # right[s][x] = x*s
     least_right_key: tuple[int | None, ...]
 
 
-def build_biact(S: FiniteSemigroup, left_rows, right_rows) -> BiactTable:
-    """Check both actions and their compatibility, a whole row at a time.
+def build_biact(sys: Cryptosystem, right_rows) -> BiactTable:
+    """Check a right action on the points of ``sys`` and its compatibility
+    with the system's act, which ``build_cryptosystem`` has validated, a
+    whole row at a time.
 
-    ``left_rows[s][x]`` is s*x and ``right_rows[x][s]`` is x*s.  Their
-    shape and range are checked first.  Every law is scanned with s over
-    the greedy generators of S and the other arguments in full.  That is
-    exhaustive: once both composition laws hold, the s with
-    (sx)t = s(xt) for all x, t are closed under products,
-    ((ab)x)t = a(b(xt)) = (ab)(xt), so the least failing s is a
-    generator, as it is for the composition laws themselves (see
+    ``right_rows[x][s]`` is x*s.  Their shape and range are checked first.
+    Every law is scanned with s over the greedy generators of S and the
+    other arguments in full.  That is exhaustive: once both composition
+    laws hold, the s with (sx)t = s(xt) for all x, t are closed under
+    products, ((ab)x)t = a(b(xt)) = (ab)(xt), so the least failing s is a
+    generator, as it is for the composition law itself (see
     ``core._composition_witness``).
     """
-    left = tuple(tuple(r) for r in left_rows)
+    S, left, m = sys.semigroup, sys.act.table, sys.act.carrier
     by_point = tuple(tuple(r) for r in right_rows)
-    m = len(left[0]) if left else 0
-    if len(left) != S.n:
-        raise PreconditionFailed("act_shape", f"{len(left)} left rows for order {S.n}")
     if len(by_point) != m:
         raise PreconditionFailed("act_shape", f"{len(by_point)} right rows for {m} points")
-    core._check_range(left, m, width=m)
     core._check_range(by_point, m, width=S.n)
     right = tuple(zip(*by_point)) if m else ((),) * S.n  # x*s, by s
-    witnesses = [core._composition_witness(S, left), core._composition_witness(S, right, True)]
-    if any(witnesses):
-        raise NotAssociativeAction(*min(w for w in witnesses if w))
-    for s in S.elements:
-        for row in (left[s], right[s]):
-            if len(set(row)) != m:
-                # the first point whose image an earlier point already has
-                y = next(y for y, v in enumerate(row) if row.index(v) != y)
-                raise NotCancellative(s, row.index(row[y]), y)
+    witness = core._composition_witness(S, right, True)
+    if witness:
+        raise NotAssociativeAction(*witness)
+    for s, row in enumerate(right):
+        if len(set(row)) != m:
+            # the first point whose image an earlier point already has
+            y = next(y for y, v in enumerate(row) if row.index(v) != y)
+            raise NotCancellative(s, row.index(row[y]), y)
     for s, t in product(S.structure.generators, S.elements):
         # (sx)t against s(xt)
         after, before = left[s], right[t]
@@ -248,7 +243,7 @@ def build_biact(S: FiniteSemigroup, left_rows, right_rows) -> BiactTable:
     least_right_key = tuple(
         next((r for r, tr in enumerate(row) if fixes_all[tr]), None) for row in S.table
     )
-    return BiactTable(S, left, right, least_right_key)
+    return BiactTable(sys, right, least_right_key)
 
 
 def _encrypt(rows, x: int) -> tuple[int, ...]:
@@ -268,7 +263,8 @@ def massey_omura_rows(
     plaintext.
 
     With a commutative semigroup the two locks slide past each other;
-    otherwise a compatible right action takes Bob's place.  Both decrypt
+    otherwise the right action of a biact of this system takes Bob's
+    place, and a biact of another system is refused.  Both decrypt
     keys are found first; then each pass after the first is one
     whole-row composition.
     """
@@ -277,18 +273,20 @@ def massey_omura_rows(
     _require_keys(sys, s, t)
     if biact is None and not sys.key_table.commutative:
         raise PreconditionFailed("commutative", "supply a biact for this semigroup")
+    if biact is not None and biact.system != sys:
+        raise PreconditionFailed("biact", "the biact was built on another system")
     s_inv = _uniform_key(sys, s)
     if biact is None:
-        left = right = act
+        right = act
         t_inv = _uniform_key(sys, t)
     else:
-        left, right = biact.left, biact.right
+        right = biact.right
         t_inv = biact.least_right_key[t]
         if t_inv is None:
             raise NoDecryptKey(t)
-    m1 = left[s]
+    m1 = act[s]
     m2 = core._picker(m1)(right[t])
-    m3 = core._picker(m2)(left[s_inv])
+    m3 = core._picker(m2)(act[s_inv])
     return m1, m2, m3, core._picker(m3)(right[t_inv])
 
 

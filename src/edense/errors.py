@@ -30,7 +30,7 @@ class NonAssociative(WorkbenchError):
 class OutOfRangeEntry(WorkbenchError):
     def __init__(self, row, col, value):
         self.witness = (row, col, value)
-        super().__init__(f"entry [{row}][{col}] = {value} out of range")
+        super().__init__(f"entry [{row}][{col}] = {value!r} out of range")
 
 
 class BadIdentityHint(WorkbenchError):

@@ -1065,10 +1065,9 @@ def _pre_inverse_uniform_violations(systems):
 
 def _stabilizer_closed_violations(systems):
     for name, sys in systems:
-        S = sys.semigroup
-        for x, st in enumerate(sys.act.stabilizers):
-            if closures.omega_h(S, st) != st:
-                return f"{name}: stabilizer of {x} not closed"
+        violation = _stabilizers_closed_violations(sys.act)
+        if violation:
+            return f"{name}: {violation}"
 
 
 def _key_space_violations(systems):
@@ -1165,8 +1164,7 @@ def _biact_roundtrip_violations(systems):
     must be left multiplication on all of S; S acts on the right by product."""
     for name, sys in systems:
         S = sys.semigroup
-        right = [[S.mul(x, s) for s in S.elements] for x in range(S.n)]
-        biact = crypto.build_biact(S, sys.act.table, right)
+        biact = crypto.build_biact(sys, S.table)  # x*s is S.table[x][s]
         points = tuple(sys.act.points)
         keys = list(product(S.elements, repeat=2))
         if all(crypto.massey_omura_rows(sys, s, t, biact)[-1] == points for s, t in keys):

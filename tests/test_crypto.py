@@ -265,11 +265,33 @@ def test_biact_variant_roundtrip():
     S = fx("Z6")
     left, _ = acts.left_mult_total(S)
     right = [[S.mul(x, s) for s in S.elements] for x in range(S.n)]
-    biact = crypto.build_biact(S, left, right)
     sys_ = crypto.build_cryptosystem(S, left)
+    biact = crypto.build_biact(sys_, right)
+    assert biact.system is sys_
     for x in range(6):
         t = crypto.massey_omura(sys_, x, 2, 5, biact=biact)
         assert t.ok
+
+
+def test_a_biact_of_another_system_is_refused():
+    # Z6 acting trivially on 3 points, and a biact of Z6 acting on Z3 by
+    # x + s mod 3 on both sides: run together, Alice's passes would come
+    # from the one and her decrypt key from the other
+    S = fx("Z6")
+    trivial = crypto.build_cryptosystem(S, [[0, 1, 2]] * 6)
+    z3 = [[(x + s) % 3 for x in range(3)] for s in S.elements]
+    biact = crypto.build_biact(crypto.build_cryptosystem(S, z3), list(zip(*z3)))
+    for run in (
+        lambda: crypto.massey_omura_rows(trivial, 1, 1, biact),
+        lambda: crypto.massey_omura(trivial, 0, 1, 1, biact=biact),
+    ):
+        with pytest.raises(PreconditionFailed) as exc:
+            run()
+        assert exc.value.name == "biact"
+    # a system equal to the biact's, built again, is the same system
+    again = crypto.build_cryptosystem(S, z3)
+    assert again is not biact.system and again == biact.system
+    assert all(crypto.massey_omura(again, x, 1, 1, biact=biact).ok for x in range(3))
 
 
 def test_stabilizers_left_dense():
@@ -483,7 +505,7 @@ def test_crypto_queries_refuse_keys_and_points_out_of_range(name):
 def test_biact_runs_refuse_keys_out_of_range():
     S = fx("Z6")
     sys_ = band_system("Z6")
-    biact = crypto.build_biact(S, sys_.act.table, [[S.mul(x, s) for s in S.elements] for x in S.elements])
+    biact = crypto.build_biact(sys_, [[S.mul(x, s) for s in S.elements] for x in S.elements])
     for key in (-1, 6):
         assert refused("key", lambda: crypto.massey_omura_rows(sys_, key, 0, biact)) == (
             f"precondition failed: key {key} is not one of the 6 keys"
@@ -827,35 +849,34 @@ def reference_total_action_error(S, rows):
 
 
 def reference_biact_error(S, left, right):
-    """The per-entry checks of ``build_biact``, in their order: shape and
-    range, both composition laws, cancellativity at the first colliding
+    """The per-entry checks of ``build_cryptosystem`` on the left rows,
+    then those of ``build_biact`` on the right rows, in their order: shape
+    and range, the composition law, cancellativity at the first colliding
     pair of points, compatibility."""
-    m = len(left[0]) if left else 0
-    if len(left) != S.n:
-        return PreconditionFailed("act_shape", f"{len(left)} left rows for order {S.n}")
+    error = reference_build_error(S, left)
+    if error is not None:
+        return error
+    m = len(left[0])
     if len(right) != m:
         return PreconditionFailed("act_shape", f"{len(right)} right rows for {m} points")
-    for rows, width in ((left, m), (right, S.n)):
-        for i, row in enumerate(rows):
-            if len(row) != width:
-                return OutOfRangeEntry(i, len(row), -1)
-            for j, v in enumerate(row):
-                if not 0 <= v < m:
-                    return OutOfRangeEntry(i, j, v)
+    for i, row in enumerate(right):
+        if len(row) != S.n:
+            return OutOfRangeEntry(i, len(row), -1)
+        for j, v in enumerate(row):
+            if not 0 <= v < m:
+                return OutOfRangeEntry(i, j, v)
     for s, t in product(S.elements, repeat=2):
         st = S.mul(s, t)
         for x in range(m):
-            if left[st][x] != left[s][left[t][x]]:
-                return NotAssociativeAction(s, t, x)
             if right[right[x][s]][t] != right[x][st]:
                 return NotAssociativeAction(s, t, x)
     for s in S.elements:
-        # s*x on the left, x*s on the right
-        for image in ([left[s][x] for x in range(m)], [right[x][s] for x in range(m)]):
-            for y in range(m):
-                for x in range(y):
-                    if image[x] == image[y]:
-                        return NotCancellative(s, x, y)
+        # x*s
+        image = [right[x][s] for x in range(m)]
+        for y in range(m):
+            for x in range(y):
+                if image[x] == image[y]:
+                    return NotCancellative(s, x, y)
     for s, t in product(S.elements, repeat=2):
         for x in range(m):
             if right[left[s][x]][t] != left[s][right[x][t]]:
@@ -875,6 +896,11 @@ def test_wagner_preston_composition_matches_triple_loop(name):
         assert witness == (None if error is None else error.witness), (name, seed)
 
 
+def build_biact_of(S, left, right):
+    """``build_biact`` on the cryptosystem of the left rows."""
+    return crypto.build_biact(crypto.build_cryptosystem(S, left), right)
+
+
 def biact_rows(name, S, rows):
     if name.startswith("modexp"):
         return [[rows[s][x] for s in S.elements] for x in range(len(rows[0]))]
@@ -884,7 +910,7 @@ def biact_rows(name, S, rows):
 @pytest.mark.parametrize("name,S,rows", TOTAL_ACTS, ids=[n for n, _, _ in TOTAL_ACTS])
 def test_build_biact_witnesses_match_triple_loops(name, S, rows):
     right = biact_rows(name, S, rows)
-    assert outcome(crypto.build_biact, S, rows, right) == expected(
+    assert outcome(build_biact_of, S, rows, right) == expected(
         reference_biact_error(S, rows, right)
     )
     seen = set()
@@ -894,7 +920,7 @@ def test_build_biact_witnesses_match_triple_loops(name, S, rows):
         left = corrupted(rows, rng) if seed % 3 != 1 else rows
         right_bad = corrupted(right, rng) if seed % 3 != 0 else right
         error = reference_biact_error(S, left, right_bad)
-        assert outcome(crypto.build_biact, S, left, right_bad) == expected(error), (name, seed)
+        assert outcome(build_biact_of, S, left, right_bad) == expected(error), (name, seed)
         seen.add(type(error))
     assert NotAssociativeAction in seen
 
@@ -949,7 +975,7 @@ def test_build_biact_matches_triple_loops_over_few_generators(p):
         left = bad if k % 3 != 1 else rows
         right_bad = biact_rows("modexp", S, bad) if k % 3 != 0 else right
         error = reference_biact_error(S, left, right_bad)
-        assert outcome(crypto.build_biact, S, left, right_bad) == expected(error), (p, k)
+        assert outcome(build_biact_of, S, left, right_bad) == expected(error), (p, k)
 
 
 @pytest.mark.parametrize("p", MODEXP_PRIMES)
@@ -965,7 +991,7 @@ def test_act_scans_reach_the_last_generator(p):
     assert isinstance(error, NotAssociativeAction) and error.witness[0] == gens[-1]
     assert outcome(crypto.build_cryptosystem, S, bad) == expected(error)
     assert outcome(acts.validate_act, S, bad) == expected(reference_validate_error(S, bad))
-    assert outcome(crypto.build_biact, S, bad, biact_rows("modexp", S, rows)) == expected(error)
+    assert outcome(build_biact_of, S, bad, biact_rows("modexp", S, rows)) == expected(error)
     H = closure(S.table, gens[:-1])
     c_inv = next(d for d in S.elements if S.mul(c, d) == S.identity)
     pi = [x if x in H else S.mul(x, c) for x in S.elements]
@@ -974,7 +1000,7 @@ def test_act_scans_reach_the_last_generator(p):
     right = [[pi_inv[S.mul(pi[x], t)] for t in S.elements] for x in S.elements]
     error = reference_biact_error(S, left, right)
     assert isinstance(error, NotAssociativeAction) and error.witness[0] == gens[-1]
-    assert outcome(crypto.build_biact, S, left, right) == expected(error)
+    assert outcome(build_biact_of, S, left, right) == expected(error)
 
 
 def test_composition_scan_multiplies_generators_only(monkeypatch):
@@ -989,6 +1015,36 @@ def test_composition_scan_multiplies_generators_only(monkeypatch):
     assert ms.semigroup.n == 64 and len(gens) < 8
     assert 0 < len(products) <= len(gens) * 64
     assert set(products) <= set(gens)
+
+
+def test_a_biact_validates_its_right_action_only(monkeypatch):
+    # the left action is the system's act, validated by build_cryptosystem;
+    # build_biact runs the composition scan once, on the right rows
+    S = fx("Z6")
+    sys_ = crypto.locally_free_system(S)
+    scanned = []
+    real = core._composition_witness
+    monkeypatch.setattr(
+        core,
+        "_composition_witness",
+        lambda S, table, right=False: scanned.append((table, right)) or real(S, table, right),
+    )
+    crypto.build_biact(sys_, S.table)
+    assert scanned == [(tuple(zip(*S.table)), True)]
+    # the biact check of a corpus verify scans once for each of Z3 and Z6
+    per_biact = []
+    build = crypto.build_biact
+
+    def counted(*args):
+        before = len(scanned)
+        biact = build(*args)
+        per_biact.append(len(scanned) - before)
+        return biact
+
+    monkeypatch.setattr(crypto, "build_biact", counted)
+    findings = {f.name: f for f in verify.suite_crypto()}
+    assert findings["crypto.biact-roundtrip"].passed
+    assert per_biact == [1, 1]
 
 
 def test_modexp_systems_match_direct_builds():
@@ -1011,34 +1067,43 @@ def test_build_biact_later_checks_match_triple_loop():
     # which is cancellative but does not commute with the left action
     S = fx("Z6")
     rows, _ = acts.left_mult_total(S)
+    sys_ = crypto.build_cryptosystem(S, rows)
     swap = [1, 0, 2, 3, 4, 5]
     constant = [[0] * 6 for _ in S.elements]
     swapped = [[swap[(swap[x] + s) % 6] for s in S.elements] for x in S.elements]
     for right, kind in ((constant, NotCancellative), (swapped, NotAssociativeAction)):
         error = reference_biact_error(S, rows, right)
         assert isinstance(error, kind)
-        assert outcome(crypto.build_biact, S, rows, right) == expected(error)
+        assert outcome(crypto.build_biact, sys_, right) == expected(error)
 
 
 def test_build_biact_refuses_malformed_rows_by_name():
     # shape and range are checked before any law, so no row is indexed out
-    # of range, and a collision names its two points on either side
+    # of range, and a collision names its two points
     S = fx("Z3")
     left = [list(row) for row in S.table]
+    sys_ = crypto.build_cryptosystem(S, left)
     right = [[S.mul(x, s) for s in S.elements] for x in S.elements]
     constant = [[0] * 3 for _ in S.elements]
     cases = [
-        (left, [right[0], right[1][:2], right[2]], OutOfRangeEntry, (1, 2, -1)),
-        (left, right[:2], PreconditionFailed, None),
-        ([left[0], [1, 2, 3], left[2]], right, OutOfRangeEntry, (1, 2, 3)),
-        (left, [right[0], right[1], [-1, 0, 1]], OutOfRangeEntry, (2, 0, -1)),
-        (constant, right, NotCancellative, (0, 0, 1)),
-        (left, constant, NotCancellative, (0, 0, 1)),
+        ([right[0], right[1][:2], right[2]], OutOfRangeEntry, (1, 2, -1)),
+        (right[:2], PreconditionFailed, None),
+        ([right[0], right[1], [-1, 0, 1]], OutOfRangeEntry, (2, 0, -1)),
+        (constant, NotCancellative, (0, 0, 1)),
     ]
-    for lrows, rrows, kind, witness in cases:
-        error = reference_biact_error(S, lrows, rrows)
+    for rrows, kind, witness in cases:
+        error = reference_biact_error(S, left, rrows)
         assert isinstance(error, kind) and getattr(error, "witness", None) == witness
-        assert outcome(crypto.build_biact, S, lrows, rrows) == expected(error), (lrows, rrows)
+        assert outcome(crypto.build_biact, sys_, rrows) == expected(error), rrows
+    # malformed left rows are refused by build_cryptosystem, before any
+    # biact of them can exist
+    for lrows, kind, witness in (
+        ([left[0], [1, 2, 3], left[2]], OutOfRangeEntry, (1, 2, 3)),
+        (constant, NotCancellative, (0, 0, 1)),
+    ):
+        with pytest.raises(kind) as exc:
+            crypto.build_cryptosystem(S, lrows)
+        assert exc.value.witness == witness
     # a right action of all of S on a system on a 4-point ideal of Z4E
     z4e = construction.adjoined_band_semigroup(core.build_semigroup(cyclic_table(4)))
     with pytest.raises(PreconditionFailed, match="8 right rows for 4 points"):

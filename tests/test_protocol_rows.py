@@ -46,10 +46,10 @@ def least_key(S, rows, s):
     return keys[0]
 
 
-def oracle_massey_omura(sys_, x, s, t, right=None, key=None, left=None):
+def oracle_massey_omura(sys_, x, s, t, right=None, key=None):
     """The transcript of one plaintext, entry by entry.  ``right[y][s]`` is
     y*s; ``key(s)`` is Alice's decrypt key, the least uniform key by
-    default; ``left`` stands for the act's rows in the biact variant."""
+    default."""
     S, act = sys_.semigroup, sys_.act.table
     key = key or (lambda k: least_key(S, act, k))
     if right is None and any(S.mul(a, b) != S.mul(b, a) for a, b in product(S.elements, repeat=2)):
@@ -65,10 +65,9 @@ def oracle_massey_omura(sys_, x, s, t, right=None, key=None, left=None):
         t_inv = oracle_right_key(S, right, t)
         if t_inv is None:
             raise NoDecryptKey(t)
-        left = left or act
-        m1 = left[s][x]
+        m1 = act[s][x]
         m2 = right[m1][t]
-        m3 = left[s_inv][m2]
+        m3 = act[s_inv][m2]
         recovered = right[m3][t_inv]
     entries = (
         ("alice", "ciphertext-1", m1),
@@ -163,7 +162,7 @@ def test_the_biact_run_matches_the_oracle_on_z6():
     S = fx("Z6")
     sys_ = crypto.locally_free_system(S)
     right = right_mult(S)
-    biact = crypto.build_biact(S, sys_.act.table, right)
+    biact = crypto.build_biact(sys_, right)
     assert biact.least_right_key == tuple(oracle_right_key(S, right, t) for t in S.elements)
     for s, t in product(S.elements, repeat=2):
         want = [oracle_massey_omura(sys_, x, s, t, right) for x in sys_.act.points]
@@ -260,12 +259,12 @@ def reference_roundtrip(name, sys_):
                 return f"{name}: key-trace protocol fails at x={x}"
 
 
-def reference_biact_roundtrip(name, sys_, left=None):
+def reference_biact_roundtrip(name, sys_):
     S = sys_.semigroup
     key = sys_.key_table.least_uniform.__getitem__
     for x in sys_.act.points:
         for s, t in product(S.elements, repeat=2):
-            if oracle_massey_omura(sys_, x, s, t, right_mult(S), key, left).recovered != x:
+            if oracle_massey_omura(sys_, x, s, t, right_mult(S), key).recovered != x:
                 return f"{name}: biact three-pass fails at x={x}, s={s}, t={t}"
 
 
@@ -336,8 +335,8 @@ def roundtrip_fidelity():
 
 
 def biact_fidelity():
-    """Wrong uniform keys, and biacts whose left rows are corrupted after
-    ``build_biact`` has checked them."""
+    """Wrong uniform keys, and systems whose act has one corrupted entry,
+    each with the true key table and with the true biact moved onto it."""
     name, S = "Z6", fx("Z6")
     sys_ = crypto.locally_free_system(S)
     pairs = []
@@ -350,18 +349,21 @@ def biact_fidelity():
             )
         )
     real = crypto.build_biact
+    biact = real(sys_, right_mult(S))
     try:
+        # build_biact would refuse the corrupted act as incompatible
+        crypto.build_biact = lambda system, right: dataclasses.replace(biact, system=system)
         for seed in range(12):
             rng = random.Random(f"biact-left-{seed}")
             bad = [list(r) for r in sys_.act.table]
             s, x = rng.randrange(S.n), rng.randrange(S.n)
             bad[s][x] = rng.choice([v for v in S.elements if v != bad[s][x]])
-            bad = tuple(map(tuple, bad))
-            crypto.build_biact = lambda *args: dataclasses.replace(real(*args), left=bad)
+            faulty = crypto.Cryptosystem(acts.PartialAct(S, tuple(map(tuple, bad))))
+            faulty.__dict__["key_table"] = sys_.key_table
             pairs.append(
                 (
-                    verify._biact_roundtrip_violations([(name, sys_)]),
-                    reference_biact_roundtrip(name, sys_, bad),
+                    verify._biact_roundtrip_violations([(name, faulty)]),
+                    reference_biact_roundtrip(name, faulty),
                 )
             )
     finally:

@@ -53,7 +53,7 @@ def ref_find_identity(table):
 def ref_check_range(rows, bound):
     for i, row in enumerate(rows):
         for j, v in enumerate(row):
-            if not 0 <= v < bound:
+            if v not in range(bound):
                 raise OutOfRangeEntry(i, j, v)
 
 
@@ -66,7 +66,7 @@ def ref_build_semigroup(rows, identity_hint=None, labels=None, name=""):
         if len(row) != n:
             raise OutOfRangeEntry(i, len(row), -1)
         for j, v in enumerate(row):
-            if not (0 <= v < n):
+            if v not in range(n):
                 raise OutOfRangeEntry(i, j, v)
     identity = ref_find_identity(table)
     labels = None if labels is None else tuple(labels)
@@ -273,6 +273,28 @@ def test_build_semigroup_agrees_on_valid_and_odd_tables():
         assert core.build_semigroup(table) == ref_build_semigroup(table)
     for rows in ([[0.0]], [[True]], [[float("nan")]], [[1.5, 0], [0, 1]], [[0, 1], [1]]):
         assert outcome(core.build_semigroup, rows) == outcome(ref_build_semigroup, rows), rows
+    # 1.5 is no id: refused by the range check, not at indexing
+    assert outcome(core.build_semigroup, [[1.5, 0], [0, 1]]) == (
+        OutOfRangeEntry,
+        "entry [0][0] = 1.5 out of range",
+    )
+
+
+@pytest.mark.parametrize("odd", (None, "1"))
+def test_entries_that_are_not_ints_are_out_of_range_at_every_entry_point(odd):
+    # a failing row is rescanned with the row test's own membership test,
+    # so an entry that cannot be compared with an int is named, not a
+    # TypeError
+    want = (OutOfRangeEntry, f"entry [0][1] = {odd!r} out of range")
+    Z2 = fx("Z2")
+    assert outcome(core.build_semigroup, [[0, odd], [1, 0]]) == want
+    sys_ = crypto.build_cryptosystem(Z2, Z2.table)
+    assert outcome(crypto.build_biact, sys_, [[0, odd], [1, 0]]) == want
+    assert outcome(construction.build_category, 2, [(0, odd), (1, 1)], {}) == want
+    C = construction.build_category(
+        1, [(0, 0), (0, 0)], {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0}
+    )
+    assert outcome(construction.validate_group_action, C, Z2, [[0], [0]], [[0, odd], [0, 1]]) == want
 
 
 def test_check_range_names_the_witness_of_the_entry_loop():

@@ -505,6 +505,15 @@ def _left_dense_claimed_for_a_non_cancellative_act(monkeypatch):
     return verify._left_dense_violations([("CHAIN3", crypto.Cryptosystem(raw))])
 
 
+def _stabilizer_outside_its_subsemigroup(monkeypatch):
+    # Z3 acting by corrupted rows: the stabilizer of 0 is {0, 1}, which is
+    # upward closed in a group but holds 1, and not 1*1 = 2
+    S = fx("Z3")
+    raw = acts.PartialAct(S, ((0, 1, 2), (0, 2, 1), (2, 0, 1)))
+    assert raw.stabilizers[0] == {0, 1}
+    return verify._stabilizer_closed_violations([("Z3", crypto.Cryptosystem(raw))])
+
+
 WRONG_RESULTS = {
     "acts.order-ideal-forms": (_wrong_order_ideal, "e=0: [e] != W(e)"),
     "cosets.conjugacy-consistency": (
@@ -547,6 +556,10 @@ WRONG_RESULTS = {
     "crypto.left-dense-equivalences": (
         _left_dense_claimed_for_a_non_cancellative_act,
         "CHAIN3: left-dense-equivalences (True,False,False)",
+    ),
+    "crypto.stabilizers-closed": (
+        _stabilizer_outside_its_subsemigroup,
+        "Z3: stabilizer of 0 not an E-dense subsemigroup",
     ),
 }
 
