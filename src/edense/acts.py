@@ -247,18 +247,17 @@ def left_mult_total(S: FiniteSemigroup, carrier=None):
     Returns (rows, labels); ``carrier`` must be a set of element ids
     closed under left multiplication.
     """
-    ids = sorted(carrier) if carrier is not None else list(S.elements)
-    outside = [e for e in ids if e not in S.elements]
+    ids = list(S.elements if carrier is None else carrier)
+    outside = [e for e in ids if not core._is_id(e, S.n)]
     if outside:
-        raise PreconditionFailed("carrier", f"{outside[0]} is not an element id 0..{S.n - 1}")
+        least = min(outside, key=core._id_key)
+        raise PreconditionFailed("carrier", f"{least} is not an element id 0..{S.n - 1}")
+    ids.sort()
     pos = {e: i for i, e in enumerate(ids)}
-    for s in S.elements:
-        for e in ids:
-            if S.mul(s, e) not in pos:
-                raise PreconditionFailed(
-                    "left_ideal", f"{s}*{e} escapes the carrier"
-                )
-    rows = [[pos[S.mul(s, e)] for e in ids] for s in S.elements]
+    rows = [[pos.get(S.mul(s, e)) for e in ids] for s in S.elements]
+    for s, row in enumerate(rows):
+        if None in row:
+            raise PreconditionFailed("left_ideal", f"{s}*{ids[row.index(None)]} escapes the carrier")
     return rows, [S.label(e) for e in ids]
 
 
@@ -269,21 +268,23 @@ def wagner_preston(S: FiniteSemigroup, carrier=None) -> PartialAct:
 
     Left multiplication is a total act because S is associative, so only
     the restricted table is validated.  Needs a semilattice of idempotents.
+
+    The act is kept in ``S.structure.wagner_preston_acts`` by carrier (a
+    set, or None for all of S), so every caller shares it and it dies with
+    S; a refused semigroup or carrier stores nothing and is refused again.
     """
-    rows, labels = left_mult_total(S, carrier)
-    closures.require_semilattice(S)
-    m = len(rows[0])
-    table = []
-    for s in S.elements:
-        winv = core.weak_inverses(S, s)
-        row = []
-        for x in range(m):
-            if any(rows[S.mul(w, s)][x] == x for w in winv):
-                row.append(rows[s][x])
-            else:
-                row.append(None)
-        table.append(row)
-    return validate_act(S, table, labels)
+    built = S.structure.wagner_preston_acts
+    key = None if carrier is None else frozenset(carrier)
+    if key not in built:
+        rows, labels = left_mult_total(S, key)
+        closures.require_semilattice(S)
+        table = []
+        for s, row in enumerate(rows):
+            # the rows of s's for the weak inverses s' of s
+            undo = [rows[S.mul(w, s)] for w in core.weak_inverses(S, s)]
+            table.append([v if any(u[x] == x for u in undo) else None for x, v in enumerate(row)])
+        built[key] = validate_act(S, table, labels)
+    return built[key]
 
 
 def order_ideal(S: FiniteSemigroup, e: int) -> frozenset[int]:

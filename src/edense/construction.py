@@ -252,7 +252,7 @@ def build_category(n_objects, morphisms, compose_map, labels=None) -> FiniteCate
     m = len(morphisms)
     rows = [[None] * m for _ in range(m)]
     for (p, q), r in compose_map.items():
-        if not (0 <= p < m and 0 <= q < m and 0 <= r < m):
+        if not (core._is_id(p, m) and core._is_id(q, m) and core._is_id(r, m)):
             raise OutOfRangeEntry(p, q, r)
         rows[p][q] = r
     source = tuple(src for src, _ in morphisms)
@@ -428,7 +428,7 @@ def c_u_monoid(C: FiniteCategory, action: GroupCategoryAction, u: int) -> CuMono
     """
     if action.category is not C:
         raise PreconditionFailed("action_category", "action was validated on another category")
-    if not 0 <= u < C.n_objects:
+    if not core._is_id(u, C.n_objects):
         raise PreconditionFailed("base_object", f"{u} is not one of the {C.n_objects} objects")
     G = action.group
     if not C.is_strongly_connected():

@@ -87,11 +87,12 @@ class IdempotentStructure:
 class Structure:
     """The derived data of one Cayley table, each part computed on first use.
     ``cosets`` memoises coset spaces and conjugacy witnesses here, by
-    subset, and ``closures`` the E-dense subsemigroups."""
+    subset, ``closures`` the E-dense subsemigroups and ``acts`` the
+    Wagner-Preston acts, by carrier."""
 
     def __init__(self, table):
         self.table, self.coset_spaces, self.conjugacy = table, {}, {}
-        self.subsemigroups = None
+        self.subsemigroups, self.wagner_preston_acts = None, {}
 
     @cached_property
     def generators(self) -> tuple[int, ...]:
@@ -225,18 +226,28 @@ def _picker(indices):
     return itemgetter(*indices)
 
 
+def _is_id(v, n: int) -> bool:
+    """Whether v is an id 0..n-1, an int by type: 0.0 equals 0 but indexes nothing."""
+    return type(v) is int and v in range(n)
+
+
+def _id_key(v):
+    """Sorts would-be ids of any types: the ints in order, then the rest by repr."""
+    return (False, v) if type(v) is int else (True, repr(v))
+
+
 def _check_range(rows, bound: int, width: int | None = None) -> None:
     """Every entry of every row is an id 0..bound-1, and with ``width``
     every row has that many entries (``OutOfRangeEntry(i, len(row), -1)``
-    otherwise).  A row is tested as a whole, and a failing one rescanned,
-    with the same membership test, to raise ``OutOfRangeEntry`` at its
-    first bad entry, whatever its type."""
-    ids = frozenset(range(bound))
+    otherwise).  A row is tested as a whole, by the types of its entries
+    and then by membership, and a failing one rescanned with ``_is_id`` to
+    raise ``OutOfRangeEntry`` at its first bad entry, whatever its type."""
+    ids, ints = frozenset(range(bound)), frozenset({int})
     for i, row in enumerate(rows):
         if width is not None and len(row) != width:
             raise OutOfRangeEntry(i, len(row), -1)
-        if not ids.issuperset(row):
-            j = next(j for j, v in enumerate(row) if v not in ids)
+        if not (ints.issuperset(map(type, row)) and ids.issuperset(row)):
+            j = next(j for j, v in enumerate(row) if not _is_id(v, bound))
             raise OutOfRangeEntry(i, j, row[j])
 
 

@@ -56,7 +56,7 @@ def check_base(S: FiniteSemigroup, H) -> frozenset[int]:
     closures.require_semilattice(S)
     if not H:
         raise BadSubsemigroup("empty subset")
-    outside = sorted(h for h in H if not 0 <= h < S.n)
+    outside = sorted((h for h in H if not core._is_id(h, S.n)), key=core._id_key)
     if outside:
         raise BadSubsemigroup("member out of range", outside)
     if not core.is_subsemigroup(S, H):

@@ -118,11 +118,11 @@ def minimum_idempotent(S: FiniteSemigroup) -> int:
 
 
 def _require_in(kind: str, v, values, what: str):
-    """v, when it is one of ``values``; anything else is refused with
-    ``PreconditionFailed(kind)``.  Used as an index, a negative v would read
-    a row from its end, and one too large would fail with a bare
-    ``IndexError``."""
-    if v not in values:
+    """v, when it is an int and one of ``values``; anything else is refused
+    with ``PreconditionFailed(kind)``.  Used as an index, a negative v would
+    read a row from its end, one too large would fail with a bare
+    ``IndexError``, and 0.0, which equals 0, with a bare ``TypeError``."""
+    if type(v) is not int or v not in values:
         raise PreconditionFailed(kind, f"{v} is not one of the {len(values)} {what}")
     return v
 
@@ -473,29 +473,29 @@ class ClassificationReport:
     copies: int | None
 
 
-def classify_locally_free_cryptosystem(act: acts.PartialAct, wp: acts.PartialAct) -> ClassificationReport:
+def classify_locally_free_cryptosystem(act: acts.PartialAct) -> ClassificationReport:
     """Decide whether a total act decomposes into disjoint copies of the
-    orbit of the minimum idempotent in ``wp``, its Wagner-Preston act.
+    orbit of the minimum idempotent in the Wagner-Preston act of its
+    semigroup, which ``acts.wagner_preston`` keeps on the semigroup.
 
     The decomposition exists exactly when the act is locally free (every
     stabilizer equals the closure of the idempotents); that the two fields
     of the report agree is the finding ``crypto.classification-theorem``.
     """
     _require_total(act.table)
-    acts._require_same_semigroup(act.semigroup, wp)
     f = minimum_idempotent(act.semigroup)
+    wp = acts.wagner_preston(act.semigroup)
     base_points = tuple(sorted(wp.orbit_sets[f]))
     base_act = wp.orbit_act(f)
-    results = []
-    all_iso = True
-    for O in act.orbit_partition:
-        iso = acts.find_act_isomorphism(act.orbit_act(min(O)), base_act)
-        results.append((tuple(sorted(O)), iso is not None))
-        all_iso = all_iso and iso is not None
+    results = tuple(
+        (tuple(sorted(O)), acts.find_act_isomorphism(act.orbit_act(min(O)), base_act) is not None)
+        for O in act.orbit_partition
+    )
+    all_iso = all(iso for _, iso in results)
     return ClassificationReport(
         f,
         base_points,
-        tuple(results),
+        results,
         act.properties.locally_free,
         all_iso,
         len(results) if all_iso else None,

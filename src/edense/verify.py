@@ -287,12 +287,18 @@ def _closure_monotone_violations(S):
 
 
 def _closure_on_idempotents_violations(S):
-    E = sorted(core.idempotents(S))
-    for r in range(len(E) + 1):
-        for sub in combinations(E, r):
-            A = frozenset(sub)
-            if closures.omega_m(S, A) != closures.omega_h(S, A):
-                return f"A <= E but closures differ at {sorted(A)}"
+    """omega_m(A) = omega_h(A) for every A <= E, checked on singletons:
+    both closures are unions of the up-sets of the members of A, so they
+    agree on every A <= E once they agree on each {e}, and the least
+    failing subset (by size, then members) is the least failing singleton.
+    They do agree: for e idempotent, e <= b in the natural order exactly
+    when e <= b in the idempotent-witnessed one.  If e = f*b = b*g for
+    idempotents f, g, take x = f and y = g.  If e = x*b = b*y with
+    x*e = e = e*y, then f = e*x and g = y*e are idempotent
+    ((e*x)(e*x) = e(x*e)x = e*x, and likewise g), and f*b = e*e = b*g."""
+    for e in sorted(core.idempotents(S)):
+        if closures.omega_m(S, {e}) != closures.omega_h(S, {e}):
+            return f"A <= E but closures differ at {[e]}"
 
 
 def _subsemigroup_closure_violations(S):
@@ -402,19 +408,19 @@ def _effective_orbit_violations(act):
         return "effective transitive act with several orbits"
 
 
-def _wp_domain_forms_violations(S, wp):
+def _wp_domain_forms_violations(S):
     # D_s = {x : x = s'sx for some s' in W(s)} = {s'sx : x, s' in W(s)}
     rows, _ = acts.left_mult_total(S)
     for s in S.elements:
         image_form = {
             rows[S.mul(w, s)][x] for w in core.weak_inverses(S, s) for x in range(S.n)
         }
-        if wp.element_domain(s) != image_form:
+        if acts.wagner_preston(S).element_domain(s) != image_form:
             return f"s={s}"
 
 
-def _wp_idempotent_orbit_violations(S, wp):
-    E = core.idempotents(S)
+def _wp_idempotent_orbit_violations(S):
+    E, wp = core.idempotents(S), acts.wagner_preston(S)
     for e in E:
         if wp.stabilizers[e] != closures.omega_h(S, {e}):
             return f"stabilizer of idempotent {e}"
@@ -550,9 +556,9 @@ def _grading_law_violations(act):
             return f"image formula fails at s={s}"
 
 
-def _free_transitive_graded_violations(S, wp, collection):
+def _free_transitive_graded_violations(S, collection):
     E = core.idempotents(S)
-    orbit_acts = {e: wp.orbit_act(e) for e in E}
+    orbit_acts = {e: acts.wagner_preston(S).orbit_act(e) for e in E}
     for e, oa in orbit_acts.items():
         props = oa.properties
         if not (props.locally_free and props.transitive):
@@ -571,10 +577,11 @@ def _free_transitive_graded_violations(S, wp, collection):
             return f"{name}: locally-free+transitive+graded={lhs} but iso-to-idempotent-orbit={rhs}"
 
 
-def _graded_quotient_violations(S, wp, act):
-    g = act.grading
+def _graded_quotient_violations(act):
+    S, g = act.semigroup, act.grading
     if not isinstance(g, acts.Grading):
         return None
+    wp = acts.wagner_preston(S)
     for O in act.orbit_partition:
         x = min(O)
         px = g.p[x]
@@ -611,25 +618,23 @@ def _stabilizers_closed_violations(act):
             return f"stabilizer of {x} not closed"
 
 
-def suite_acts(S: FiniteSemigroup, wp=None) -> list[Finding]:
-    """The act findings of S; ``wp`` is its Wagner-Preston act, built here
-    unless the caller passes it."""
+def suite_acts(S: FiniteSemigroup) -> list[Finding]:
+    """The act findings of S, over the Wagner-Preston act that S keeps."""
     t = _tag(S)
     reason = _skip_reason(S)
     if reason:
         return [Finding(f"acts.skipped{t}", True, reason)]
-    if wp is None:
-        wp = acts.wagner_preston(S)
+    wp = acts.wagner_preston(S)
     munn = acts.munn_act(S)
     collection = [("wp-self", wp), ("munn", munn)]
     collection += [(f"wp-orbit-{min(O)}", wp.orbit_act(min(O))) for O in wp.orbit_partition]
     out = [
         Finding(f"acts.constructions-validate{t}", True, f"{len(collection)} acts"),
-        finding(f"acts.wp-domain-forms{t}", _wp_domain_forms_violations(S, wp)),
-        finding(f"acts.wp-idempotent-orbits{t}", _wp_idempotent_orbit_violations(S, wp)),
+        finding(f"acts.wp-domain-forms{t}", _wp_domain_forms_violations(S)),
+        finding(f"acts.wp-idempotent-orbits{t}", _wp_idempotent_orbit_violations(S)),
         finding(
             f"acts.free-transitive-graded-classification{t}",
-            _free_transitive_graded_violations(S, wp, collection),
+            _free_transitive_graded_violations(S, collection),
         ),
         finding(f"acts.order-ideal-forms{t}", _order_ideal_violations(S)),
         finding(f"acts.munn-grading-is-identity{t}", _munn_grading_violations(S, munn)),
@@ -643,7 +648,7 @@ def suite_acts(S: FiniteSemigroup, wp=None) -> list[Finding]:
             finding(f"acts.locally-free-iff{nt}", _locally_free_iff_violations(act)),
             finding(f"acts.graded-equivalence{nt}", _graded_equivalence_violations(act, munn)),
             finding(f"acts.grading-laws{nt}", _grading_law_violations(act)),
-            finding(f"acts.graded-quotient-of-locally-free{nt}", _graded_quotient_violations(S, wp, act)),
+            finding(f"acts.graded-quotient-of-locally-free{nt}", _graded_quotient_violations(act)),
             finding(f"acts.stabilizers-closed{nt}", _stabilizers_closed_violations(act)),
         ]
     return out
@@ -786,7 +791,8 @@ def _conjugacy_violations(S, bases):
             return f"{at}: conjugacy witness search and act isomorphism disagree"
 
 
-def _stabilizer_conjugacy_violations(S, wp):
+def _stabilizer_conjugacy_violations(S):
+    wp = acts.wagner_preston(S)
     for s in S.elements:
         for x in wp.element_domain(s):
             stab_x = wp.stabilizers[x]
@@ -863,7 +869,8 @@ def _quotient_violations(S, H):
         return "the cosets do not form a group with identity H"
 
 
-def _orbit_stabilizer_violations(S, wp):
+def _orbit_stabilizer_violations(S):
+    wp = acts.wagner_preston(S)
     for x in wp.points:
         if not wp.point_domains[x]:
             continue
@@ -872,15 +879,13 @@ def _orbit_stabilizer_violations(S, wp):
             return f"orbit of {x} not isomorphic to the coset act of its stabilizer"
 
 
-def suite_cosets(S: FiniteSemigroup, wp=None) -> list[Finding]:
-    """The coset findings of S; ``wp`` as in ``suite_acts``."""
+def suite_cosets(S: FiniteSemigroup) -> list[Finding]:
+    """The coset findings of S, over the Wagner-Preston act that S keeps."""
     t = _tag(S)
     reason = _skip_reason(S)
     if reason:
         return [Finding(f"cosets.skipped{t}", True, reason)]
     bases = closures.closed_e_dense_subsemigroups(S)
-    if wp is None:
-        wp = acts.wagner_preston(S)
     out = [Finding(f"cosets.bases{t}", True, f"{len(bases)} closed E-dense subsemigroups")]
     for H in bases:
         ht = f"{t}[H={','.join(map(str, sorted(H)))}]"
@@ -897,8 +902,8 @@ def suite_cosets(S: FiniteSemigroup, wp=None) -> list[Finding]:
             f"cosets.conjugate-subsemigroup-remark{t}",
             _conjugate_subsemigroup_remark_violations(S, bases),
         ),
-        finding(f"cosets.stabilizer-conjugacy{t}", _stabilizer_conjugacy_violations(S, wp)),
-        finding(f"cosets.orbit-stabilizer{t}", _orbit_stabilizer_violations(S, wp)),
+        finding(f"cosets.stabilizer-conjugacy{t}", _stabilizer_conjugacy_violations(S)),
+        finding(f"cosets.orbit-stabilizer{t}", _orbit_stabilizer_violations(S)),
     ]
     return out
 
@@ -1019,16 +1024,10 @@ def suite_construction() -> list[Finding]:
 # --- crypto suite ----------------------------------------------------------
 
 
-_SYSTEM_FIXTURES = ("Z3", "Z6", "B2", "Z3E", "Z6E", "CHAIN3")
-
-
 def _system_corpus():
-    systems = []
-    for name in _SYSTEM_FIXTURES:
-        systems.append((name, crypto.locally_free_system(construction.fixture(name))))
-    for p in (5, 7, 11, 13):
-        systems.append((f"modexp-{p}", crypto.modexp_system(p).system))
-    return systems
+    fixtures = ("Z3", "Z6", "B2", "Z3E", "Z6E", "CHAIN3")
+    systems = [(name, crypto.locally_free_system(construction.fixture(name))) for name in fixtures]
+    return systems + [(f"modexp-{p}", crypto.modexp_system(p).system) for p in (5, 7, 11, 13)]
 
 
 def _cancellative_lemma_violations():
@@ -1230,10 +1229,9 @@ def _left_dense_violations(systems):
             return f"{name}: left-dense-equivalences (True,{cond2},{cond3})"
 
 
-def _classification_violations(systems, wps=None):
+def _classification_violations(systems):
     for name, sys in systems:
-        wp = (wps or {}).get(name) or acts.wagner_preston(sys.semigroup)
-        rep = crypto.classify_locally_free_cryptosystem(sys.act, wp)
+        rep = crypto.classify_locally_free_cryptosystem(sys.act)
         if rep.locally_free != rep.is_disjoint_union_of_base:
             return (
                 f"{name}: locally-free={rep.locally_free} but "
@@ -1261,8 +1259,8 @@ def _unitary_key_space_violations(systems):
                     return f"{name}: key space differs from L(s) at s={s}"
 
 
-def suite_crypto(wps=None) -> list[Finding]:
-    """The crypto findings; ``wps`` maps fixture names to Wagner-Preston acts."""
+def suite_crypto() -> list[Finding]:
+    """The crypto findings, over the systems of ``_system_corpus``."""
     systems = _system_corpus()
     # each check below takes the systems that meet its hypotheses
     left_regular = [(name, sys) for name, sys in systems if sys.act.table == sys.semigroup.table]
@@ -1282,7 +1280,7 @@ def suite_crypto(wps=None) -> list[Finding]:
         finding("crypto.protocol-roundtrips", _roundtrip_violations(systems)),
         finding("crypto.biact-roundtrip", _biact_roundtrip_violations(left_regular)),
         finding("crypto.left-dense-equivalences", _left_dense_violations(systems)),
-        finding("crypto.classification-theorem", _classification_violations(systems, wps)),
+        finding("crypto.classification-theorem", _classification_violations(systems)),
         finding("crypto.unitary-key-spaces", _unitary_key_space_violations(unitary)),
     ]
 
@@ -1290,20 +1288,13 @@ def suite_crypto(wps=None) -> list[Finding]:
 # --- entry points ----------------------------------------------------------
 
 
-def suites_for_table(S: FiniteSemigroup, names=SUITE_NAMES, wp=None) -> list[Finding]:
-    """Run the per-semigroup suites applicable to one table; the act and
-    coset suites share one Wagner-Preston act, ``wp`` when passed."""
+def suites_for_table(S: FiniteSemigroup, names=SUITE_NAMES) -> list[Finding]:
+    """Run the per-semigroup suites applicable to one table."""
+    suites = {"core": suite_core, "closures": suite_closures, "acts": suite_acts, "cosets": suite_cosets}
     out = []
-    if "core" in names:
-        out += suite_core(S)
-    if "closures" in names:
-        out += suite_closures(S)
-    if wp is None and "acts" in names and "cosets" in names and not _skip_reason(S):
-        wp = acts.wagner_preston(S)
-    if "acts" in names:
-        out += suite_acts(S, wp)
-    if "cosets" in names:
-        out += suite_cosets(S, wp)
+    for name, suite in suites.items():
+        if name in names:
+            out += suite(S)
     return out
 
 
@@ -1338,18 +1329,14 @@ def small_order_sweep() -> list[Finding]:
 
 def corpus_findings(names=SUITE_NAMES) -> list[Finding]:
     """Everything: per-fixture suites plus the global construction and
-    crypto suites and the small-order sweep.  The Wagner-Preston acts of
-    the crypto fixtures are built here and shared with the crypto suite."""
-    out, wps = [], {}
+    crypto suites and the small-order sweep."""
+    out = []
     for name in construction.FIXTURE_NAMES:
-        S = construction.fixture(name)
-        if "crypto" in names and name in _SYSTEM_FIXTURES:
-            wps[name] = acts.wagner_preston(S)
-        out += suites_for_table(S, names, wps.get(name))
+        out += suites_for_table(construction.fixture(name), names)
     if "core" in names:
         out += small_order_sweep()
     if "construction" in names:
         out += suite_construction()
     if "crypto" in names:
-        out += suite_crypto(wps)
+        out += suite_crypto()
     return out

@@ -282,7 +282,7 @@ def test_criterion_09_key_space_theorem():
 def test_criterion_10a_band_extension_classification():
     S = fx("Z3E")
     sys_ = crypto.locally_free_system(S)
-    rep = crypto.classify_locally_free_cryptosystem(sys_.act, acts.wagner_preston(S))
+    rep = crypto.classify_locally_free_cryptosystem(sys_.act)
     assert rep.minimum_idempotent == 3
     assert rep.locally_free and rep.is_disjoint_union_of_base
     assert rep.copies == 1
@@ -293,9 +293,7 @@ def test_criterion_10b_modexp_7_three_copies():
     for p in MODEXP_PRIMES:
         ms = crypto.modexp_system(p)
         units = _unit_exponents(p)
-        rep = crypto.classify_locally_free_cryptosystem(
-            ms.system.act, acts.wagner_preston(ms.semigroup)
-        )
+        rep = crypto.classify_locally_free_cryptosystem(ms.system.act)
         by_order = {d: set() for d in _divisors(p - 1)}
         for u in range(1, p):
             by_order[_order(u, p)].add(u)

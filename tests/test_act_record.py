@@ -153,9 +153,12 @@ def test_grading_raises_again_on_every_call():
 
 
 def test_record_is_kept_on_the_act_and_dies_with_it():
+    # validate_act builds a new act on every call; wagner_preston would
+    # hand back the one its semigroup keeps
     S = core.build_semigroup(fx("Z3E").table)
-    act = acts.wagner_preston(S)
-    twin = acts.wagner_preston(S)
+    rows = acts.wagner_preston(S).table
+    act = acts.validate_act(S, rows)
+    twin = acts.validate_act(S, rows)
     assert twin == act and hash(twin) == hash(act)
     assert act.properties is act.properties
     assert twin.properties is not act.properties
@@ -187,7 +190,8 @@ def test_orbit_act_is_the_subact_on_the_orbit():
 def test_orbit_acts_hold_no_reference_to_their_act():
     # each act has two orbits on Z3E and one on Z3
     for S, build in product([fx("Z3E"), fx("Z3")], [acts.wagner_preston, acts.munn_act]):
-        act = build(S)
+        # a fresh act, not the Wagner-Preston act that S keeps
+        act = acts.validate_act(S, build(S).table)
         ref, piece = weakref.ref(act), weakref.ref(act.orbit_act(act.carrier - 1))
         del act
         # freed by reference counts alone: neither the act nor a piece is in a cycle
@@ -210,16 +214,24 @@ def test_one_corpus_verify_restricts_each_orbit_once(monkeypatch):
     assert calls and all(len(points) < act.carrier for act, points in calls)
 
 
+def built_acts(monkeypatch):
+    """The acts that ``acts.wagner_preston`` returns from now on, kept alive
+    so that no id is reused: one per build, since a call that finds its act
+    on the semigroup returns that act."""
+    returned = []
+    real = acts.wagner_preston
+    monkeypatch.setattr(
+        acts, "wagner_preston", lambda S, carrier=None: returned.append(real(S, carrier)) or returned[-1]
+    )
+    return lambda: len({id(act) for act in returned})
+
+
 def test_one_verify_builds_one_wagner_preston_act(monkeypatch, tmp_path):
     path = tmp_path / "z6e.tbl"
     path.write_text(core.format_cayley_table(fx("Z6E")))
-    calls = []
-    real = acts.wagner_preston
-    monkeypatch.setattr(
-        acts, "wagner_preston", lambda S, carrier=None: calls.append(S) or real(S, carrier)
-    )
+    builds = built_acts(monkeypatch)
     assert cli.main(["verify", str(path), "--json"]) == 0
-    assert len(calls) == 1
+    assert builds() == 1
 
 
 @pytest.mark.parametrize(
@@ -227,24 +239,20 @@ def test_one_verify_builds_one_wagner_preston_act(monkeypatch, tmp_path):
 )
 def test_one_corpus_verify_shares_its_wagner_preston_acts(monkeypatch, suite, builds):
     # the crypto classification reads the act that the act and coset suites
-    # read; only the four modexp systems build their own
-    calls = {"wagner_preston": 0, "subact": 0}
-
-    def counted(name):
-        real = getattr(acts, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return real(*args)
-
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(acts, name, counted(name))
-    assert cli.main(["verify", "--corpus", "--suite", suite, "--json"]) == 0
-    assert calls["wagner_preston"] <= builds
+    # read, kept on the fixture; only the four modexp systems build their
+    # own.  Fresh fixtures, so that no earlier test has built their acts.
+    subacts = []
+    real_subact = acts.subact
+    monkeypatch.setattr(acts, "subact", lambda act, points: subacts.append(act) or real_subact(act, points))
+    built = built_acts(monkeypatch)
+    construction.fixture.cache_clear()
+    try:
+        assert cli.main(["verify", "--corpus", "--suite", suite, "--json"]) == 0
+    finally:
+        construction.fixture.cache_clear()
+    assert built() == builds
     if suite == "all":
-        assert calls["subact"] <= 38
+        assert len(subacts) <= 38
 
 
 # --- checks that build one subact per orbit, against per-point scans ----------
@@ -300,7 +308,7 @@ def test_orbit_checks_name_the_same_first_witness(monkeypatch):
                 got = verify._effective_orbit_violations(act)
                 assert got == ref_effective_orbit_violations(act), (S, size)
                 effective_failures += got is not None
-            got = verify._orbit_stabilizer_violations(S, wp)
+            got = verify._orbit_stabilizer_violations(S)
             assert got == ref_orbit_stabilizer_violations(S, wp), (S, size)
             orbit_failures += got is not None
     assert effective_failures >= 10 and orbit_failures >= 5

@@ -1,8 +1,10 @@
 """Partial-act validation and the restricted-multiplication and
 idempotent-conjugation actions, with orbit/stabilizer/grading structure."""
 
+import gc
 import os
 import random
+import weakref
 import subprocess
 import sys
 from itertools import combinations_with_replacement, permutations
@@ -89,6 +91,52 @@ def test_wagner_preston_b2_domains():
 def test_wagner_preston_requires_semilattice():
     with pytest.raises(NotSemilattice):
         acts.wagner_preston(fx("LZ2"))
+
+
+# --- the act kept on the semigroup ---------------------------------------------
+
+
+def test_wagner_preston_act_is_built_once_per_semigroup_and_carrier(monkeypatch):
+    S = core.build_semigroup(fx("Z3E").table)
+    validated = []
+    real = acts.validate_act
+    monkeypatch.setattr(acts, "validate_act", lambda *args: validated.append(args) or real(*args))
+    whole = acts.wagner_preston(S)
+    assert acts.wagner_preston(S) is whole and acts.wagner_preston(S, None) is whole
+    ideal = acts.wagner_preston(S, [3, 4, 5])
+    assert ideal is not whole and ideal.carrier == 3
+    # the carrier is a set: its order and repeats do not matter
+    assert acts.wagner_preston(S, (5, 4, 3, 3)) is ideal
+    assert acts.wagner_preston(S, frozenset(S.elements)) is not whole
+    assert len(validated) == 3
+    # an equal table built separately keeps its own act
+    twin = core.build_semigroup(S.table)
+    assert acts.wagner_preston(twin) == whole and acts.wagner_preston(twin) is not whole
+    assert len(validated) == 4
+
+
+def test_a_refused_semigroup_or_carrier_stores_nothing():
+    S = core.build_semigroup(fx("LZ2").table)
+    for _ in range(2):
+        with pytest.raises(NotSemilattice):
+            acts.wagner_preston(S)
+    T = core.build_semigroup(fx("Z3E").table)
+    # {0} is no left ideal: 1*0 = 1
+    for _ in range(2):
+        with pytest.raises(PreconditionFailed, match="left_ideal"):
+            acts.wagner_preston(T, [0])
+    assert acts.wagner_preston(T, [3, 4, 5]).carrier == 3
+
+
+def test_wagner_preston_act_is_freed_with_its_semigroup():
+    S = core.build_semigroup(fx("Z3E").table)
+    act = weakref.ref(acts.wagner_preston(S))
+    ideal = weakref.ref(acts.wagner_preston(S, [3, 4, 5]))
+    assert act() is acts.wagner_preston(S)
+    # the act points back at S, so the pair is freed by the cycle collector
+    del S
+    gc.collect()
+    assert act() is None and ideal() is None
 
 
 def test_munn_act_band_extension():

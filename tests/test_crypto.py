@@ -383,7 +383,7 @@ def test_crypto_checks_take_the_systems_that_meet_their_hypotheses(monkeypatch):
     monkeypatch.setattr(
         crypto,
         "classify_locally_free_cryptosystem",
-        lambda act, wp: dataclasses.replace(classify(act, wp), copies=2),
+        lambda act: dataclasses.replace(classify(act), copies=2),
     )
     failing = [
         name
@@ -395,9 +395,8 @@ def test_crypto_checks_take_the_systems_that_meet_their_hypotheses(monkeypatch):
 
 
 def test_classification_band_extension():
-    S = fx("Z3E")
     sys_ = band_system()
-    rep = crypto.classify_locally_free_cryptosystem(sys_.act, acts.wagner_preston(S))
+    rep = crypto.classify_locally_free_cryptosystem(sys_.act)
     assert rep.minimum_idempotent == 3
     assert rep.locally_free and rep.is_disjoint_union_of_base
     assert rep.copies == 1
@@ -405,28 +404,24 @@ def test_classification_band_extension():
 
 
 def test_classification_two_copies():
-    S = fx("Z3E")
     sys_ = band_system()
     double = acts.disjoint_union(sys_.act, sys_.act)
-    rep = crypto.classify_locally_free_cryptosystem(double, acts.wagner_preston(S))
+    rep = crypto.classify_locally_free_cryptosystem(double)
     assert rep.is_disjoint_union_of_base and rep.copies == 2
 
 
-def test_classification_needs_a_total_act_and_its_own_wagner_preston_act():
+def test_classification_needs_a_total_act():
     wp = acts.wagner_preston(fx("CHAIN3"))
     with pytest.raises(PreconditionFailed) as partial:
-        crypto.classify_locally_free_cryptosystem(wp, wp)
+        crypto.classify_locally_free_cryptosystem(wp)
     assert partial.value.name == "total_action"
-    with pytest.raises(PreconditionFailed) as other:
-        crypto.classify_locally_free_cryptosystem(band_system().act, acts.wagner_preston(fx("Z3")))
-    assert other.value.name == "same_semigroup"
 
 
 def test_classification_modexp_7_honest():
     # the units mod 7 split into orbits {1}, {6}, {2,4}, {3,5}; only the
     # two-point orbits match the base, so no disjoint-union decomposition
     ms = crypto.modexp_system(7)
-    rep = crypto.classify_locally_free_cryptosystem(ms.system.act, acts.wagner_preston(ms.semigroup))
+    rep = crypto.classify_locally_free_cryptosystem(ms.system.act)
     assert not rep.locally_free
     assert not rep.is_disjoint_union_of_base
     orbit_units = sorted(

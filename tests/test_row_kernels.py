@@ -19,10 +19,11 @@ from pathlib import Path
 
 import pytest
 
-from edense import acts, closures, construction, core, crypto, verify
+from edense import acts, closures, construction, core, cosets, crypto, verify
 from edense.core import FiniteSemigroup
 from edense.errors import (
     BadIdentityHint,
+    BadSubsemigroup,
     CompositionViolation,
     NoDecryptKey,
     NonAssociative,
@@ -53,7 +54,7 @@ def ref_find_identity(table):
 def ref_check_range(rows, bound):
     for i, row in enumerate(rows):
         for j, v in enumerate(row):
-            if v not in range(bound):
+            if type(v) is not int or v not in range(bound):
                 raise OutOfRangeEntry(i, j, v)
 
 
@@ -66,7 +67,8 @@ def ref_build_semigroup(rows, identity_hint=None, labels=None, name=""):
         if len(row) != n:
             raise OutOfRangeEntry(i, len(row), -1)
         for j, v in enumerate(row):
-            if v not in range(n):
+            # an id is an int: 0.0 equals 0, but would fail as an index
+            if type(v) is not int or v not in range(n):
                 raise OutOfRangeEntry(i, j, v)
     identity = ref_find_identity(table)
     labels = None if labels is None else tuple(labels)
@@ -271,30 +273,62 @@ def test_build_semigroup_names_the_witness_of_the_entry_loops(kind):
 def test_build_semigroup_agrees_on_valid_and_odd_tables():
     for table in _tables():
         assert core.build_semigroup(table) == ref_build_semigroup(table)
-    for rows in ([[0.0]], [[True]], [[float("nan")]], [[1.5, 0], [0, 1]], [[0, 1], [1]]):
+    for rows in ([[0.0]], [[True]], [[float("nan")]], [[1.5, 0], [0, 1]], [[0, 1], [1]], [[0, [1]], [1, 0]]):
         assert outcome(core.build_semigroup, rows) == outcome(ref_build_semigroup, rows), rows
-    # 1.5 is no id: refused by the range check, not at indexing
+    # 1.5 and 0.0 are no ids: refused by the range check, not at indexing
     assert outcome(core.build_semigroup, [[1.5, 0], [0, 1]]) == (
         OutOfRangeEntry,
         "entry [0][0] = 1.5 out of range",
     )
+    assert outcome(core.build_semigroup, [[0.0]]) == (OutOfRangeEntry, "entry [0][0] = 0.0 out of range")
 
 
-@pytest.mark.parametrize("odd", (None, "1"))
+@pytest.mark.parametrize("odd", (None, "1", 0.0))
 def test_entries_that_are_not_ints_are_out_of_range_at_every_entry_point(odd):
-    # a failing row is rescanned with the row test's own membership test,
-    # so an entry that cannot be compared with an int is named, not a
-    # TypeError
+    # an id is tested by type as well as by membership, so an entry that
+    # cannot be compared with an int, or that equals one but indexes
+    # nothing (0.0), is refused by name, not by a TypeError
     want = (OutOfRangeEntry, f"entry [0][1] = {odd!r} out of range")
     Z2 = fx("Z2")
     assert outcome(core.build_semigroup, [[0, odd], [1, 0]]) == want
     sys_ = crypto.build_cryptosystem(Z2, Z2.table)
     assert outcome(crypto.build_biact, sys_, [[0, odd], [1, 0]]) == want
     assert outcome(construction.build_category, 2, [(0, odd), (1, 1)], {}) == want
+    assert outcome(construction.build_category, 1, [(0, 0)], {(0, odd): 0}) == (
+        OutOfRangeEntry, f"entry [0][{odd}] = 0 out of range"
+    )
+    assert outcome(construction.build_category, 1, [(0, 0)], {(0, 0): odd}) == (
+        OutOfRangeEntry, f"entry [0][0] = {odd!r} out of range"
+    )
     C = construction.build_category(
         1, [(0, 0), (0, 0)], {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0}
     )
     assert outcome(construction.validate_group_action, C, Z2, [[0], [0]], [[0, odd], [0, 1]]) == want
+    action = construction.validate_group_action(C, Z2, [[0], [0]], [[0, 1], [0, 1]])
+    assert outcome(construction.c_u_monoid, C, action, odd) == (
+        PreconditionFailed, f"precondition failed: base_object {odd} is not one of the 1 objects"
+    )
+    # a fresh table, whose memos hold no base or carrier equal to {0.0}
+    S = core.build_semigroup(Z2.table)
+    assert outcome(cosets.coset_space, S, {odd}) == (
+        BadSubsemigroup,
+        f"subset is not a closed E-dense subsemigroup: member out of range (witness {[odd]})",
+    )
+    # the least value outside the ids is named, ints first
+    carrier = (PreconditionFailed, f"precondition failed: carrier {odd} is not an element id 0..1")
+    assert outcome(acts.left_mult_total, S, [1, odd]) == carrier
+    assert outcome(acts.wagner_preston, S, [1, odd]) == carrier
+    assert outcome(acts.wagner_preston, S, [1, odd, -1]) == (
+        PreconditionFailed, "precondition failed: carrier -1 is not an element id 0..1"
+    )
+
+    def refused(kind, what):
+        return PreconditionFailed, f"precondition failed: {kind} {odd} is not one of the 2 {what}"
+
+    assert outcome(crypto.decrypt_key_space, sys_, odd, 0) == refused("point", "points")
+    assert outcome(crypto.decrypt_key_space, sys_, 0, odd) == refused("key", "keys")
+    assert outcome(crypto.massey_omura, sys_, odd, 0, 0) == refused("plaintext", "points")
+    assert outcome(crypto.discrete_log_candidates, sys_, 0, odd) == refused("point", "points")
 
 
 def test_check_range_names_the_witness_of_the_entry_loop():
@@ -302,7 +336,10 @@ def test_check_range_names_the_witness_of_the_entry_loop():
     for _ in range(200):
         bound = rng.randrange(1, 6)
         rows = [
-            [rng.randrange(-1, bound + 1) for _ in range(rng.randrange(4))]
+            [
+                rng.randrange(-1, bound + 1) if rng.random() < 0.9 else rng.choice([None, "1", 0.0, True])
+                for _ in range(rng.randrange(4))
+            ]
             for _ in range(rng.randrange(1, 5))
         ]
         assert outcome(core._check_range, rows, bound) == outcome(ref_check_range, rows, bound)

@@ -9,7 +9,7 @@ import os
 import random
 import subprocess
 import sys
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -28,6 +28,39 @@ ROOT = Path(__file__).resolve().parents[1]
 def test_per_fixture_suites(name):
     failures = [f for f in verify.suites_for_table(fx(name)) if not f.passed]
     assert not failures, "\n".join(f.line() for f in failures)
+
+
+def ref_closure_on_idempotents_violations(S):
+    """``verify._closure_on_idempotents_violations`` over all 2^|E| subsets."""
+    E = sorted(core.idempotents(S))
+    for r in range(len(E) + 1):
+        for sub in combinations(E, r):
+            A = frozenset(sub)
+            if closures.omega_m(S, A) != closures.omega_h(S, A):
+                return f"A <= E but closures differ at {sorted(A)}"
+
+
+def test_closures_on_idempotents_are_checked_on_the_singletons(monkeypatch):
+    Zk = [core.build_semigroup(cyclic_table(k)) for k in range(1, 7)]
+    tables = (
+        list(verify._small_tables())
+        + [fx(name) for name in construction.FIXTURE_NAMES]
+        + [construction.adjoined_band_semigroup(G) for G in Zk]
+    )
+    for S in tables:
+        assert verify._closure_on_idempotents_violations(S) is None
+        assert ref_closure_on_idempotents_violations(S) is None
+    # a stand-in omega_m, still a union of up-sets, that moves 0 in or out
+    # of the up-set of the largest idempotent: both scans fail there
+    witnesses = set()
+    for S in tables:
+        e = max(core.idempotents(S))
+        ups = {a: up ^ {0} if a == e else up for a, up in S.structure.natural_up.items()}
+        monkeypatch.setattr(closures, "omega_m", lambda S, A, ups=ups: frozenset().union(*map(ups.get, A)))
+        got = verify._closure_on_idempotents_violations(S)
+        assert got == ref_closure_on_idempotents_violations(S) == f"A <= E but closures differ at {[e]}"
+        witnesses.add(e)
+    assert len(witnesses) > 3
 
 
 def test_small_order_sweep():
@@ -457,8 +490,8 @@ def _swapped_displayed_map(monkeypatch):
 def _flipped_decomposition(monkeypatch):
     real = crypto.classify_locally_free_cryptosystem
 
-    def flipped(act, wp):
-        rep = real(act, wp)
+    def flipped(act):
+        rep = real(act)
         return dataclasses.replace(
             rep, is_disjoint_union_of_base=not rep.is_disjoint_union_of_base
         )
@@ -736,14 +769,47 @@ def test_act_data_are_read_from_the_act():
     assert record_forwarders(forwarder) == ["orbits:1"]
 
 
-def test_crypto_is_handed_its_wagner_preston_acts():
-    # the classification reads the act its caller built, so a corpus
-    # verify builds each fixture's act once
-    path = ROOT / "src" / "edense" / "crypto.py"
-    for node in ast.walk(ast.parse(path.read_text(), str(path))):
-        if isinstance(node, ast.Call):
-            callee = getattr(node.func, "id", getattr(node.func, "attr", None))
-            assert callee != "wagner_preston", f"crypto.py:{node.lineno}"
+# each memo on the structure record, with the one module that fills and reads it
+MEMO_OWNERS = {
+    "coset_spaces": "cosets",
+    "conjugacy": "cosets",
+    "subsemigroups": "closures",
+    "wagner_preston_acts": "acts",
+}
+
+
+def memo_trespasses(source, module):
+    """The lines of ``source``, the text of ``module``, that touch a memo of
+    the structure record that another module owns; core only sets them up,
+    in ``Structure.__init__``."""
+    tree = ast.parse(source)
+    setup = set()
+    for cls in tree.body:
+        if module == "core" and isinstance(cls, ast.ClassDef) and cls.name == "Structure":
+            for func in cls.body:
+                if isinstance(func, ast.FunctionDef) and func.name == "__init__":
+                    setup.update(ast.walk(func))
+    return [
+        f"{module}.py:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and MEMO_OWNERS.get(node.attr, module) != module
+        and node not in setup
+    ]
+
+
+def test_each_memo_of_the_structure_record_has_one_owner():
+    # one module fills and reads each memo, so every caller shares what it
+    # holds, and no caller hands a memoised record to another by hand
+    for path in sorted((ROOT / "src" / "edense").glob("*.py")):
+        assert memo_trespasses(path.read_text(), path.stem) == []
+    S = core.build_semigroup([[0]])
+    assert set(MEMO_OWNERS) <= set(vars(S.structure))
+    assert all(not vars(S.structure)[memo] for memo in MEMO_OWNERS)
+    stray = "def f(S):\n    return S.structure.wagner_preston_acts\n"
+    assert memo_trespasses(stray, "crypto") == ["crypto.py:2"]
+    assert memo_trespasses(stray, "acts") == []
+    assert memo_trespasses(stray, "core") == ["core.py:2"]
 
 
 def test_coset_bases_are_validated_by_the_coset_space_alone():
