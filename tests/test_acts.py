@@ -4,9 +4,9 @@ idempotent-conjugation actions, with orbit/stabilizer/grading structure."""
 import gc
 import os
 import random
-import weakref
 import subprocess
 import sys
+import weakref
 from itertools import combinations_with_replacement, permutations
 from pathlib import Path
 
