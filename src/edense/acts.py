@@ -272,8 +272,12 @@ def wagner_preston(S: FiniteSemigroup, carrier=None) -> PartialAct:
     The act is kept in ``S.structure.wagner_preston_acts`` by carrier (a
     set, or None for all of S), so every caller shares it and it dies with
     S; a refused semigroup or carrier stores nothing and is refused again.
+    A carrier holding a member that is not an int is refused before the
+    memo is read, so 0.0 is not taken for the id 0.
     """
     built = S.structure.wagner_preston_acts
+    if carrier is not None and not core._all_ints(carrier):
+        left_mult_total(S, carrier)  # refuses the ids that are not ints
     key = None if carrier is None else frozenset(carrier)
     if key not in built:
         rows, labels = left_mult_total(S, key)
@@ -366,13 +370,14 @@ def is_s_map(src: PartialAct, dst: PartialAct, mapping) -> bool:
     ``mapping`` is a list indexed by the points of src, or a dict on a set
     of points that the action keeps, such as an orbit.
     """
-    S = src.semigroup
     pairs = mapping.items() if isinstance(mapping, dict) else enumerate(mapping)
     for x, y in pairs:
-        for s in S.elements:
-            if src.defined(s, x) != dst.defined(s, y):
+        # s*x and s*y, for each s in turn, read off the two tables
+        for row, image_row in zip(src.table, dst.table):
+            sx, sy = row[x], image_row[y]
+            if (sx is None) != (sy is None):
                 return False
-            if src.defined(s, x) and mapping[src.act(s, x)] != dst.act(s, y):
+            if sx is not None and mapping[sx] != sy:
                 return False
     return True
 

@@ -95,6 +95,11 @@ class Structure:
         self.subsemigroups, self.wagner_preston_acts = None, {}
 
     @cached_property
+    def columns(self) -> tuple[tuple[int, ...], ...]:
+        """Column s of the table, the products x*s for every x, by s."""
+        return tuple(zip(*self.table))
+
+    @cached_property
     def generators(self) -> tuple[int, ...]:
         """The greedy generating set of the table, in id order (see
         ``greedy_generators``)."""
@@ -152,7 +157,7 @@ class Structure:
     @cached_property
     def l_classes(self) -> tuple[frozenset[int], ...]:
         # a and b are L-related when S^1 a = S^1 b
-        ideals = [frozenset(col) | {a} for a, col in enumerate(zip(*self.table))]
+        ideals = [frozenset(col) | {a} for a, col in enumerate(self.columns)]
         return tuple(frozenset(b for b, J in enumerate(ideals) if J == I) for I in ideals)
 
     @cached_property
@@ -163,7 +168,7 @@ class Structure:
     @cached_property
     def is_group(self) -> bool:
         t, full = self.table, set(range(len(self.table)))
-        return _find_identity(t) is not None and all(set(r) == full for r in (*t, *zip(*t)))
+        return _find_identity(t) is not None and all(set(r) == full for r in (*t, *self.columns))
 
 
 def _transpose(rows) -> dict[int, frozenset[int]]:
@@ -226,6 +231,15 @@ def _picker(indices):
     return itemgetter(*indices)
 
 
+_INTS = frozenset({int})
+
+
+def _all_ints(values) -> bool:
+    """Whether every member of ``values`` is an int by type, tested in one
+    builtin call: a memo key is built only from such members."""
+    return _INTS.issuperset(map(type, values))
+
+
 def _is_id(v, n: int) -> bool:
     """Whether v is an id 0..n-1, an int by type: 0.0 equals 0 but indexes nothing."""
     return type(v) is int and v in range(n)
@@ -242,11 +256,11 @@ def _check_range(rows, bound: int, width: int | None = None) -> None:
     otherwise).  A row is tested as a whole, by the types of its entries
     and then by membership, and a failing one rescanned with ``_is_id`` to
     raise ``OutOfRangeEntry`` at its first bad entry, whatever its type."""
-    ids, ints = frozenset(range(bound)), frozenset({int})
+    ids = frozenset(range(bound))
     for i, row in enumerate(rows):
         if width is not None and len(row) != width:
             raise OutOfRangeEntry(i, len(row), -1)
-        if not (ints.issuperset(map(type, row)) and ids.issuperset(row)):
+        if not (_all_ints(row) and ids.issuperset(row)):
             j = next(j for j, v in enumerate(row) if not _is_id(v, bound))
             raise OutOfRangeEntry(i, j, row[j])
 

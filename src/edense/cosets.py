@@ -5,10 +5,16 @@ congruence, omega-cosets, the coset act, conjugacy and quotient groups.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 
 from . import acts, closures, core
 from .core import FiniteSemigroup
-from .errors import BadSubsemigroup, NotSelfConjugate, WellDefinednessViolation
+from .errors import (
+    BadSubsemigroup,
+    NotSelfConjugate,
+    PreconditionFailed,
+    WellDefinednessViolation,
+)
 
 
 @dataclass(frozen=True)
@@ -50,15 +56,18 @@ def check_base(S: FiniteSemigroup, H) -> frozenset[int]:
     """Validate that H qualifies as a coset base; name the failure if not.
 
     Each call validates H afresh, so a failing base raises on every call;
-    ``coset_space`` calls it once per base, on a memo miss.
+    ``coset_space`` calls it once per base, on a memo miss, and on every
+    call whose H holds a member that is not an int.  Such a member may be
+    unhashable, so the members are tested before H becomes a set.
     """
-    H = frozenset(H)
     closures.require_semilattice(S)
     if not H:
         raise BadSubsemigroup("empty subset")
-    outside = sorted((h for h in H if not core._is_id(h, S.n)), key=core._id_key)
+    outside = [h for h in H if not core._is_id(h, S.n)]
     if outside:
-        raise BadSubsemigroup("member out of range", outside)
+        distinct = [h for i, h in enumerate(outside) if h not in outside[:i]]
+        raise BadSubsemigroup("member out of range", sorted(distinct, key=core._id_key))
+    H = frozenset(H)
     if not core.is_subsemigroup(S, H):
         bad = next(
             (h, k) for h in H for k in H if S.mul(h, k) not in H
@@ -83,8 +92,12 @@ def domain_d_h(S: FiniteSemigroup, H) -> frozenset[int]:
 
 
 def pi_h_related(S: FiniteSemigroup, H, s: int, t: int) -> bool:
-    """The left partial congruence: some weak inverse of s sends t into H."""
+    """The left partial congruence: some weak inverse of s sends t into H.
+    s and t must be element ids 0..n-1 (``PreconditionFailed("element")``)."""
     H = coset_space(S, H).base
+    for v in (s, t):
+        if not core._is_id(v, S.n):
+            raise PreconditionFailed("element", f"{v} is not one of the {S.n} elements")
     return any(S.mul(w, t) in H for w in core.weak_inverses(S, s))
 
 
@@ -104,9 +117,12 @@ def coset_space(S: FiniteSemigroup, H) -> CosetSpace:
     the coset H is H is the finding ``cosets.classes-are-cosets``.
     """
     spaces = S.structure.coset_spaces
-    H = frozenset(H)
-    if H in spaces:
-        return spaces[H]
+    # a member that is not an int (0.0, or one that is unhashable) must not
+    # find a stored base equal to H: check_base refuses it on every call
+    if core._all_ints(H):
+        H = frozenset(H)
+        if H in spaces:
+            return spaces[H]
     H = check_base(S, H)
     d_h = domain_d_h(S, H)
     by_members = {}
@@ -123,6 +139,7 @@ def coset_space(S: FiniteSemigroup, H) -> CosetSpace:
     # membership is representative-independent because the relation is a
     # left partial congruence
     index = {c.members: i for i, c in enumerate(cosets)}
+    targets = {}  # the closure of st*H, once per product st
     rows = []
     for s in S.elements:
         row = []
@@ -130,7 +147,9 @@ def coset_space(S: FiniteSemigroup, H) -> CosetSpace:
             t = min(c.members)
             st = S.mul(s, t)
             if st in d_h:
-                target = closures.omega_h(S, core.set_mul(S, {st}, H))
+                target = targets.get(st)
+                if target is None:
+                    target = targets[st] = closures.omega_h(S, core.set_mul(S, {st}, H))
                 if target not in index:
                     raise WellDefinednessViolation(
                         f"{s} sends the coset {sorted(c.members)} to {sorted(target)}, not a coset"
@@ -153,32 +172,40 @@ def are_conjugate(S: FiniteSemigroup, H, K):
     ``cosets.conjugacy-consistency``.
     """
     answers = S.structure.conjugacy
+    if not (core._all_ints(H) and core._all_ints(K)):
+        # the refusal of a member that is not an int, as on a memo miss
+        coset_space(S, H)
+        coset_space(S, K)
     key = frozenset(H), frozenset(K)
     if key in answers:
         return answers[key]
     H, K = coset_space(S, H).base, coset_space(S, K).base
-    witness = None
-    for s in S.elements:
-        for w in core.weak_inverses(S, s):
-            if core.set_mul(S, {w}, H, {s}) <= K and core.set_mul(S, {s}, K, {w}) <= H:
-                witness = (s, w)
-                break
-        if witness:
-            break
+    rows, columns = S.table, S.structure.columns
+    # s'Hs is column s read at row s' over H, and sKs' column s' at row s over K
+    witness = next(
+        (
+            (s, w)
+            for s in S.elements
+            for w in core.weak_inverses(S, s)
+            if K.issuperset(map(columns[s].__getitem__, map(rows[w].__getitem__, H)))
+            and H.issuperset(map(columns[w].__getitem__, map(rows[s].__getitem__, K)))
+        ),
+        None,
+    )
     return answers.setdefault(key, witness)
 
 
 def _conjugacy_witness(S: FiniteSemigroup, H):
-    """The first (s, t) with st in H and ts not in H, or None."""
-    return next(
-        (
-            (s, t)
-            for s in S.elements
-            for t in S.elements
-            if S.mul(s, t) in H and S.mul(t, s) not in H
-        ),
-        None,
-    )
+    """The first (s, t) with st in H and ts not in H, or None: for each s,
+    the t with st in H (from row s) must have ts in H (from column s); a
+    failing s names its least such t."""
+    elements, inside = S.elements, H.__contains__
+    for s, (row, col) in enumerate(zip(S.table, S.structure.columns)):
+        bad = set(compress(elements, map(inside, row)))
+        bad.difference_update(compress(elements, map(inside, col)))
+        if bad:
+            return s, min(bad)
+    return None
 
 
 def is_self_conjugate(S: FiniteSemigroup, H) -> bool:

@@ -47,7 +47,7 @@ class DecryptKeyTable:
     @classmethod
     def of(cls, act: acts.PartialAct) -> "DecryptKeyTable":
         S = act.semigroup
-        columns = tuple(zip(*S.table))
+        columns = S.structure.columns
         if act.stabilizers:
             fix_all = frozenset.intersection(*act.stabilizers)
             uniform = tuple(
@@ -457,7 +457,7 @@ def stabilizers_left_dense(act: acts.PartialAct) -> bool:
     this scan is the finding ``crypto.left-dense-equivalences``.
     """
     _require_total(act.table)
-    ideals = [frozenset(col) for col in zip(*act.semigroup.table)]
+    ideals = [frozenset(col) for col in act.semigroup.structure.columns]
     return all(not ideal.isdisjoint(fixing) for fixing in act.stabilizers for ideal in ideals)
 
 

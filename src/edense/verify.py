@@ -9,7 +9,8 @@ none.
 from __future__ import annotations
 
 import functools
-from itertools import combinations, product
+from itertools import combinations, compress, count, product
+from operator import eq, ne
 
 from . import acts, closures, core, cosets, construction, crypto
 from .core import FiniteSemigroup
@@ -20,6 +21,7 @@ SUITE_NAMES = ("core", "closures", "acts", "cosets", "construction", "crypto")
 
 # the largest order the act and coset suites and the subsemigroup lemmas run on
 _DESK_SCALE_BOUND = 12
+_NOTHING = frozenset()
 
 
 def finding(name: str, witness: str | None) -> Finding:
@@ -43,6 +45,13 @@ def _small_tables() -> tuple[FiniteSemigroup, ...]:
     return tuple(S for n in (1, 2, 3) for S in construction.enumerate_semigroups(n))
 
 
+def _into_rows(S: FiniteSemigroup, A) -> list[frozenset[int]]:
+    """Row a holds every y with a*y in A, from one pass over row a of the
+    table."""
+    elements, inside = S.elements, A.__contains__
+    return [frozenset(compress(elements, map(inside, row))) for row in S.table]
+
+
 def _tag(S: FiniteSemigroup) -> str:
     return f"[{S.name}]" if S.name else f"[n={S.n}]"
 
@@ -51,23 +60,24 @@ def _tag(S: FiniteSemigroup) -> str:
 
 
 def _wvl_violations(S):
-    for s in S.elements:
-        iv = core.inverse_sets(S, s)
+    rows = S.table
+    for s, iv in enumerate(S.structure.inverse_sets):
         if not (iv.V <= iv.W <= iv.L):
             return f"s={s}"
         for t in iv.L:
-            if S.prod(t, s, t) not in iv.W:
+            if rows[rows[t][s]][t] not in iv.W:
                 return f"s={s}, t={t}: tst not a weak inverse"
 
 
 def _band_weak_inverse_violations(S):
     band = core.classify_idempotents(S).is_band
+    rows = S.table
+    W = [iv.W for iv in S.structure.inverse_sets]
     for s, t in product(S.elements, repeat=2):
-        lhs = core.weak_inverses(S, S.mul(s, t))
-        rhs = core.set_mul(S, core.weak_inverses(S, t), core.weak_inverses(S, s))
-        if band and lhs != rhs:
-            return f"band but W(st) != W(t)W(s) at s={s}, t={t}"
-        if not band and lhs != rhs:
+        # W(t)W(s), the products of a weak inverse of t by one of s
+        if W[rows[s][t]] != frozenset([rows[a][b] for a in W[t] for b in W[s]]):
+            if band:
+                return f"band but W(st) != W(t)W(s) at s={s}, t={t}"
             return None  # non-band direction satisfied by this witness
     if not band:
         return "E not a band yet W(st) = W(t)W(s) everywhere"
@@ -76,16 +86,19 @@ def _band_weak_inverse_violations(S):
 def _weak_self_conjugacy_violations(S):
     if not core.classify_idempotents(S).is_band:
         return None
-    E = core.idempotents(S)
-    for s in S.elements:
-        for w in core.weak_inverses(S, s):
+    E, rows = core.idempotents(S), S.table
+    for s, iv in enumerate(S.structure.inverse_sets):
+        for w in iv.W:
             for e in E:
-                if S.prod(s, e, w) not in E or S.prod(w, e, s) not in E:
+                if rows[rows[s][e]][w] not in E or rows[rows[w][e]][s] not in E:
                     return f"s={s}, s'={w}, e={e}"
 
 
 def _mitsch_order_violations(S):
-    # down[b] is {a : a <= b}, the relation ``core.mitsch_leq`` reads
+    """Reflexivity, antisymmetry and transitivity of the natural order,
+    read off the rows down[b] = {a : a <= b}.  Transitivity is row
+    inclusion, down[b] inside down[c] for each b in down[c]; only when
+    that fails are the triples scanned, a outermost, to name the first."""
     down = S.structure.natural_down
     els = S.elements
     for a in els:
@@ -94,22 +107,29 @@ def _mitsch_order_violations(S):
     for a, b in product(els, repeat=2):
         if a != b and a in down[b] and b in down[a]:
             return f"not antisymmetric at ({a}, {b})"
+    if all(row.issuperset(_NOTHING.union(*map(down.__getitem__, row))) for row in down):
+        return None
     for a, b, c in product(els, repeat=3):
         if a in down[b] and b in down[c] and a not in down[c]:
             return f"not transitive at ({a}, {b}, {c})"
 
 
 def _h_refines_mitsch_violations(S):
+    st = S.structure
+    if all(h <= m for h, m in zip(st.h_down, st.natural_down)):
+        return None
     for a, b in product(S.elements, repeat=2):
-        if core.h_leq(S, a, b) and not core.mitsch_leq(S, a, b):
+        if a in st.h_down[b] and a not in st.natural_down[b]:
             return f"({a}, {b})"
 
 
 def _regular_orders_violations(S):
-    reg = core.regular_elements(S)
+    st, reg = S.structure, core.regular_elements(S)
+    if all(reg.isdisjoint(h ^ m) for h, m in zip(st.h_down, st.natural_down)):
+        return None
     for a in reg:
         for b in S.elements:
-            if core.h_leq(S, a, b) != core.mitsch_leq(S, a, b):
+            if (a in st.h_down[b]) != (a in st.natural_down[b]):
                 return f"regular a={a}, b={b}"
 
 
@@ -147,78 +167,86 @@ def _e_dense_violations(S):
 
 
 def _idempotent_witness_violations(S):
-    E = core.idempotents(S)
+    # witnessed[b] holds every a = e*b = b*f with e, f idempotent: column b
+    # read at E, intersected with row b read at E
+    E, rows, columns = core.idempotents(S), S.table, S.structure.columns
+    down = S.structure.natural_down
+    witnessed = [
+        frozenset(map(col.__getitem__, E)).intersection(map(row.__getitem__, E))
+        for row, col in zip(rows, columns)
+    ]
+    if all(w <= d for w, d in zip(witnessed, down)):
+        return None
     for a, b in product(S.elements, repeat=2):
-        witnessed = any(S.mul(e, b) == a for e in E) and any(
-            S.mul(b, f) == a for f in E
-        )
-        if witnessed and not core.mitsch_leq(S, a, b):
+        if a in witnessed[b] and a not in down[b]:
             return f"({a}, {b})"
 
 
 def _weak_inverse_lemma_violations(S):
+    """The weak-inverse lemma, part by part for each s, reading the table,
+    the sets W, V and the idempotent-witnessed order off the structure
+    record; the loops and the witness order are those of the lemma."""
     if not core.classify_idempotents(S).is_semilattice:
         return None
-    E = core.idempotents(S)
+    E, rows, columns = core.idempotents(S), S.table, S.structure.columns
+    ivs, down = S.structure.inverse_sets, S.structure.h_down
     els = S.elements
     for s in els:
-        W = core.weak_inverses(S, s)
+        W, row_s = ivs[s].W, rows[s]
         for w in W:
             for e, f in product(E, repeat=2):
-                if S.prod(e, w, f) not in W:
+                if rows[rows[e][w]][f] not in W:
                     return f"part 1 at s={s}, s'={w}, e={e}, f={f}"
         for w, v in product(W, repeat=2):
-            meet = S.prod(w, s, v)
+            meet = rows[rows[w][s]][v]
             if meet not in W:
                 return f"part 2 (membership) at s={s}"
-            if meet != S.prod(v, s, w):
+            if meet != rows[rows[v][s]][w]:
                 return f"part 2 (symmetry) at s={s}"
-            if not (core.h_leq(S, meet, w) and core.h_leq(S, meet, v)):
+            if not (meet in down[w] and meet in down[v]):
                 return f"part 2 (lower bound) at s={s}, {w}, {v}"
-            for t in W:
-                if (
-                    core.h_leq(S, t, w)
-                    and core.h_leq(S, t, v)
-                    and not core.h_leq(S, t, meet)
-                ):
-                    return f"part 2 (greatest) at s={s}, t={t}"
+            if not W & down[w] & down[v] <= down[meet]:
+                t = next(t for t in W if t in down[w] and t in down[v] and t not in down[meet])
+                return f"part 2 (greatest) at s={s}, t={t}"
+        # sW(s)s, the conjugates of the weak inverses of s
+        conjugated = frozenset([rows[row_s[w]][s] for w in W])
         for w in W:
-            for u in core.weak_inverses(S, w):
-                if u != S.prod(u, w, s) or u != S.prod(s, w, u):
+            for u in ivs[w].W:
+                if u != rows[rows[u][w]][s] or u != rows[row_s[w]][u]:
                     return f"part 3 (identities) at s={s}, s'={w}, s'*={u}"
-                if not core.h_leq(S, u, s):
+                if u not in down[s]:
                     return f"part 3 (below s) at s={s}, s'*={u}"
-                for e in E:
-                    if not core.h_leq(S, S.mul(e, u), s):
-                        return f"part 3 (es'* below s) at s={s}, e={e}"
+                if not down[s].issuperset(map(columns[u].__getitem__, E)):
+                    e = next(e for e in E if rows[e][u] not in down[s])
+                    return f"part 3 (es'* below s) at s={s}, e={e}"
             # for a bare weak inverse only one inclusion survives; the
             # displayed equality needs a mutual inverse (see the pinned
             # counterexample in the tests)
-            conjugated = core.set_mul(S, {s}, W, {s})
-            if not core.weak_inverses(S, w) <= conjugated:
+            if not ivs[w].W <= conjugated:
                 return f"part 4 (W(s') inside sW(s)s) at s={s}, s'={w}"
-            if core.inverse_sets(S, w).V != {S.prod(s, w, s)}:
+            sws = rows[row_s[w]][s]
+            if ivs[w].V != {sws}:
                 return f"part 4 (V(s')) at s={s}, s'={w}"
             for v in W:
-                if S.prod(s, w, s, v, s) not in core.weak_inverses(S, w):
+                if rows[rows[sws][v]][s] not in ivs[w].W:
                     return f"part 4 (ss'ss*s) at s={s}, s'={w}, s*={v}"
-        for w in core.inverse_sets(S, s).V:
-            if core.weak_inverses(S, w) != core.set_mul(S, {s}, W, {s}):
+        for w in ivs[s].V:
+            if ivs[w].W != conjugated:
                 return f"part 4 (W(s') = sW(s)s for mutual inverses) at s={s}, s'={w}"
     regular = core.regular_elements(S)
-    all_weak = frozenset().union(*(core.weak_inverses(S, s) for s in els))
+    all_weak = frozenset().union(*(iv.W for iv in ivs))
     if all_weak != regular:
         return "part 5: union of weak inverses differs from the regular elements"
     for a, b in product(all_weak, repeat=2):
-        if S.mul(a, b) not in all_weak:
+        if rows[a][b] not in all_weak:
             return f"part 5: not closed at ({a}, {b})"
     for w in all_weak:
-        if len(core.inverse_sets(S, w).V) != 1:
+        if len(ivs[w].V) != 1:
             return f"part 5: non-unique inverse at {w}"
     for s in els:
-        w1 = core.weak_inverses(S, s)
-        w2 = frozenset().union(*(core.weak_inverses(S, a) for a in w1)) if w1 else frozenset()
-        w3 = frozenset().union(*(core.weak_inverses(S, a) for a in w2)) if w2 else frozenset()
+        w1 = ivs[s].W
+        w2 = frozenset().union(*(ivs[a].W for a in w1)) if w1 else frozenset()
+        w3 = frozenset().union(*(ivs[a].W for a in w2)) if w2 else frozenset()
         if w3 != w1:
             return f"part 6 at s={s}"
 
@@ -318,22 +346,32 @@ def _three_way_closed_violations(S):
 
 
 def _idempotent_closed_lemma_violations(S):
-    E = core.idempotents(S)
+    """Both parts over every E-dense subsemigroup H, with Hc its closure.
+    For each H the rows ``into[a] = {y : ay in Hc}`` are built once, and
+    ``bad[x']``, the y with x'ey in Hc for some idempotent e but x'y
+    outside Hc, is their union over the x'e less ``into[x']``.  Part 1 is
+    then one membership test per (x, x'), part 2 one union over the x' of
+    x; only a failing x is rescanned, to name its first e."""
+    E, rows = core.idempotents(S), S.table
+    W = [iv.W for iv in S.structure.inverse_sets]
     for H in _lemma_subsemigroups(S):
         Hc = closures.omega_h(S, H)
+        into = _into_rows(S, Hc)
+        bad = [_NOTHING.union(*(into[row[e]] for e in E)) - into[a] for a, row in enumerate(rows)]
         # x'ex in Hc forces x'x in Hc
         for x in S.elements:
-            for xp in core.weak_inverses(S, x):
-                if S.mul(xp, x) in Hc:
-                    continue
-                for e in E:
-                    if S.prod(xp, e, x) in Hc:
-                        return f"part 1 at H={sorted(H)}, x={x}, x'={xp}, e={e}"
+            for xp in W[x]:
+                if x in bad[xp]:
+                    e = next(e for e in E if S.prod(xp, e, x) in Hc)
+                    return f"part 1 at H={sorted(H)}, x={x}, x'={xp}, e={e}"
         # x'ey in Hc and y'y in Hc, for some weak inverse y' of y, force x'y in Hc
-        for x, y in product(S.elements, repeat=2):
-            if not any(S.mul(yp, y) in Hc for yp in core.weak_inverses(S, y)):
+        undone = frozenset(y for y in S.elements if any(y in into[yp] for yp in W[y]))
+        for x in S.elements:
+            failing = undone & _NOTHING.union(*(bad[xp] for xp in W[x]))
+            if not failing:
                 continue
-            for xp in core.weak_inverses(S, x):
+            y = min(failing)
+            for xp in W[x]:
                 if S.mul(xp, y) in Hc:
                     continue
                 for e in E:
@@ -357,34 +395,57 @@ def suite_closures(S: FiniteSemigroup) -> list[Finding]:
 
 
 def _basic_lemma_violations(act):
-    S = act.semigroup
+    """The four parts at each point x.  Part 2 compares, for every pair
+    (s, s') of an element and a weak inverse, whether s' and ss' act on x,
+    as two maps over fixed lists.  Part 4 reads the fibres of the column of
+    x over D^x and the rows ``into_stab[s'] = {t : s't in S_x}``: the t
+    sending x where s does are the t of D^x with a witness s', so each s is
+    one set equality, and only a failing s is rescanned over t to name its
+    first witness."""
+    S, table, rows = act.semigroup, act.table, act.semigroup.table
     E = core.idempotents(S)
+    W = [iv.W for iv in S.structure.inverse_sets]
+    pairs = [(s, w) for s in S.elements for w in W[s]]
+    firsts, products = [w for s, w in pairs], [rows[s][w] for s, w in pairs]
+    into_by_stab = {}
     for x in act.points:
         dom = act.point_domains[x]
         stab = act.stabilizers[x]
         if not (E & dom) <= stab:
             return f"part 1 at x={x}"
-        for s in S.elements:
-            for w in core.weak_inverses(S, s):
-                if (w in dom) != (S.mul(s, w) in dom):
-                    return f"part 2 at x={x}, s={s}, s'={w}"
+        inside = dom.__contains__
+        i = next(compress(count(), map(ne, map(inside, firsts), map(inside, products))), None)
+        if i is not None:
+            s, w = pairs[i]
+            return f"part 2 at x={x}, s={s}, s'={w}"
+        col = [row[x] for row in table]
         for s in dom:
-            y = act.act(s, x)
-            back = any(act.table[w][y] == x for w in core.weak_inverses(S, s))
+            y = col[s]
+            back = any(table[w][y] == x for w in W[s])
             if not back:
                 return f"part 3 at x={x}, s={s}"
-        for s, t in product(dom, repeat=2):
-            same = act.act(s, x) == act.act(t, x)
-            witnesses = [
-                w for w in core.weak_inverses(S, s) if S.mul(w, t) in stab
-            ]
-            if same != bool(witnesses):
-                return f"part 4 at x={x}, s={s}, t={t}"
-            if same:
-                sx = act.act(s, x)
-                for w in witnesses:
-                    if not act.defined(w, sx):
-                        return f"part 4 (domain) at x={x}, s={s}, s'={w}"
+        fibres = {}
+        for t in dom:
+            fibres.setdefault(col[t], set()).add(t)
+        into_stab = into_by_stab.get(stab)
+        if into_stab is None:
+            into_stab = into_by_stab[stab] = _into_rows(S, stab)
+        for s in dom:
+            sx, Ws = col[s], W[s]
+            same = fibres[sx]
+            reached = dom & _NOTHING.union(*(into_stab[w] for w in Ws))
+            if reached == same and all(
+                table[w][sx] is not None or into_stab[w].isdisjoint(same) for w in Ws
+            ):
+                continue
+            for t in dom:
+                witnesses = [w for w in Ws if rows[w][t] in stab]
+                if (col[t] == sx) != bool(witnesses):
+                    return f"part 4 at x={x}, s={s}, t={t}"
+                if col[t] == sx:
+                    for w in witnesses:
+                        if table[w][sx] is None:
+                            return f"part 4 (domain) at x={x}, s={s}, s'={w}"
 
 
 def _orbit_partition_violations(act):
@@ -467,15 +528,20 @@ def _wp_idempotent_orbit_violations(S):
 
 
 def _locally_free_iff_violations(act):
-    S = act.semigroup
+    """Locally free exactly when s and t that agree at x agree on some e in
+    S_x.  The pairs that agree at x are the pairs of a fibre of the column
+    of x, and each s enters as its row read at S_x."""
+    rows = act.semigroup.table
     lf = act.properties.locally_free
-    stabs = act.stabilizers
-    cond = all(
-        any(S.mul(s, e) == S.mul(t, e) for e in stabs[x])
-        for x in act.points
-        for s, t in product(act.point_domains[x], repeat=2)
-        if act.act(s, x) == act.act(t, x)
-    )
+    cond = True
+    for x, stab in enumerate(act.stabilizers):
+        at_stab = core._picker(sorted(stab))
+        fibres = {}
+        for s in act.point_domains[x]:
+            fibres.setdefault(act.table[s][x], []).append(at_stab(rows[s]))
+        cond = all(any(map(eq, a, b)) for fibre in fibres.values() for a, b in product(fibre, repeat=2))
+        if not cond:
+            break
     if lf != cond:
         return f"locally-free={lf}, gluing-condition={cond}"
 
@@ -516,43 +582,40 @@ def _act_map_exists(act, dst):
 
 
 def _grading_law_violations(act):
-    S = act.semigroup
+    S, table, rows = act.semigroup, act.table, act.semigroup.table
     g = act.grading
     if not isinstance(g, acts.Grading):
         return None
     p = g.p
-    E = core.idempotents(S)
+    E, down = core.idempotents(S), S.structure.h_down
+    W = [iv.W for iv in S.structure.inverse_sets]
     for x in act.points:
         fixing = act.stabilizers[x] & E
-        if p[x] not in fixing or not all(core.h_leq(S, p[x], f) for f in fixing):
+        if p[x] not in fixing or not all(p[x] in down[f] for f in fixing):
             return f"p({x}) is not the minimum stabilizing idempotent"
-        for w in core.weak_inverses(S, p[x]):
-            if act.defined(w, x) and w != p[x]:
+        for w in W[p[x]]:
+            if table[w][x] is not None and w != p[x]:
                 return f"weak inverse of p({x}) acting on x differs from p(x)"
-    for s in S.elements:
-        for x in act.points:
-            if not act.defined(s, x):
+    for s, row in enumerate(table):
+        for x, sx in enumerate(row):
+            if sx is None:
                 continue
-            sx = act.act(s, x)
-            for w in core.weak_inverses(S, s):
-                if S.mul(w, s) == p[x] and S.mul(s, w) != p[sx]:
+            for w in W[s]:
+                if rows[w][s] == p[x] and rows[s][w] != p[sx]:
                     return f"s's = p(x) but ss' != p(sx) at s={s}, x={x}"
-                if act.defined(w, sx) and p[sx] != S.prod(s, p[x], w):
+                if table[w][sx] is not None and p[sx] != rows[rows[s][p[x]]][w]:
                     return f"p(sx) != s p(x) s' at s={s}, x={x}, s'={w}"
     # the points graded into the order ideal of each idempotent; s's and ss'
     # are idempotent for every weak inverse s'
     ideals = {e: acts.order_ideal(S, e) for e in E}
     graded_into = {e: frozenset(x for x in act.points if p[x] in ideals[e]) for e in E}
-    for s in S.elements:
+    for s, row in enumerate(table):
         dom = act.element_domain(s)
-        union = frozenset()
-        image_union = frozenset()
-        for w in core.weak_inverses(S, s):
-            union |= graded_into[S.mul(w, s)]
-            image_union |= graded_into[S.mul(s, w)]
+        union = _NOTHING.union(*[graded_into[rows[w][s]] for w in W[s]])
+        image_union = _NOTHING.union(*[graded_into[rows[s][w]] for w in W[s]])
         if dom != union:
             return f"domain formula fails at s={s}"
-        if frozenset(act.act(s, x) for x in dom) != image_union:
+        if frozenset(map(row.__getitem__, dom)) != image_union:
             return f"image formula fails at s={s}"
 
 
@@ -676,53 +739,74 @@ def _munn_grading_violations(S, munn):
 # --- cosets suite ----------------------------------------------------------
 
 
-def _pi_h(S, H, among):
-    """The pairs of ``among`` that pi_H relates: (s, t) with s't in H for
-    some weak inverse s' of s."""
-    return {
-        (s, t)
-        for s, t in product(among, repeat=2)
-        if any(S.mul(w, t) in H for w in core.weak_inverses(S, s))
-    }
+def _pi_rows(S, H) -> tuple[frozenset[int], ...]:
+    """Row s of pi_H: the t with s't in H for some weak inverse s' of s,
+    the union of the rows {t : s't in H} over W(s)."""
+    into = _into_rows(S, H)
+    return tuple(_NOTHING.union(*map(into.__getitem__, iv.W)) for iv in S.structure.inverse_sets)
 
 
 def _classes(S, H, d):
     """The class (sH)^ of each s in the domain d of pi_H."""
-    return {s: closures.omega_h(S, core.set_mul(S, {s}, H)) for s in d}
+    rows = S.table
+    return {s: closures.omega_h(S, frozenset(map(rows[s].__getitem__, H))) for s in d}
 
 
 def _pi_properties_violations(S, H, space):
-    d = space.domain
-    rel = _pi_h(S, H, S.elements)
-    for s, t in sorted(rel):
-        if s not in d or t not in d:
-            return f"related pair ({s}, {t}) escapes the domain"
+    """pi_H is a left cancellative left congruence on D_H, checked on its
+    rows: reflexivity and symmetry are row membership, transitivity row
+    inclusion; left compatibility asks that r carry row u into row ru, or
+    out of D_H when ru is outside it, and left cancellation that the t with
+    xt in row xa lie in row a.  Related pairs are walked in increasing
+    order, and a failing row is rescanned pair by pair to name its first
+    witness."""
+    d, rows, columns = space.domain, S.table, S.structure.columns
+    pi = _pi_rows(S, H)
+    for s, row in enumerate(pi):
+        if row and not (s in d and row <= d):
+            return f"related pair ({s}, {min(row if s not in d else row - d)}) escapes the domain"
+    # from here every row lies in D_H
     for s in d:
-        if (s, s) not in rel:
+        if s not in pi[s]:
             return f"not reflexive on domain at {s}"
-    for s, t in rel:
-        if (t, s) not in rel:
-            return f"not symmetric at ({s}, {t})"
-    for s, t in rel:
-        for r in d:
-            if (t, r) in rel and (s, r) not in rel:
-                return f"not transitive at ({s}, {t}, {r})"
-    for (u, v) in rel:
-        for r in S.elements:
-            ru, rv = S.mul(r, u), S.mul(r, v)
-            if (ru in d) != (rv in d):
-                return f"left compatibility (domain) at r={r}, ({u}, {v})"
-            if ru in d and (ru, rv) not in rel:
-                return f"left compatibility (relation) at r={r}, ({u}, {v})"
-    # left cancellative
-    for x in S.elements:
-        for a, b in product(S.elements, repeat=2):
-            xa, xb = S.mul(x, a), S.mul(x, b)
-            if (xa, xb) in rel and (a, b) not in rel:
-                return f"left cancellation at x={x}, a={a}, b={b}"
+    back = core._transpose(pi)  # back[t] holds the s with t in row s
+    for s, row in enumerate(pi):
+        if not row <= back[s]:
+            return f"not symmetric at ({s}, {min(row - back[s])})"
+    for s, row in enumerate(pi):
+        if not row.issuperset(_NOTHING.union(*map(pi.__getitem__, row))):
+            t = min(t for t in row if not pi[t] <= row)
+            return f"not transitive at ({s}, {t}, {min(pi[t] - row)})"
+    for u, row in enumerate(pi):
+        if all(
+            pi[ru].issuperset(map(rrow.__getitem__, row))
+            if ru in d
+            else d.isdisjoint(map(rrow.__getitem__, row))
+            for rrow, ru in zip(rows, columns[u])
+        ):
+            continue
+        for v in sorted(row):
+            for r, rrow in enumerate(rows):
+                ru, rv = rrow[u], rrow[v]
+                if (ru in d) != (rv in d):
+                    return f"left compatibility (domain) at r={r}, ({u}, {v})"
+                if ru in d and rv not in pi[ru]:
+                    return f"left compatibility (relation) at r={r}, ({u}, {v})"
+    # left cancellative: the b with xb in row xa, for each value xa, by x
+    elements = S.elements
+    for x, xrow in enumerate(rows):
+        lifted = {c: set(compress(elements, map(pi[c].__contains__, xrow))) for c in set(xrow)}
+        for a, xa in enumerate(xrow):
+            bad = lifted[xa] - pi[a]
+            if bad:
+                return f"left cancellation at x={x}, a={a}, b={min(bad)}"
 
 
 def _coset_class_violations(S, H, space):
+    """The cosets partition D_H with H among them, and for a, b in D_H the
+    four relations (same class, pi_H, a in the class of b, b in the class
+    of a) agree: for each a they are four sets of b, and a failing a is
+    rescanned to name its first b."""
     d = space.domain
     members = [c.members for c in space.cosets]
     if H not in members:
@@ -737,14 +821,21 @@ def _coset_class_violations(S, H, space):
             return f"class of {s} is not a coset"
         if s not in cls:
             return f"{s} outside its own class"
-    pi = _pi_h(S, H, d)
-    for a, b in product(sorted(d), repeat=2):
-        e1 = classes[a] == classes[b]
-        e2 = (b, a) in pi
-        e3 = a in classes[b]
-        e4 = b in classes[a]
-        if not (e1 == e2 == e3 == e4):
-            return f"four-way equivalence fails at ({a}, {b})"
+    # from here the classes are the cosets, which partition D_H
+    pi = _pi_rows(S, H)
+    same, related, inside = {}, {a: set() for a in d}, {a: set() for a in d}
+    for b in d:
+        same.setdefault(classes[b], set()).add(b)
+        for a in pi[b] & d:
+            related[a].add(b)
+        for a in classes[b]:
+            inside[a].add(b)
+    for a in sorted(d):
+        rel = same[classes[a]], related[a], inside[a], classes[a]
+        if rel[0] == rel[1] == rel[2] == rel[3]:
+            continue
+        b = min(b for b in d if len({b in r for r in rel}) > 1)
+        return f"four-way equivalence fails at ({a}, {b})"
 
 
 def _coset_lemma_violations(S, H, space):
@@ -758,19 +849,26 @@ def _coset_lemma_violations(S, H, space):
     members = {c.members for c in space.cosets}
     d = space.domain
     classes = _classes(S, H, d)
-    for s, t in product(S.elements, repeat=2):
-        st = S.mul(s, t)
-        if t in d:
-            s_tc = closures.omega_h(S, core.set_mul(S, {s}, classes[t]))
+    for s, row in enumerate(S.table):
+        # the closure of s times a class, once per class
+        closed = {}
+        for t, st in enumerate(row):
+            if t not in d:
+                if st in d:
+                    return f"part 4 (st defined without t) at s={s}, t={t}"
+                continue
+            s_tc = closed.get(classes[t])
+            if s_tc is None:
+                s_tc = closures.omega_h(S, frozenset(map(row.__getitem__, classes[t])))
+                closed[classes[t]] = s_tc
             if (st in d) != (s_tc in members):
                 return f"part 4 (definedness) at s={s}, t={t}"
             if st in d and s_tc != classes[st]:
                 return f"part 4 (equality) at s={s}, t={t}"
-        elif st in d:
-            return f"part 4 (st defined without t) at s={s}, t={t}"
 
 
 def _conjugacy_violations(S, bases):
+    coset_acts = {H: cosets.coset_space(S, H).act for H in bases}
     for H, K in product(bases, repeat=2):
         at = f"H={sorted(H)}, K={sorted(K)}"
         witness = cosets.are_conjugate(S, H, K)
@@ -785,8 +883,7 @@ def _conjugacy_violations(S, bases):
                 return f"{at}: closure of s'Hs is not K, or of sKs' not H, at {witness}"
             if S.mul(s, w) not in H or S.mul(w, s) not in K:
                 return f"{at}: ss' not in H or s's not in K at {witness}"
-        act_h, act_k = cosets.coset_space(S, H).act, cosets.coset_space(S, K).act
-        iso = acts.find_act_isomorphism(act_h, act_k)
+        iso = acts.find_act_isomorphism(coset_acts[H], coset_acts[K])
         if (witness is None) != (iso is None):
             return f"{at}: conjugacy witness search and act isomorphism disagree"
 
@@ -821,13 +918,15 @@ def _conjugate_subsemigroup_remark_violations(S, bases):
 
 
 def _self_conjugacy_violations(S, bases):
+    rows, columns = S.table, S.structure.columns
     for H in bases:
         crit = cosets.is_self_conjugate(S, H)
+        # sHs' is column s' read at row s over H
         form2 = all(
-            core.set_mul(S, {s}, H, {w}) <= H
+            H.issuperset(map(columns[w].__getitem__, map(rows[s].__getitem__, H)))
             for s in S.elements
             for w in core.weak_inverses(S, s)
-            if S.mul(w, s) in H
+            if rows[w][s] in H
         )
         only_self = all(
             (cosets.are_conjugate(S, H, K) is None) == (H != K) for K in bases
@@ -855,11 +954,19 @@ def _quotient_violations(S, H):
             return "D_H must be closed under products"
         if sorted(images) != list(range(k)):
             return "each rho_s must be a bijection"
-    for s, t in product(perms, repeat=2):
-        st = S.mul(s, t)
-        if st not in perms or perms[st] != tuple(perms[s][i] for i in perms[t]):
+    # rho_st = rho_s after rho_t: each rho_t picks from every whole row rho_s
+    columns = S.structure.columns
+    for t, images in perms.items():
+        compose = core._picker(images)
+        if any(perms.get(columns[t][s]) != compose(row) for s, row in perms.items()):
             return "rho must be a homomorphism"
-    if rho.kernel_pairs() != _pi_h(S, H, space.domain):
+    # the kernel and pi_H, as their nonempty rows on D_H
+    fibres = {}
+    for s, images in perms.items():
+        fibres.setdefault(images, set()).add(s)
+    d, pi = space.domain, _pi_rows(S, H)
+    pi_on_d = {s: row for s in d if (row := pi[s] & d)}
+    if {s: fibres[images] for s, images in perms.items()} != pi_on_d:
         return "kernel of rho must be the coset congruence"
     try:
         Q = cosets.quotient_group(S, H)

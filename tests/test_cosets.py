@@ -7,7 +7,7 @@ import pytest
 
 from edense import acts, closures, construction, core, cosets, verify
 from edense.cli import main
-from edense.errors import BadSubsemigroup, NotSelfConjugate
+from edense.errors import BadSubsemigroup, NotSelfConjugate, PreconditionFailed
 
 from conftest import cyclic_table, fx
 
@@ -21,6 +21,15 @@ def test_pi_h_examples():
     for h1 in H03:
         for h2 in H03:
             assert cosets.pi_h_related(S, H03, h1, h2)
+
+
+@pytest.mark.parametrize("s, t", [(-1, 5), (5, -1), (9, 0), (0, 9), (0.0, 0), (1, "4")])
+def test_pi_h_related_refuses_ids_outside_the_elements(s, t):
+    # read as an index, -1 would ask the last element's weak inverses and 9
+    # would fail with a bare IndexError
+    odd = s if not core._is_id(s, 6) else t
+    with pytest.raises(PreconditionFailed, match=f"element {odd} is not one of the 6 elements"):
+        cosets.pi_h_related(fx("Z3E"), H03, s, t)
 
 
 def test_check_base_names_failures():

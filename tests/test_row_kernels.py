@@ -321,6 +321,22 @@ def test_entries_that_are_not_ints_are_out_of_range_at_every_entry_point(odd):
     assert outcome(acts.wagner_preston, S, [1, odd, -1]) == (
         PreconditionFailed, "precondition failed: carrier -1 is not an element id 0..1"
     )
+    # with a base, a carrier and a conjugacy answer stored that equal {0.0}
+    # and [1, 0.0], the members are still refused by type, on every call
+    cosets.coset_space(S, {0})
+    acts.wagner_preston(S, [1, 0])
+    cosets.are_conjugate(S, {0}, {0})
+    bad_base = (
+        BadSubsemigroup,
+        f"subset is not a closed E-dense subsemigroup: member out of range (witness {[odd]})",
+    )
+    for _ in range(2):
+        assert outcome(cosets.coset_space, S, {odd}) == bad_base
+        assert outcome(cosets.are_conjugate, S, {odd}, {0}) == bad_base
+        assert outcome(cosets.are_conjugate, S, {0}, {odd}) == bad_base
+        assert outcome(acts.wagner_preston, S, [1, odd]) == carrier
+    assert set(S.structure.coset_spaces) == {frozenset({0})}
+    assert set(S.structure.wagner_preston_acts) == {frozenset({0, 1})}
 
     def refused(kind, what):
         return PreconditionFailed, f"precondition failed: {kind} {odd} is not one of the 2 {what}"
@@ -329,6 +345,25 @@ def test_entries_that_are_not_ints_are_out_of_range_at_every_entry_point(odd):
     assert outcome(crypto.decrypt_key_space, sys_, 0, odd) == refused("key", "keys")
     assert outcome(crypto.massey_omura, sys_, odd, 0, 0) == refused("plaintext", "points")
     assert outcome(crypto.discrete_log_candidates, sys_, 0, odd) == refused("point", "points")
+
+
+def test_unhashable_members_are_refused_like_other_non_ids():
+    # the memo key would be a frozenset of the members; an unhashable one
+    # is refused by name first, as on a memo miss
+    S = core.build_semigroup(fx("Z2").table)
+    bad_base = (
+        BadSubsemigroup,
+        "subset is not a closed E-dense subsemigroup: member out of range (witness [[3]])",
+    )
+    assert outcome(cosets.coset_space, S, [[3]]) == bad_base
+    assert outcome(cosets.are_conjugate, S, [[3]], {0}) == bad_base
+    assert outcome(acts.wagner_preston, S, [[3]]) == (
+        PreconditionFailed, "precondition failed: carrier [3] is not an element id 0..1"
+    )
+    assert outcome(cosets.coset_space, S, [0.0, 0.0, 1]) == (
+        BadSubsemigroup,
+        "subset is not a closed E-dense subsemigroup: member out of range (witness [0.0])",
+    )
 
 
 def test_check_range_names_the_witness_of_the_entry_loop():
