@@ -131,7 +131,7 @@ class PartialAct:
 
         The grading sends x to the minimum idempotent in its stabilizer
         (``acts.grading-laws`` checks its laws).  Needs a semilattice of
-        idempotents.  It exists exactly when the act is effective: an
+        idempotents.  An act has one exactly when it is effective: an
         idempotent fixes each point it acts on (cancellativity), and if s
         acts on x then so does s's, for s' the weak inverse of reflexivity.
         So the product of the idempotents fixing x is their least member.
@@ -143,6 +143,8 @@ class PartialAct:
         for x, (dom, stab) in enumerate(zip(self.point_domains, self.stabilizers)):
             if not dom:
                 return GradingObstruction("non-effective point", x)
+            if stab.isdisjoint(E):
+                return GradingObstruction("stabilizer without minimum idempotent", x)
             p.append(reduce(S.mul, stab & E))
         return Grading(tuple(p))
 

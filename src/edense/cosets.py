@@ -5,6 +5,7 @@ congruence, omega-cosets, the coset act, conjugacy and quotient groups.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import compress
 
 from . import acts, closures, core
@@ -50,6 +51,11 @@ class CosetSpace:
         if i is None:
             raise KeyError(f"{s} lies in no coset")
         return i
+
+    @cached_property
+    def conjugacy_witness(self) -> tuple[int, int] | None:
+        """The first (s, t) with st in H and ts outside H, or None; found once."""
+        return _conjugacy_witness(self.semigroup, self.base)
 
 
 def check_base(S: FiniteSemigroup, H) -> frozenset[int]:
@@ -210,16 +216,7 @@ def _conjugacy_witness(S: FiniteSemigroup, H):
 
 def is_self_conjugate(S: FiniteSemigroup, H) -> bool:
     """Whether st in H always forces ts in H."""
-    return _conjugacy_witness(S, coset_space(S, H).base) is None
-
-
-def _self_conjugate_space(S: FiniteSemigroup, H) -> CosetSpace:
-    """The coset space of H, or ``NotSelfConjugate`` at the first witness."""
-    space = coset_space(S, H)
-    witness = _conjugacy_witness(S, space.base)
-    if witness is not None:
-        raise NotSelfConjugate(witness)
-    return space
+    return coset_space(S, H).conjugacy_witness is None
 
 
 def quotient_group(S: FiniteSemigroup, H) -> FiniteSemigroup:
@@ -227,7 +224,9 @@ def quotient_group(S: FiniteSemigroup, H) -> FiniteSemigroup:
     row at the representative s of coset i, so (coset of s)(coset of t) =
     coset of st.  That it is a group with the coset H as identity is the
     finding ``cosets.self-conjugacy-forms``."""
-    space = _self_conjugate_space(S, H)
+    space = coset_space(S, H)
+    if space.conjugacy_witness is not None:
+        raise NotSelfConjugate(space.conjugacy_witness)
     rows = [space.act.table[c.representative] for c in space.cosets]
     name = f"{S.name}/H" if S.name else "S/H"
     return core.build_semigroup(rows, labels=space.act.point_labels, name=name)
@@ -257,5 +256,7 @@ def rho_representation(S: FiniteSemigroup, H) -> RhoRepresentation:
     permutation, that the map is a homomorphism and that its kernel is the
     coset congruence is the finding ``cosets.self-conjugacy-forms``.
     """
-    space = _self_conjugate_space(S, H)
+    space = coset_space(S, H)
+    if space.conjugacy_witness is not None:
+        raise NotSelfConjugate(space.conjugacy_witness)
     return RhoRepresentation(space, {s: space.act.table[s] for s in sorted(space.domain)})

@@ -128,8 +128,9 @@ def _require_in(kind: str, v, values, what: str):
 
 
 def _require_keys(sys: Cryptosystem, *keys: int) -> None:
+    elements = sys.semigroup.elements
     for key in keys:
-        _require_in("key", key, sys.semigroup.elements, "keys")
+        _require_in("key", key, elements, "keys")
 
 
 def decrypt_key_space(sys: Cryptosystem, x: int, key: int) -> frozenset[int]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 from itertools import combinations, compress, count, product
-from operator import eq, ne
+from operator import eq, le, ne, xor
 
 from . import acts, closures, core, cosets, construction, crypto
 from .core import FiniteSemigroup
@@ -97,8 +97,8 @@ def _weak_self_conjugacy_violations(S):
 def _mitsch_order_violations(S):
     """Reflexivity, antisymmetry and transitivity of the natural order,
     read off the rows down[b] = {a : a <= b}.  Transitivity is row
-    inclusion, down[b] inside down[c] for each b in down[c]; only when
-    that fails are the triples scanned, a outermost, to name the first."""
+    inclusion, down[b] inside down[c] for each b in down[c]; the witness
+    is the least (a, b, c) of the rows c where it fails."""
     down = S.structure.natural_down
     els = S.elements
     for a in els:
@@ -107,30 +107,27 @@ def _mitsch_order_violations(S):
     for a, b in product(els, repeat=2):
         if a != b and a in down[b] and b in down[a]:
             return f"not antisymmetric at ({a}, {b})"
-    if all(row.issuperset(_NOTHING.union(*map(down.__getitem__, row))) for row in down):
-        return None
-    for a, b, c in product(els, repeat=3):
-        if a in down[b] and b in down[c] and a not in down[c]:
-            return f"not transitive at ({a}, {b}, {c})"
+    failing = [c for c, row in enumerate(down) if not row >= _NOTHING.union(*map(down.__getitem__, row))]
+    if failing:
+        a, b, c = min((a, b, c) for c in failing for b in down[c] for a in down[b] - down[c])
+        return f"not transitive at ({a}, {b}, {c})"
 
 
 def _h_refines_mitsch_violations(S):
-    st = S.structure
-    if all(h <= m for h, m in zip(st.h_down, st.natural_down)):
-        return None
-    for a, b in product(S.elements, repeat=2):
-        if a in st.h_down[b] and a not in st.natural_down[b]:
-            return f"({a}, {b})"
+    h, m = S.structure.h_down, S.structure.natural_down
+    failing = [b for b, ok in enumerate(map(le, h, m)) if not ok]
+    if failing:
+        a, b = min((min(h[b] - m[b]), b) for b in failing)
+        return f"({a}, {b})"
 
 
 def _regular_orders_violations(S):
-    st, reg = S.structure, core.regular_elements(S)
-    if all(reg.isdisjoint(h ^ m) for h, m in zip(st.h_down, st.natural_down)):
-        return None
-    for a in reg:
-        for b in S.elements:
-            if (a in st.h_down[b]) != (a in st.natural_down[b]):
-                return f"regular a={a}, b={b}"
+    """The two orders agree at each regular a; the witness is the least (a, b)."""
+    h, m, reg = S.structure.h_down, S.structure.natural_down, core.regular_elements(S)
+    failing = [(b, diff) for b, diff in enumerate(map(xor, h, m)) if not reg.isdisjoint(diff)]
+    if failing:
+        a, b = min((min(reg & diff), b) for b, diff in failing)
+        return f"regular a={a}, b={b}"
 
 
 def _group_criteria_violations(S):
@@ -175,11 +172,10 @@ def _idempotent_witness_violations(S):
         frozenset(map(col.__getitem__, E)).intersection(map(row.__getitem__, E))
         for row, col in zip(rows, columns)
     ]
-    if all(w <= d for w, d in zip(witnessed, down)):
-        return None
-    for a, b in product(S.elements, repeat=2):
-        if a in witnessed[b] and a not in down[b]:
-            return f"({a}, {b})"
+    failing = [b for b, ok in enumerate(map(le, witnessed, down)) if not ok]
+    if failing:
+        a, b = min((min(witnessed[b] - down[b]), b) for b in failing)
+        return f"({a}, {b})"
 
 
 def _weak_inverse_lemma_violations(S):
@@ -351,7 +347,8 @@ def _idempotent_closed_lemma_violations(S):
     ``bad[x']``, the y with x'ey in Hc for some idempotent e but x'y
     outside Hc, is their union over the x'e less ``into[x']``.  Part 1 is
     then one membership test per (x, x'), part 2 one union over the x' of
-    x; only a failing x is rescanned, to name its first e."""
+    x.  In part 2 the witness x' is the first with y in ``bad[x']``, and
+    in both parts the first e with x'ey in Hc is named."""
     E, rows = core.idempotents(S), S.table
     W = [iv.W for iv in S.structure.inverse_sets]
     for H in _lemma_subsemigroups(S):
@@ -368,15 +365,11 @@ def _idempotent_closed_lemma_violations(S):
         undone = frozenset(y for y in S.elements if any(y in into[yp] for yp in W[y]))
         for x in S.elements:
             failing = undone & _NOTHING.union(*(bad[xp] for xp in W[x]))
-            if not failing:
-                continue
-            y = min(failing)
-            for xp in W[x]:
-                if S.mul(xp, y) in Hc:
-                    continue
-                for e in E:
-                    if S.prod(xp, e, y) in Hc:
-                        return f"part 2 at H={sorted(H)}, x={x}, y={y}, e={e}"
+            if failing:
+                y = min(failing)
+                xp = next(xp for xp in W[x] if y in bad[xp])
+                e = next(e for e in E if S.prod(xp, e, y) in Hc)
+                return f"part 2 at H={sorted(H)}, x={x}, y={y}, e={e}"
 
 
 def suite_closures(S: FiniteSemigroup) -> list[Finding]:
@@ -400,8 +393,8 @@ def _basic_lemma_violations(act):
     as two maps over fixed lists.  Part 4 reads the fibres of the column of
     x over D^x and the rows ``into_stab[s'] = {t : s't in S_x}``: the t
     sending x where s does are the t of D^x with a witness s', so each s is
-    one set equality, and only a failing s is rescanned over t to name its
-    first witness."""
+    one set equality.  A failing s names the first t of D^x in their
+    symmetric difference or in the fibre through an s' not acting on sx."""
     S, table, rows = act.semigroup, act.table, act.semigroup.table
     E = core.idempotents(S)
     W = [iv.W for iv in S.structure.inverse_sets]
@@ -438,14 +431,13 @@ def _basic_lemma_violations(act):
                 table[w][sx] is not None or into_stab[w].isdisjoint(same) for w in Ws
             ):
                 continue
-            for t in dom:
-                witnesses = [w for w in Ws if rows[w][t] in stab]
-                if (col[t] == sx) != bool(witnesses):
-                    return f"part 4 at x={x}, s={s}, t={t}"
-                if col[t] == sx:
-                    for w in witnesses:
-                        if table[w][sx] is None:
-                            return f"part 4 (domain) at x={x}, s={s}, s'={w}"
+            lost = [w for w in Ws if table[w][sx] is None]
+            wrong, blocked = reached ^ same, same & _NOTHING.union(*(into_stab[w] for w in lost))
+            t = next(t for t in dom if t in wrong or t in blocked)
+            if t in wrong:
+                return f"part 4 at x={x}, s={s}, t={t}"
+            w = next(w for w in lost if t in into_stab[w])
+            return f"part 4 (domain) at x={x}, s={s}, s'={w}"
 
 
 def _orbit_partition_violations(act):
@@ -757,10 +749,9 @@ def _pi_properties_violations(S, H, space):
     rows: reflexivity and symmetry are row membership, transitivity row
     inclusion; left compatibility asks that r carry row u into row ru, or
     out of D_H when ru is outside it, and left cancellation that the t with
-    xt in row xa lie in row a.  Related pairs are walked in increasing
-    order, and a failing row is rescanned pair by pair to name its first
-    witness."""
-    d, rows, columns = space.domain, S.table, S.structure.columns
+    xt in row xa lie in row a.  Each witness is the least related pair
+    that a failing row leaves out of place."""
+    d, rows, columns, elements = space.domain, S.table, S.structure.columns, S.elements
     pi = _pi_rows(S, H)
     for s, row in enumerate(pi):
         if row and not (s in d and row <= d):
@@ -777,23 +768,22 @@ def _pi_properties_violations(S, H, space):
         if not row.issuperset(_NOTHING.union(*map(pi.__getitem__, row))):
             t = min(t for t in row if not pi[t] <= row)
             return f"not transitive at ({s}, {t}, {min(pi[t] - row)})"
+    # r must carry row u into the place of ru: row ru, or the elements
+    # outside D_H when ru is outside it
+    outside = frozenset(elements) - d
+    place = [row if s in d else outside for s, row in enumerate(pi)]
     for u, row in enumerate(pi):
-        if all(
-            pi[ru].issuperset(map(rrow.__getitem__, row))
-            if ru in d
-            else d.isdisjoint(map(rrow.__getitem__, row))
-            for rrow, ru in zip(rows, columns[u])
-        ):
+        if all(place[ru].issuperset(map(rrow.__getitem__, row)) for rrow, ru in zip(rows, columns[u])):
             continue
-        for v in sorted(row):
-            for r, rrow in enumerate(rows):
-                ru, rv = rrow[u], rrow[v]
-                if (ru in d) != (rv in d):
-                    return f"left compatibility (domain) at r={r}, ({u}, {v})"
-                if ru in d and rv not in pi[ru]:
-                    return f"left compatibility (relation) at r={r}, ({u}, {v})"
+        # the least v of row u that some r carries out of place
+        v, r = min(
+            (min(bad), r)
+            for r, (rrow, ru) in enumerate(zip(rows, columns[u]))
+            if (bad := row.difference(compress(elements, map(place[ru].__contains__, rrow))))
+        )
+        part = "domain" if (rows[r][u] in d) != (rows[r][v] in d) else "relation"
+        return f"left compatibility ({part}) at r={r}, ({u}, {v})"
     # left cancellative: the b with xb in row xa, for each value xa, by x
-    elements = S.elements
     for x, xrow in enumerate(rows):
         lifted = {c: set(compress(elements, map(pi[c].__contains__, xrow))) for c in set(xrow)}
         for a, xa in enumerate(xrow):
@@ -805,8 +795,8 @@ def _pi_properties_violations(S, H, space):
 def _coset_class_violations(S, H, space):
     """The cosets partition D_H with H among them, and for a, b in D_H the
     four relations (same class, pi_H, a in the class of b, b in the class
-    of a) agree: for each a they are four sets of b, and a failing a is
-    rescanned to name its first b."""
+    of a) agree: for each a they are four sets of b, and a failing a names
+    the least b on which they split."""
     d = space.domain
     members = [c.members for c in space.cosets]
     if H not in members:
@@ -832,10 +822,10 @@ def _coset_class_violations(S, H, space):
             inside[a].add(b)
     for a in sorted(d):
         rel = same[classes[a]], related[a], inside[a], classes[a]
-        if rel[0] == rel[1] == rel[2] == rel[3]:
-            continue
-        b = min(b for b in d if len({b in r for r in rel}) > 1)
-        return f"four-way equivalence fails at ({a}, {b})"
+        if not rel[0] == rel[1] == rel[2] == rel[3]:
+            # the b in some of the four sets but not in all
+            b = min(_NOTHING.union(*rel) - classes[a].intersection(*rel))
+            return f"four-way equivalence fails at ({a}, {b})"
 
 
 def _coset_lemma_violations(S, H, space):
@@ -1238,47 +1228,51 @@ def _left_ideal_violations():
 
 
 def _roundtrip_violations(systems):
-    """Both protocols recover every plaintext under every choice of keys
-    with uniform decrypt keys.  Each key choice is one run over all
-    plaintexts; only when a run fails are the plaintexts rescanned, x
-    outermost, to name the first witness."""
+    """Both protocols recover every plaintext under every choice of
+    decryptable keys, on commutative systems.  Each key choice is one run
+    over all plaintexts, and the witness is the least (plaintext,
+    protocol, keys) over the runs that fail, Massey-Omura first."""
     for name, sys in systems:
-        keys = sys.key_table
-        if not keys.commutative:
-            continue
-        decryptable = [s for s, uniform in enumerate(keys.uniform) if uniform]
+        decryptable = [s for s, uniform in enumerate(sys.key_table.uniform) if uniform]
         points = tuple(sys.act.points)
-        if all(
-            crypto.massey_omura_rows(sys, s, t)[-1] == points
+        failing = [
+            (_first_miss(row), 0, s, t)
             for s, t in product(decryptable, repeat=2)
-        ) and all(
-            crypto.elgamal_rows(sys, s, c, d)[-1] == points
+            if (row := crypto.massey_omura_rows(sys, s, t)[-1]) != points
+        ]
+        failing += [
+            (_first_miss(row), 1)
             for s, c, d in product(decryptable, repeat=3)
-        ):
-            continue
-        for x in sys.act.points:
-            for s, t in product(decryptable, repeat=2):
-                if not crypto.massey_omura(sys, x, s, t).ok:
-                    return f"{name}: three-pass fails at x={x}, s={s}, t={t}"
-            for s, c, d in product(decryptable, repeat=3):
-                if not crypto.elgamal(sys, x, s, c, d).ok:
-                    return f"{name}: key-trace protocol fails at x={x}"
+            if (row := crypto.elgamal_rows(sys, s, c, d)[-1]) != points
+        ]
+        if failing:
+            x, elgamal, *keys = min(failing)
+            if elgamal:
+                return f"{name}: key-trace protocol fails at x={x}"
+            return f"{name}: three-pass fails at x={x}, s={keys[0]}, t={keys[1]}"
 
 
 def _biact_roundtrip_violations(systems):
     """The three-pass protocol through the biact of each system, whose act
-    must be left multiplication on all of S; S acts on the right by product."""
+    must be left multiplication on all of S; S acts on the right by product.
+    The witness is the least (plaintext, keys) over the runs that fail."""
     for name, sys in systems:
         S = sys.semigroup
         biact = crypto.build_biact(sys, S.table)  # x*s is S.table[x][s]
         points = tuple(sys.act.points)
-        keys = list(product(S.elements, repeat=2))
-        if all(crypto.massey_omura_rows(sys, s, t, biact)[-1] == points for s, t in keys):
-            continue
-        for x in sys.act.points:
-            for s, t in keys:
-                if not crypto.massey_omura(sys, x, s, t, biact=biact).ok:
-                    return f"{name}: biact three-pass fails at x={x}, s={s}, t={t}"
+        failing = [
+            (_first_miss(row), s, t)
+            for s, t in product(S.elements, repeat=2)
+            if (row := crypto.massey_omura_rows(sys, s, t, biact)[-1]) != points
+        ]
+        if failing:
+            x, s, t = min(failing)
+            return f"{name}: biact three-pass fails at x={x}, s={s}, t={t}"
+
+
+def _first_miss(recovered) -> int:
+    """The least plaintext x that a run's recovered row does not send back to x."""
+    return next(compress(count(), map(ne, recovered, count())))
 
 
 def _left_dense_violations(systems):
@@ -1370,6 +1364,7 @@ def suite_crypto() -> list[Finding]:
     """The crypto findings, over the systems of ``_system_corpus``."""
     systems = _system_corpus()
     # each check below takes the systems that meet its hypotheses
+    commutative = [(name, sys) for name, sys in systems if sys.key_table.commutative]
     left_regular = [(name, sys) for name, sys in systems if sys.act.table == sys.semigroup.table]
     unitary = [
         (name, sys)
@@ -1384,7 +1379,7 @@ def suite_crypto() -> list[Finding]:
         finding("crypto.stabilizers-closed", _stabilizer_closed_violations(systems)),
         finding("crypto.key-space-theorem", _key_space_violations(systems)),
         finding("crypto.left-ideals-locally-free", _left_ideal_violations()),
-        finding("crypto.protocol-roundtrips", _roundtrip_violations(systems)),
+        finding("crypto.protocol-roundtrips", _roundtrip_violations(commutative)),
         finding("crypto.biact-roundtrip", _biact_roundtrip_violations(left_regular)),
         finding("crypto.left-dense-equivalences", _left_dense_violations(systems)),
         finding("crypto.classification-theorem", _classification_violations(systems)),

@@ -208,6 +208,13 @@ def test_grading_obstruction_non_effective():
     assert g.reason == "non-effective point"
 
 
+def test_grading_obstruction_without_a_fixing_idempotent():
+    # an unvalidated table of Z3: every element acts on point 0, but the
+    # identity 0, the only idempotent, swaps it with point 1
+    act = acts.PartialAct(fx("Z3"), ((1, 0), (0, 1), (1, 0)))
+    assert act.grading == acts.GradingObstruction("stabilizer without minimum idempotent", 0)
+
+
 def test_munn_grading_is_identity(corpus):
     for name in SEMILATTICE_FIXTURES:
         S = fx(name)

@@ -1,24 +1,28 @@
 """The row kernels of the costliest lemma checks against the loops they replaced.
 
-Each check below builds its rows once per base, act or subsemigroup and
-tests each inner quantifier with one set operation, rescanning only a
-failing row to name its witness.  The ``ref_*`` functions are the
-per-entry loops the checks ran before, kept here as the oracle: on every
-input, and above all on inputs where a law fails, a check must return the
-same witness string as its loop.  The inputs are every order <= 3 table
-whose idempotents form a semilattice, fresh copies of the fixtures and
-Z_kE for k <= 6, with subsets that are not coset bases, stand-ins for
-``closures.omega_h``, raw act tables and, where the laws hold on every
-semigroup, unvalidated tables.  Each failing part must be hit at least
-three times.  The core-suite checks, the two act checks and
-``acts.is_s_map``, which now read the table and the structure record
-directly, are held to their loops the same way, with records that carry
-one wrong datum among the inputs.
+Each check below builds its rows once per base, act or subsemigroup,
+tests each inner quantifier with one set operation, and names its
+witness from the sets of the rows that failed, with no second scan of
+the law.  The ``ref_*`` functions are the per-entry loops the checks ran
+before, kept here as the oracle: on every input, and above all on inputs
+where a law fails, a check must return the same witness string as its
+loop.  The inputs are every order <= 3 table whose idempotents form a
+semilattice, fresh copies of the fixtures and Z_kE for k <= 6, with
+subsets that are not coset bases, stand-ins for ``closures.omega_h``,
+raw act tables and, where the laws hold on every semigroup, unvalidated
+tables.  Each failing part must be hit at least three times.  The
+core-suite checks, the two act checks and ``acts.is_s_map``, which now
+read the table and the structure record directly, are held to their
+loops the same way, with records that carry one wrong datum among the
+inputs.
 
-One witness order differs on purpose: the loops walked the set of pi_H
-pairs in hash order for symmetry, transitivity and left compatibility;
-the kernels name the least failing pair, so the oracle walks the pairs
-in increasing order there.
+Two witness orders differ on purpose, where a loop walked a set in hash
+order and the kernel names the least witness, so the oracle walks in
+increasing order there: the set of pi_H pairs for symmetry, transitivity
+and left compatibility, and the regular elements a for the agreement of
+the two orders on them.  Elsewhere a kernel keeps its loop's order: the
+basic act laws walk D^x, and the sandwich laws W(x) and E, as the loops
+did.
 """
 
 import dataclasses
@@ -300,7 +304,7 @@ def ref_h_refines_mitsch_violations(S):
 
 def ref_regular_orders_violations(S):
     reg = core.regular_elements(S)
-    for a in reg:
+    for a in sorted(reg):
         for b in S.elements:
             if core.h_leq(S, a, b) != core.mitsch_leq(S, a, b):
                 return f"regular a={a}, b={b}"
@@ -767,6 +771,20 @@ def test_one_corpus_verify_makes_at_most_40000_products(monkeypatch, capsys):
     assert 0 < calls[0] <= 40_000, calls[0]
 
 
+def test_one_corpus_verify_finds_each_conjugacy_witness_once_per_base(monkeypatch, capsys):
+    # the witness is kept on the coset space, so is_self_conjugate,
+    # rho_representation and quotient_group share one scan per base
+    monkeypatch.setattr(
+        construction, "fixture", functools.lru_cache(construction.fixture.__wrapped__)
+    )
+    bases = []
+    real = cosets._conjugacy_witness
+    monkeypatch.setattr(cosets, "_conjugacy_witness", lambda S, H: bases.append((S.name, H)) or real(S, H))
+    assert cli.main(["verify", "--corpus", "--json"]) == 0
+    capsys.readouterr()
+    assert 0 < len(bases) == len(set(bases)) <= 27, bases
+
+
 # --- the core suite and the act record readers --------------------------------
 
 CORE_CHECKS = (
@@ -810,8 +828,9 @@ def perturbed_records(tables, seed):
 
 def test_core_checks_name_the_first_witness_of_their_loops():
     # every table of order <= 3, the fixtures, Z_kE, unvalidated tables and
-    # records with one wrong datum; the checks read the record directly and
-    # test an order's laws row by row, rescanning only when one fails
+    # records with one wrong datum; the checks read the record directly,
+    # test an order's laws row by row and name the witness from the rows
+    # that fail
     small = [S for n in (1, 2, 3) for S in construction.enumerate_semigroups(n)]
     fixtures = [core.build_semigroup(fx(n).table) for n in construction.FIXTURE_NAMES]
     tables = small + fixtures + [z_k_e(k) for k in range(1, 7)]
