@@ -97,6 +97,17 @@ class PartialAct:
         return tuple(map(frozenset, fixing))
 
     @cached_property
+    def uniform_keys(self) -> tuple[frozenset[int], ...]:
+        """The uniform decrypt keys of every element s: the t whose product
+        t*s lies in every stabilizer, read off column s of the Cayley table;
+        none on an empty carrier."""
+        columns = self.semigroup.structure.columns
+        if not self.stabilizers:
+            return (frozenset(),) * len(columns)
+        fix_all = frozenset.intersection(*self.stabilizers)
+        return tuple(frozenset(t for t, u in enumerate(col) if u in fix_all) for col in columns)
+
+    @cached_property
     def orbit_partition(self) -> tuple[frozenset[int], ...]:
         """The distinct orbits, ordered by their least points."""
         return tuple(sorted(dict.fromkeys(self.orbit_sets), key=min))
@@ -173,15 +184,6 @@ class GradingObstruction:
 _POINT_TYPES = frozenset({int, type(None)})
 
 
-def _point_row(row) -> tuple[int | None, ...]:
-    """The row as a tuple of ints and Nones; a row of those alone is kept
-    as it is, any other converts entry by entry with ``int``."""
-    row = tuple(row)
-    if _POINT_TYPES.issuperset(map(type, row)):
-        return row
-    return tuple(v if v is None else int(v) for v in row)
-
-
 def validate_act(S: FiniteSemigroup, rows, point_labels=None) -> PartialAct:
     """Check the act axioms exhaustively and return the act.
 
@@ -193,9 +195,11 @@ def validate_act(S: FiniteSemigroup, rows, point_labels=None) -> PartialAct:
     on every defined sx).
 
     Each law is checked a whole row at a time; a failing row is rescanned
-    point by point only to name its first witness.
+    point by point only to name its first witness.  An entry is a point id
+    0..m-1, an int by type, or None: any other, such as 0.0, "0" or True,
+    is an ``OutOfRangeEntry``.
     """
-    table = tuple(map(_point_row, rows))
+    table = tuple(map(tuple, rows))
     if len(table) != S.n:
         raise PreconditionFailed("act_shape", f"{len(table)} rows for order {S.n}")
     m = len(table[0]) if table else 0
@@ -203,10 +207,10 @@ def validate_act(S: FiniteSemigroup, rows, point_labels=None) -> PartialAct:
     for s, row in enumerate(table):
         if len(row) != m:
             raise PreconditionFailed("act_shape", f"row {s} has {len(row)} entries, expected {m}")
-        if not entries.issuperset(row):
-            for x, v in enumerate(row):
-                if v is not None and not 0 <= v < m:
-                    raise OutOfRangeEntry(s, x, v)
+        # by type first: a list is unhashable, and True and 0.0 are members
+        if not (_POINT_TYPES.issuperset(map(type, row)) and entries.issuperset(row)):
+            x = next(x for x, v in enumerate(row) if v is not None and not core._is_id(v, m))
+            raise OutOfRangeEntry(s, x, row[x])
     witness = core._composition_witness(S, table)
     if witness:
         s, t, x = witness

@@ -14,15 +14,17 @@ _NOTHING = frozenset()
 
 def omega_m(S: FiniteSemigroup, A) -> frozenset[int]:
     """Upward closure of A under the natural partial order: the union of
-    the up-sets ``S.structure.natural_up`` of its members, ids outside
-    0..n-1 ignored."""
+    the up-sets ``S.structure.natural_up`` of its members.  A member finds
+    the up-set of the id it equals, so 0.0 counts as 0 and True as 1, and
+    one equal to no id 0..n-1 is ignored."""
     return _NOTHING.union(*map(S.structure.natural_up.get, A, repeat(_NOTHING)))
 
 
 def omega_h(S: FiniteSemigroup, A) -> frozenset[int]:
     """Upward closure of A under the idempotent-witnessed order: the union
-    of the up-sets ``S.structure.h_up`` of its members, ids outside 0..n-1
-    ignored."""
+    of the up-sets ``S.structure.h_up`` of its members.  A member finds the
+    up-set of the id it equals, so 0.0 counts as 0 and True as 1, and one
+    equal to no id 0..n-1 is ignored."""
     return _NOTHING.union(*map(S.structure.h_up.get, A, repeat(_NOTHING)))
 
 

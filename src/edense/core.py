@@ -170,10 +170,17 @@ class Structure:
         t, full = self.table, set(range(len(self.table)))
         return _find_identity(t) is not None and all(set(r) == full for r in (*t, *self.columns))
 
+    @cached_property
+    def is_commutative(self) -> bool:
+        """Whether a*b = b*a throughout: every column equals its row."""
+        return self.columns == self.table
+
 
 def _transpose(rows) -> dict[int, frozenset[int]]:
     """The relation {(a, b) : a in rows[b]}, as the set of its b by a.
-    Keyed by id, so a lookup of anything but an id 0..n-1 finds nothing."""
+    Keyed by id and looked up by equality, so a key equal to an id finds
+    that id's set (0.0 and False find the set of 0, True that of 1), and
+    any other finds nothing."""
     out = [[] for _ in rows]
     for b, row in enumerate(rows):
         for a in row:

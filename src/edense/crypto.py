@@ -29,42 +29,13 @@ from .errors import (
 
 
 @dataclass(frozen=True)
-class DecryptKeyTable:
-    """What every decrypt-key query reads, built once per act.
-
-    ``columns[s][t]`` is the product t*s; ``uniform[s]`` is the set of t
-    such that t*s fixes every point (empty on an empty carrier), and
-    ``least_uniform[s]`` its least member, or None when it is empty.  Then
-    K(s, x) = {t : t*s fixes x} is read off column s and the act's
-    stabilizer of x.
-    """
-
-    columns: tuple[tuple[int, ...], ...]
-    uniform: tuple[frozenset[int], ...]
-    least_uniform: tuple[int | None, ...]
-    commutative: bool
-
-    @classmethod
-    def of(cls, act: acts.PartialAct) -> "DecryptKeyTable":
-        S = act.semigroup
-        columns = S.structure.columns
-        if act.stabilizers:
-            fix_all = frozenset.intersection(*act.stabilizers)
-            uniform = tuple(
-                frozenset(t for t, u in enumerate(col) if u in fix_all) for col in columns
-            )
-        else:
-            uniform = (frozenset(),) * S.n
-        least = tuple(min(keys, default=None) for keys in uniform)
-        return cls(columns, uniform, least, columns == S.table)
-
-
-@dataclass(frozen=True)
 class Cryptosystem:
     """A validated total act, which ``build_cryptosystem`` checks; keys are
     elements of its semigroup, passed to each query.
 
-    The decrypt-key table is built on first use, once per system.
+    The key queries read the columns of the Cayley table on
+    ``S.structure`` and the uniform keys on the act, each built on first
+    use and kept by its record.
     """
 
     act: acts.PartialAct  # total: every entry defined
@@ -72,10 +43,6 @@ class Cryptosystem:
     @property
     def semigroup(self) -> FiniteSemigroup:
         return self.act.semigroup
-
-    @cached_property
-    def key_table(self) -> DecryptKeyTable:
-        return DecryptKeyTable.of(self.act)
 
 
 def build_cryptosystem(S: FiniteSemigroup, rows, point_labels=None) -> Cryptosystem:
@@ -134,10 +101,11 @@ def _require_keys(sys: Cryptosystem, *keys: int) -> None:
 
 
 def decrypt_key_space(sys: Cryptosystem, x: int, key: int) -> frozenset[int]:
-    """K(key, x): all t such that t*key fixes x."""
+    """K(key, x): all t such that t*key fixes x, read off column key of the
+    Cayley table and the act's stabilizer of x."""
     fixing = sys.act.stabilizers[_require_in("point", x, sys.act.points, "points")]
     _require_keys(sys, key)
-    return frozenset(t for t, u in enumerate(sys.key_table.columns[key]) if u in fixing)
+    return frozenset(t for t, u in enumerate(sys.semigroup.structure.columns[key]) if u in fixing)
 
 
 def key_space_sizes(sys: Cryptosystem) -> frozenset[int]:
@@ -149,7 +117,7 @@ def key_space_sizes(sys: Cryptosystem) -> frozenset[int]:
     stabilizers = set(sys.act.stabilizers)
     return frozenset(
         sum(map(fixing.__contains__, col))
-        for col in sys.key_table.columns
+        for col in sys.semigroup.structure.columns
         for fixing in stabilizers
     )
 
@@ -157,11 +125,12 @@ def key_space_sizes(sys: Cryptosystem) -> frozenset[int]:
 def uniform_decrypt_keys(sys: Cryptosystem, key: int) -> frozenset[int]:
     """Decrypt keys valid for every point: the intersection of K(s, x) over x."""
     _require_keys(sys, key)
-    return sys.key_table.uniform[key]
+    return sys.act.uniform_keys[key]
 
 
 def _uniform_key(sys: Cryptosystem, key: int) -> int:
-    least = sys.key_table.least_uniform[key]
+    """The least uniform decrypt key of ``key``, which the protocols use."""
+    least = min(sys.act.uniform_keys[key], default=None)
     if least is None:
         raise NoDecryptKey(key)
     return least
@@ -272,7 +241,7 @@ def massey_omura_rows(
     act = sys.act.table  # total: every entry defined
     s, t = alice_key, bob_key
     _require_keys(sys, s, t)
-    if biact is None and not sys.key_table.commutative:
+    if biact is None and not sys.semigroup.structure.is_commutative:
         raise PreconditionFailed("commutative", "supply a biact for this semigroup")
     if biact is not None and biact.system != sys:
         raise PreconditionFailed("biact", "the biact was built on another system")

@@ -463,10 +463,9 @@ def _effective_orbit_violations(act):
 
 def _wp_domain_forms_violations(S):
     # D_s = {x : x = s'sx for some s' in W(s)} = {s'sx : x, s' in W(s)}
-    rows, _ = acts.left_mult_total(S)
     for s in S.elements:
         image_form = {
-            rows[S.mul(w, s)][x] for w in core.weak_inverses(S, s) for x in range(S.n)
+            S.table[S.mul(w, s)][x] for w in core.weak_inverses(S, s) for x in range(S.n)
         }
         if acts.wagner_preston(S).element_domain(s) != image_form:
             return f"s={s}"
@@ -1130,7 +1129,7 @@ def _system_corpus():
 def _cancellative_lemma_violations():
     for name in construction.FIXTURE_NAMES:
         S = construction.fixture(name)
-        rows, _ = acts.left_mult_total(S)
+        rows = S.table  # left multiplication on all of S
         E = core.idempotents(S)
         ec = closures.omega_h(S, E)
         m = len(rows[0])
@@ -1233,7 +1232,7 @@ def _roundtrip_violations(systems):
     over all plaintexts, and the witness is the least (plaintext,
     protocol, keys) over the runs that fail, Massey-Omura first."""
     for name, sys in systems:
-        decryptable = [s for s, uniform in enumerate(sys.key_table.uniform) if uniform]
+        decryptable = [s for s, uniform in enumerate(sys.act.uniform_keys) if uniform]
         points = tuple(sys.act.points)
         failing = [
             (_first_miss(row), 0, s, t)
@@ -1281,51 +1280,37 @@ def _left_dense_violations(systems):
     transitive with x in its own image; every locally cyclic subact
     transitive with x in its own image."""
     for name, sys in systems:
-        m = sys.act.carrier
-        if m > 16:
+        act = sys.act
+        if act.carrier > 16:
             continue
-        if not crypto.stabilizers_left_dense(sys.act):
+        if not crypto.stabilizers_left_dense(act):
             return f"{name}: stabilizers not left dense"
-        # reach[x] is the bitmask of {s*x : s in S}
-        reach = [0] * m
-        for row in sys.act.table:
-            for x, y in enumerate(row):
-                reach[x] |= 1 << y
+        # reach[x] is Sx = {s*x : s in S}, column x of the act
+        reach = [frozenset(col) for col in zip(*act.table)]
 
-        def transitive(mask):
-            return all(mask & ~reach[y] == 0 for y in range(m) if mask >> y & 1)
+        def transitive(points):
+            return all(points <= reach[y] for y in points)
 
-        cond2 = all(reach[x] >> x & 1 and transitive(reach[x]) for x in range(m))
-
-        # subacts of a total act are exactly the unions of forward closures,
-        # so scanning unions of the distinct reach-closures covers them all
-        def closure(x):
-            mask = 1 << x
-            while True:
-                grown = mask
-                for y in range(m):
-                    if mask >> y & 1:
-                        grown |= reach[y]
-                if grown == mask:
-                    return mask
-                mask = grown
-
-        distinct = sorted({closure(x) for x in range(m)})
-        cond3 = all(reach[x] >> x & 1 for x in range(m))
-        for bits in range(1, 1 << len(distinct)):
-            mask = 0
-            for i, c in enumerate(distinct):
-                if bits >> i & 1:
-                    mask |= c
-            points = [y for y in range(m) if mask >> y & 1]
-            locally_cyclic = all(
-                any(reach[z] >> y1 & 1 and reach[z] >> y2 & 1 for z in points)
-                for y1 in points
-                for y2 in points
+        def locally_cyclic(points):
+            # every two points y, y' lie in one Sz with z in points
+            return all(
+                points <= frozenset().union(*(reach[z] for z in points if y in reach[z]))
+                for y in points
             )
-            if locally_cyclic and not transitive(mask):
-                cond3 = False
-                break
+
+        own_image = all(x in Sx for x, Sx in enumerate(reach))
+        cond2 = own_image and all(map(transitive, reach))
+        # in a total act {x} u Sx is closed, so the subacts are exactly the
+        # unions of the distinct orbit sets
+        orbits = list(dict.fromkeys(act.orbit_sets))
+        subacts = (
+            frozenset().union(*chosen)
+            for k in range(1, len(orbits) + 1)
+            for chosen in combinations(orbits, k)
+        )
+        cond3 = own_image and not any(
+            not transitive(points) and locally_cyclic(points) for points in subacts
+        )
         if not (cond2 and cond3):
             return f"{name}: left-dense-equivalences (True,{cond2},{cond3})"
 
@@ -1364,7 +1349,7 @@ def suite_crypto() -> list[Finding]:
     """The crypto findings, over the systems of ``_system_corpus``."""
     systems = _system_corpus()
     # each check below takes the systems that meet its hypotheses
-    commutative = [(name, sys) for name, sys in systems if sys.key_table.commutative]
+    commutative = [(name, sys) for name, sys in systems if sys.semigroup.structure.is_commutative]
     left_regular = [(name, sys) for name, sys in systems if sys.act.table == sys.semigroup.table]
     unitary = [
         (name, sys)

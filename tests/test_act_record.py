@@ -17,7 +17,7 @@ import pytest
 from edense import acts, cli, closures, construction, core, cosets, verify
 from edense.errors import NotSemilattice
 
-from conftest import fx
+from conftest import SEMILATTICE_FIXTURES, fx
 
 
 def ref_point_domain(act, x):
@@ -73,6 +73,17 @@ def ref_grading(act):
     return acts.Grading(tuple(p))
 
 
+def ref_uniform_keys(act, s):
+    """The t such that t*s acts on every point and fixes it; none on an
+    empty carrier."""
+    S = act.semigroup
+    if not act.carrier:
+        return frozenset()
+    return frozenset(
+        t for t in S.elements if all(S.mul(t, s) in ref_stabilizer(act, x) for x in act.points)
+    )
+
+
 def z_k_e(k):
     G = core.build_semigroup([[(i + j) % k for j in range(k)] for i in range(k)])
     return construction.adjoined_band_semigroup(G, name=f"Z{k}E")
@@ -123,6 +134,20 @@ def test_record_matches_the_definitions_on_every_suite_act():
             check_record(act)
             checked += 1
     assert checked > 500
+
+
+def test_uniform_keys_match_a_scan_on_partial_acts():
+    # the Wagner-Preston and Munn acts of the semilattice fixtures and of
+    # the other record tables, most of whose elements act on few points
+    sizes = set()
+    for S in [*map(fx, SEMILATTICE_FIXTURES), *record_tables()]:
+        if verify._skip_reason(S):
+            continue
+        for act in (acts.wagner_preston(S), acts.munn_act(S)):
+            for s in S.elements:
+                assert act.uniform_keys[s] == ref_uniform_keys(act, s), (S.table, s)
+                sizes.add(len(act.uniform_keys[s]))
+    assert 0 in sizes and len(sizes) > 2
 
 
 def test_record_values_are_immutable():

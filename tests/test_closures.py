@@ -23,6 +23,16 @@ def test_omega_h_examples():
     assert closures.omega_h(fx("B2"), {0}) == frozenset(range(5))
 
 
+def test_closures_look_members_up_by_equality():
+    # the up-sets are keyed by id: a member equal to an id finds its up-set,
+    # and a member equal to none finds nothing
+    S = fx("CHAIN3")
+    for omega in (closures.omega_m, closures.omega_h):
+        assert omega(S, {0.0}) == omega(S, {0}) == {0, 1, 2}
+        assert omega(S, {True}) == omega(S, {1}) == {1, 2}
+        assert omega(S, {"0", -1, 3, 0.5}) == frozenset()
+
+
 def test_omega_sandwich(corpus):
     for S in corpus.values():
         for s in S.elements:

@@ -2,6 +2,7 @@
 trips on the modular-exponentiation oracle, and the orbit classification."""
 
 import dataclasses
+import functools
 import json
 import math
 import random
@@ -245,7 +246,7 @@ def test_protocols_raise_no_decrypt_key():
     S = fx("N2")
     rows, _ = acts.left_mult_total(S)
     sys_ = crypto.Cryptosystem(acts.PartialAct(S, tuple(map(tuple, rows))))
-    assert sys_.key_table.uniform == (frozenset(), frozenset())
+    assert sys_.act.uniform_keys == (frozenset(), frozenset())
     with pytest.raises(NoDecryptKey) as exc:
         crypto.massey_omura(sys_, 1, 1, 0)
     assert exc.value.key == 1
@@ -585,20 +586,23 @@ def test_key_table_matches_act_scans(name, sys_):
         assert crypto.uniform_decrypt_keys(sys_, s) == expected
     assert crypto.key_space_sizes(sys_) == sizes
     commutative = all(S.mul(a, b) == S.mul(b, a) for a in S.elements for b in S.elements)
-    assert sys_.key_table.commutative == commutative
+    assert S.structure.is_commutative == commutative
     assert crypto.stabilizers_left_dense(sys_.act) == reference_pointwise_decryptable(sys_.act)
 
 
 def test_reference_systems_include_a_non_commutative_one():
     systems = dict(REFERENCE_SYSTEMS)
-    assert not systems["B2"].key_table.commutative
-    assert systems["Z6E"].key_table.commutative
+    assert not systems["B2"].semigroup.structure.is_commutative
+    assert systems["Z6E"].semigroup.structure.is_commutative
 
 
 def test_key_table_is_built_once_per_system(monkeypatch):
+    # the uniform keys are built once per act, on first use
     built = []
-    real = crypto.DecryptKeyTable.of
-    monkeypatch.setattr(crypto.DecryptKeyTable, "of", lambda act: built.append(act) or real(act))
+    real = acts.PartialAct.uniform_keys.func
+    counted = functools.cached_property(lambda act: built.append(act) or real(act))
+    counted.__set_name__(acts.PartialAct, "uniform_keys")
+    monkeypatch.setattr(acts.PartialAct, "uniform_keys", counted)
     sys_ = band_system()
     assert built == []
     for s in sys_.semigroup.elements:
@@ -829,6 +833,119 @@ def test_build_cryptosystem_rejects_bad_input_without_asserts():
         crypto.build_cryptosystem(S, out_of_range)
 
 
+@pytest.mark.parametrize("bad", [0.5, 0.0, "0", "x", True, [0]], ids=repr)
+def test_entries_that_are_not_int_ids_are_refused(bad):
+    # 0.0 and True equal ids, 0.5 passes 0 <= v < m, "0" and "x" convert or
+    # not under int(), and [0] is unhashable: each is refused where it stands
+    S = fx("Z2")
+    for build, rows in (
+        (acts.validate_act, [[bad], [0]]),
+        (acts.validate_act, [[0, 1], [1, bad]]),
+        (crypto.build_cryptosystem, [[0, 1], [1, bad]]),
+    ):
+        with pytest.raises(OutOfRangeEntry) as exc:
+            build(S, rows)
+        assert exc.value.witness == (len(rows[0]) - 1, len(rows[0]) - 1, bad)
+
+
+# --- the left-dense check against its bitmask loop ---------------------------------
+
+
+def ref_left_dense_violations(systems):
+    """The left-dense check as it was written on bitmasks of the act, with
+    the subacts found by closing each point under the act."""
+    for name, sys in systems:
+        m = sys.act.carrier
+        if m > 16:
+            continue
+        if not crypto.stabilizers_left_dense(sys.act):
+            return f"{name}: stabilizers not left dense"
+        reach = [0] * m
+        for row in sys.act.table:
+            for x, y in enumerate(row):
+                reach[x] |= 1 << y
+
+        def transitive(mask):
+            return all(mask & ~reach[y] == 0 for y in range(m) if mask >> y & 1)
+
+        cond2 = all(reach[x] >> x & 1 and transitive(reach[x]) for x in range(m))
+
+        def closure(x):
+            mask = 1 << x
+            while True:
+                grown = mask
+                for y in range(m):
+                    if mask >> y & 1:
+                        grown |= reach[y]
+                if grown == mask:
+                    return mask
+                mask = grown
+
+        distinct = sorted({closure(x) for x in range(m)})
+        cond3 = all(reach[x] >> x & 1 for x in range(m))
+        for bits in range(1, 1 << len(distinct)):
+            mask = 0
+            for i, c in enumerate(distinct):
+                if bits >> i & 1:
+                    mask |= c
+            points = [y for y in range(m) if mask >> y & 1]
+            locally_cyclic = all(
+                any(reach[z] >> y1 & 1 and reach[z] >> y2 & 1 for z in points)
+                for y1 in points
+                for y2 in points
+            )
+            if locally_cyclic and not transitive(mask):
+                cond3 = False
+                break
+        if not (cond2 and cond3):
+            return f"{name}: left-dense-equivalences (True,{cond2},{cond3})"
+
+
+def cyclic_blocks(k, m):
+    """Z_k acting on m points: s adds s mod k inside each full block of k
+    points, and fixes the points left over; the trivial action for k = 1."""
+    full = m - m % k
+    return [[x - x % k + (x + s) % k if x < full else x for x in range(m)] for s in range(k)]
+
+
+def left_dense_inputs():
+    """Every system above; trivial and cyclic actions of Z2 and Z3 on 2 to
+    6 points, each with several orbits; disjoint unions of corpus acts; and
+    left multiplication of every order <= 3 table and of the fixtures, which
+    need not be cancellative."""
+    systems = list(REFERENCE_SYSTEMS) + [(f"band {n}", band_system(n)) for n in ("Z3E", "Z6E")]
+    for name in ("Z2", "Z3"):
+        S = fx(name)
+        for k, m in product((1, S.n), range(2, 7)):
+            rows = [cyclic_blocks(k, m)[s % k] for s in S.elements]
+            systems.append((f"{name} by Z{k} on {m}", crypto.build_cryptosystem(S, rows)))
+    for name, sys_ in verify._system_corpus():
+        S = sys_.semigroup
+        regular = acts.PartialAct(S, S.table)
+        for other in (sys_.act, regular):
+            union = crypto.Cryptosystem(acts.disjoint_union(sys_.act, other))
+            systems.append((f"{name} and {other.carrier} points", union))
+    tables = [*verify._small_tables(), *map(fx, construction.FIXTURE_NAMES)]
+    systems += [(f"left {S.table}", crypto.Cryptosystem(acts.PartialAct(S, S.table))) for S in tables]
+    return systems
+
+
+def test_left_dense_check_matches_its_bitmask_loop(monkeypatch):
+    inputs = left_dense_inputs()
+    for system in inputs:
+        assert verify._left_dense_violations([system]) == ref_left_dense_violations([system])
+    # with every stabilizer taken as left dense, the two orbit forms are
+    # judged on acts where they fail
+    monkeypatch.setattr(crypto, "stabilizers_left_dense", lambda act: True)
+    found = []
+    for system in inputs:
+        found.append(verify._left_dense_violations([system]))
+        assert found[-1] == ref_left_dense_violations([system])
+    # the orbit form fails, and so does the subact form
+    assert any(w and "(True,False," in w for w in found)
+    assert any(w and w.endswith(",False)") for w in found)
+
+
 # --- the shared composition scan against the per-triple loops -------------------
 
 
@@ -1049,7 +1166,7 @@ def test_modexp_systems_match_direct_builds():
     assert sys_ == direct
     assert sys_.act.table == ms.rows
     assert sys_.act.point_labels == direct.act.point_labels
-    assert sys_.key_table == direct.key_table
+    assert sys_.act.uniform_keys == direct.act.uniform_keys
     for n in (3, ms.exponents[-1]):
         key = ms.element_of(n)
         for x in sys_.act.points:

@@ -244,10 +244,14 @@ def test_the_key_space_check_asks_for_every_key_space(monkeypatch):
 # choice for each x, Massey-Omura before ElGamal, nothing remembered.
 
 
+def least_uniform_key(sys_):
+    """The least uniform key of each key, read from the act's uniform keys."""
+    return lambda k: min(sys_.act.uniform_keys[k])
+
+
 def reference_roundtrip(name, sys_):
-    table = sys_.key_table
-    key = table.least_uniform.__getitem__
-    decryptable = [s for s, uniform in enumerate(table.uniform) if uniform]
+    key = least_uniform_key(sys_)
+    decryptable = [s for s, uniform in enumerate(sys_.act.uniform_keys) if uniform]
     for x in sys_.act.points:
         for s, t in product(decryptable, repeat=2):
             if oracle_massey_omura(sys_, x, s, t, key=key).recovered != x:
@@ -259,7 +263,7 @@ def reference_roundtrip(name, sys_):
 
 def reference_biact_roundtrip(name, sys_):
     S = sys_.semigroup
-    key = sys_.key_table.least_uniform.__getitem__
+    key = least_uniform_key(sys_)
     for x in sys_.act.points:
         for s, t in product(S.elements, repeat=2):
             if oracle_massey_omura(sys_, x, s, t, right_mult(S), key).recovered != x:
@@ -295,13 +299,12 @@ def reference_key_space(name, sys_):
 
 
 def with_wrong_key(sys_, k, wrong):
-    """A copy of the system whose least uniform key of k is ``wrong``."""
-    faulty = crypto.Cryptosystem(sys_.act)
-    table = sys_.key_table
-    least = list(table.least_uniform)
-    least[k] = wrong
-    faulty.__dict__["key_table"] = dataclasses.replace(table, least_uniform=tuple(least))
-    return faulty
+    """A system on a copy of the act whose uniform keys of k are ``wrong`` alone."""
+    act = dataclasses.replace(sys_.act)
+    uniform = list(sys_.act.uniform_keys)
+    uniform[k] = frozenset({wrong})
+    act.__dict__["uniform_keys"] = tuple(uniform)
+    return crypto.Cryptosystem(act)
 
 
 def roundtrip_fidelity():
@@ -309,7 +312,7 @@ def roundtrip_fidelity():
     uniform keys on the commutative systems of the corpus."""
     pairs = []
     for name, sys_ in verify._system_corpus():
-        if not sys_.key_table.commutative:
+        if not sys_.semigroup.structure.is_commutative:
             continue
         S, rows = sys_.semigroup, sys_.act.table
         for seed in range(6 if sys_.act.carrier > 1 else 0):
@@ -325,7 +328,7 @@ def roundtrip_fidelity():
                 )
             )
         for k in S.elements:
-            faulty = with_wrong_key(sys_, k, (sys_.key_table.least_uniform[k] + 1) % S.n)
+            faulty = with_wrong_key(sys_, k, (min(sys_.act.uniform_keys[k]) + 1) % S.n)
             pairs.append(
                 (verify._roundtrip_violations([(name, faulty)]), reference_roundtrip(name, faulty))
             )
@@ -339,7 +342,7 @@ def biact_fidelity():
     sys_ = crypto.locally_free_system(S)
     pairs = []
     for k, shift in product(S.elements, (1, 2)):
-        faulty = with_wrong_key(sys_, k, (sys_.key_table.least_uniform[k] + shift) % S.n)
+        faulty = with_wrong_key(sys_, k, (min(sys_.act.uniform_keys[k]) + shift) % S.n)
         pairs.append(
             (
                 verify._biact_roundtrip_violations([(name, faulty)]),
@@ -357,7 +360,7 @@ def biact_fidelity():
             s, x = rng.randrange(S.n), rng.randrange(S.n)
             bad[s][x] = rng.choice([v for v in S.elements if v != bad[s][x]])
             faulty = crypto.Cryptosystem(acts.PartialAct(S, tuple(map(tuple, bad))))
-            faulty.__dict__["key_table"] = sys_.key_table
+            faulty.act.__dict__["uniform_keys"] = sys_.act.uniform_keys
             pairs.append(
                 (
                     verify._biact_roundtrip_violations([(name, faulty)]),

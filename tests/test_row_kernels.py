@@ -84,7 +84,7 @@ def ref_build_semigroup(rows, identity_hint=None, labels=None, name=""):
 
 
 def ref_validate_act(S, rows, point_labels=None):
-    table = tuple(tuple(v if v is None else int(v) for v in row) for row in rows)
+    table = tuple(tuple(row) for row in rows)
     if len(table) != S.n:
         raise PreconditionFailed("act_shape", f"{len(table)} rows for order {S.n}")
     m = len(table[0]) if table else 0
@@ -92,7 +92,8 @@ def ref_validate_act(S, rows, point_labels=None):
         if len(row) != m:
             raise PreconditionFailed("act_shape", f"row {s} has {len(row)} entries, expected {m}")
         for x, v in enumerate(row):
-            if v is not None and not 0 <= v < m:
+            # an entry is None or an int by type: True and 0.0 equal ids
+            if v is not None and not (type(v) is int and 0 <= v < m):
                 raise OutOfRangeEntry(s, x, v)
     witness = core._composition_witness(S, table)
     if witness:
@@ -242,6 +243,7 @@ def test_validate_act_agrees_on_every_small_partial_table():
 
 
 def test_validate_act_converts_entries_like_the_entry_loop():
+    # no entry is converted: one that is not None or an int id is refused
     S = fx("Z2")
     for rows in (
         [[True, 0], [0, 1]],

@@ -761,12 +761,17 @@ def record_forwarders(source):
 
 
 def test_act_data_are_read_from_the_act():
-    # an act's orbits, stabilizers, properties and grading are read from its
-    # record; no module function of acts only hands a record field back
-    path = ROOT / "src" / "edense" / "acts.py"
-    assert record_forwarders(path.read_text()) == []
+    # an act's orbits, stabilizers, properties, grading and uniform keys are
+    # read from its record; no module function of the modules that read
+    # records only hands a record field back (core's queries over
+    # S.structure are its documented API, and stay out)
+    for name in ("acts.py", "crypto.py", "cosets.py", "closures.py", "construction.py"):
+        path = ROOT / "src" / "edense" / name
+        assert record_forwarders(path.read_text()) == [], name
     forwarder = "def orbits(act):\n    \"\"\"Doc.\"\"\"\n    return list(act.orbit_partition)\n"
     assert record_forwarders(forwarder) == ["orbits:1"]
+    forwarder = "def uniform_keys(sys):\n    return sys.act.uniform_keys\n"
+    assert record_forwarders(forwarder) == ["uniform_keys:1"]
 
 
 # each memo on the structure record, with the one module that fills and reads it
